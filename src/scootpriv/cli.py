@@ -17,7 +17,11 @@ import time
 
 import numpy as np
 
-from . import __version__, clustering, geo_privacy, synth_fleet, trip_recon, utility_eval
+from . import (
+    __version__, clustering, feed_ingest, geo_privacy, synth_fleet, trip_recon, utility_eval,
+)
+# archives are read through feed_ingest.read_snapshots, looked up on the
+# module at call time, so wrappers set on that attribute see every read
 from .feed_ingest import (
     ScooterObservation,
     Snapshot,
@@ -47,15 +51,6 @@ def _meta(command: str, **params) -> dict:
     return {"command": command, "version": __version__, **params}
 
 
-def _load_provider_snapshots(store_path: str, provider: str | None) -> list[Snapshot]:
-    store = SnapshotStore(store_path)
-    snaps = list(store.iter_all())
-    if provider is not None:
-        snaps = [s for s in snaps if s.provider == provider]
-    snaps.sort(key=lambda s: s.captured_at)
-    return snaps
-
-
 def cmd_scrape(args) -> int:
     if not args.url.startswith(("http://", "https://")):
         raise UsageError(f"not an http(s) URL: {args.url!r}")
@@ -81,7 +76,7 @@ def cmd_scrape(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    snaps = _load_provider_snapshots(args.store, args.provider)
+    snaps = feed_ingest.read_snapshots(SnapshotStore(args.store), args.provider)
     trips = trip_recon.reconstruct_trips(snaps, min_move_m=args.min_move_m)
     f = trip_recon.TripFilter(
         min_distance_m=args.min_distance_m, max_duration_s=args.max_duration_s
@@ -143,7 +138,7 @@ def _resolve_epsilon(args) -> tuple[float, dict]:
 
 def cmd_sanitize(args) -> int:
     eps, eps_meta = _resolve_epsilon(args)
-    snaps = _load_provider_snapshots(args.store, None)
+    snaps = feed_ingest.read_snapshots(SnapshotStore(args.store))
     out = SnapshotStore(args.output)
     with open(args.output, "w", encoding="utf-8"):
         pass  # truncate
@@ -176,9 +171,13 @@ def cmd_sanitize(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    snaps = _load_provider_snapshots(args.store, args.provider)
+    snaps = feed_ingest.read_snapshots(SnapshotStore(args.store), args.provider)
     if not snaps:
         raise StoreError(f"no snapshots in {args.store}")
+    if not -len(snaps) <= args.snapshot_index < len(snaps):
+        raise UsageError(
+            f"--snapshot-index {args.snapshot_index} out of range for {len(snaps)} snapshots"
+        )
     snapshot = snaps[args.snapshot_index]
     boundary = utility_eval.load_regions_geojson(args.boundary)[0]
     grid = parse_r_grid(args.r_grid)
@@ -187,8 +186,7 @@ def cmd_evaluate(args) -> int:
     )
     if args.neighborhoods:
         regions = utility_eval.RegionSet(
-            regions=tuple(utility_eval.load_regions_geojson(args.neighborhoods)),
-            boundary=boundary,
+            regions=tuple(utility_eval.load_regions_geojson(args.neighborhoods))
         )
         neighborhood_rows = utility_eval.neighborhood_loss_experiment(
             snapshot, regions, grid, args.trials, args.ratio, args.seed + 1

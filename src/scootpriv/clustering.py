@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .trip_recon import EARTH_RADIUS_KM
+from .trip_recon import EARTH_RADIUS_KM, write_meta_header
 
 DEG = math.pi / 180.0
 
@@ -166,9 +166,7 @@ def select_small_clusters(clusters: list[Cluster], max_size: int) -> list[Cluste
 
 def write_clusters_csv(clusters: list[Cluster], path: str | Path, meta: dict | None = None) -> None:
     with open(path, "w", newline="", encoding="utf-8") as f:
-        if meta:
-            for key, v in meta.items():
-                f.write(f"# {key}={v}\n")
+        write_meta_header(f, meta)
         w = csv.writer(f)
         w.writerow(["cluster_id", "centroid_lat", "centroid_lon", "size"])
         for c in clusters:

@@ -8,14 +8,14 @@ keeps replayed fixtures deterministic.
 
 from __future__ import annotations
 
+import http.client
 import json
 import logging
 import time
+import urllib.request
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterator
-
-import requests
 
 log = logging.getLogger(__name__)
 
@@ -199,28 +199,33 @@ class SnapshotStore:
 
 def read_snapshots(
     store: SnapshotStore,
-    provider: str,
-    from_ts: int,
-    to_ts: int,
+    provider: str | None = None,
+    from_ts: int | None = None,
+    to_ts: int | None = None,
     skip_corrupt: bool = False,
 ) -> list[Snapshot]:
-    """Snapshots for one provider with captured_at in [from_ts, to_ts], ascending."""
-    if from_ts > to_ts:
+    """Snapshots with captured_at in [from_ts, to_ts], ascending (stable).
+
+    ``provider=None`` keeps every provider; absent bounds are open. Of
+    several snapshots with the same (provider, captured_at), as a
+    restarted scraper can append, only the first in the file is kept.
+    """
+    if from_ts is not None and to_ts is not None and from_ts > to_ts:
         raise ValueError(f"from ({from_ts}) must not exceed to ({to_ts})")
-    out = [
-        s
-        for s in store.iter_all(skip_corrupt=skip_corrupt)
-        if s.provider == provider and from_ts <= s.captured_at <= to_ts
-    ]
-    out.sort(key=lambda s: s.captured_at)
-    # append-only monotonic writes make duplicates impossible from this
-    # store, but hand-built fixtures may contain them
-    deduped = []
-    for s in out:
-        if deduped and deduped[-1].captured_at == s.captured_at:
+    out, seen = [], set()
+    for s in store.iter_all(skip_corrupt=skip_corrupt):
+        key = (s.provider, s.captured_at)
+        if (
+            key in seen
+            or (provider is not None and s.provider != provider)
+            or (from_ts is not None and s.captured_at < from_ts)
+            or (to_ts is not None and s.captured_at > to_ts)
+        ):
             continue
-        deduped.append(s)
-    return deduped
+        seen.add(key)
+        out.append(s)
+    out.sort(key=lambda s: s.captured_at)
+    return out
 
 
 @dataclass
@@ -238,10 +243,10 @@ def _fetch_with_retry(
     backoff = min(1.0, interval_s / 2)
     for attempt in range(RETRY_ATTEMPTS):
         try:
-            resp = requests.get(endpoint, timeout=timeout)
-            resp.raise_for_status()
-            return resp.content
-        except requests.RequestException as exc:
+            # urlopen raises HTTPError, an OSError, on any non-2xx status
+            with urllib.request.urlopen(endpoint, timeout=timeout) as resp:
+                return resp.read()
+        except (OSError, http.client.HTTPException) as exc:
             summary.fetch_failures += 1
             summary.errors.append(str(exc))
             log.warning("fetch attempt %d failed: %s", attempt + 1, exc)

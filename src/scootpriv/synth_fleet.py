@@ -24,7 +24,7 @@ import numpy as np
 
 from . import geo_privacy
 from .feed_ingest import ScooterObservation, Snapshot, SnapshotStore
-from .trip_recon import Trip, make_trip
+from .trip_recon import Trip, make_trip, write_meta_header
 from .utility_eval import Region, point_in_region
 
 BASE_TIME = 1_700_000_000  # fixed epoch start keeps archives reproducible
@@ -229,9 +229,7 @@ def write_archive(snapshots: list[Snapshot], path: str | Path, meta: dict | None
 
 def write_ground_truth_csv(truth: GroundTruth, path: str | Path, meta: dict | None = None) -> None:
     with open(path, "w", newline="", encoding="utf-8") as f:
-        if meta:
-            for k, v in meta.items():
-                f.write(f"# {k}={v}\n")
+        write_meta_header(f, meta)
         w = csv.writer(f)
         w.writerow(GROUND_TRUTH_COLUMNS)
         events = [(t, False) for t in truth.trips] + [(t, True) for t in truth.relocations]

@@ -213,11 +213,15 @@ def check_device_cap(estimate: int, cap: int) -> CapVerdict:
     return CapVerdict(compliant=False, exceeds_by=estimate - cap)
 
 
+def write_meta_header(f, meta: dict | None) -> None:
+    """Write provenance as ``# key=value`` lines; CSV readers skip them."""
+    for k, v in (meta or {}).items():
+        f.write(f"# {k}={v}\n")
+
+
 def write_trips_csv(trips: list[Trip], path: str | Path, meta: dict | None = None) -> None:
     with open(path, "w", newline="", encoding="utf-8") as f:
-        if meta:
-            for k, v in meta.items():
-                f.write(f"# {k}={v}\n")
+        write_meta_header(f, meta)
         w = csv.writer(f)
         w.writerow(TRIP_CSV_COLUMNS)
         for t in trips:

@@ -18,6 +18,7 @@ import numpy as np
 
 from .feed_ingest import Snapshot
 from . import geo_privacy
+from .trip_recon import write_meta_header
 
 REPORT_CSV_COLUMNS = [
     "R_km",
@@ -85,7 +86,6 @@ def _check_simple(ring, name: str) -> None:
 @dataclass(frozen=True)
 class RegionSet:
     regions: tuple[Region, ...]
-    boundary: Region | None = None  # city limits, when distinct from regions
 
     def __post_init__(self):
         names = [r.name for r in self.regions]
@@ -93,44 +93,21 @@ class RegionSet:
             raise RegionError("duplicate region names")
 
 
-def _on_ring_boundary(p: tuple[float, float], ring) -> bool:
-    py, px = p  # (lat, lon) -> treat lat as y, lon as x
-    for (ay, ax), (by, bx) in zip(ring[:-1], ring[1:]):
-        cross = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
-        if cross == 0 and min(ax, bx) <= px <= max(ax, bx) and min(ay, by) <= py <= max(ay, by):
-            return True
-    return False
-
-
-def _ray_cast(p: tuple[float, float], ring) -> bool:
-    """Even-odd crossing count for a ray going in +lon direction."""
-    py, px = p
-    inside = False
-    for (ay, ax), (by, bx) in zip(ring[:-1], ring[1:]):
-        if (ay > py) != (by > py):
-            x_cross = ax + (py - ay) * (bx - ax) / (by - ay)
-            if px < x_cross:
-                inside = not inside
-    return inside
-
-
 def point_in_region(p: tuple[float, float], region: Region) -> bool:
-    """Even-odd containment over all rings; holes subtract. Points exactly
-    on any edge or vertex count as inside (deterministic tie rule)."""
-    for ring in region.rings:
-        if _on_ring_boundary(p, ring):
-            return True
-    inside = False
-    for ring in region.rings:
-        if _ray_cast(p, ring):
-            inside = not inside
-    return inside
+    """Scalar form of points_in_region, with the same tie rule."""
+    return bool(points_in_region(np.array([p[0]]), np.array([p[1]]), region)[0])
 
 
 def points_in_region(lats: np.ndarray, lons: np.ndarray, region: Region) -> np.ndarray:
-    """Vectorized even-odd containment; boundary points (measure zero for
-    Monte Carlo points) fall to the crossing rule, matching the scalar
-    path everywhere off the edges."""
+    """Even-odd containment over all rings; holes subtract.
+
+    Tie rule for points exactly on an edge (the only one in the package):
+    half-open crossing. A ray cast east from the point crosses an edge
+    when one end's latitude is <= the point's and the other's is >, and
+    the point lies strictly west of the crossing. On an axis-aligned tile
+    the south and west edges are inside and the north and east edges
+    outside, so adjacent tiles never share a point, whatever their order.
+    """
     lats = np.asarray(lats, float)
     lons = np.asarray(lons, float)
     inside = np.zeros(len(lats), dtype=bool)
@@ -185,17 +162,11 @@ def count_by_region(
     Overlaps resolve to the first containing region in file order, so the
     counts always partition the snapshot.
     """
-    counts = {r.name: 0 for r in regions.regions}
-    outside = 0
-    for obs in snapshot.observations:
-        p = (obs.lat, obs.lon)
-        for region in regions.regions:
-            if point_in_region(p, region):
-                counts[region.name] += 1
-                break
-        else:
-            outside += 1
-    return counts, outside
+    lats = np.array([o.lat for o in snapshot.observations], float)
+    lons = np.array([o.lon for o in snapshot.observations], float)
+    assignment = _assign_regions(lats, lons, regions)
+    counts = {r.name: int(np.sum(assignment == i)) for i, r in enumerate(regions.regions)}
+    return counts, int(np.sum(assignment == -1))
 
 
 def _assign_regions(
@@ -350,9 +321,9 @@ def emit_report(report: UtilityReport, path: str | Path, fmt: str = "csv") -> No
     """Serialize a report losslessly as CSV (with # metadata header) or JSON."""
     if fmt == "csv":
         with open(path, "w", newline="", encoding="utf-8") as f:
-            f.write(f"# trials={report.trials}\n")
-            f.write(f"# ratio={report.ratio}\n")
-            f.write(f"# seed={report.master_seed}\n")
+            write_meta_header(
+                f, {"trials": report.trials, "ratio": report.ratio, "seed": report.master_seed}
+            )
             w = csv.writer(f)
             w.writerow(REPORT_CSV_COLUMNS)
             for r in report.rows:

@@ -137,6 +137,18 @@ class TestReconstructCommand:
         )
         assert rc == 1
 
+    def test_repeated_snapshot_line_ignored(self, tmp_path, synth_archive):
+        # a restarted scrape can append a snapshot the archive already holds
+        lines = synth_archive.read_text().splitlines(keepends=True)
+        dup = tmp_path / "dup.jsonl"
+        dup.write_text("".join(lines[:50] + [lines[40]] + lines[50:]))
+        outs = []
+        for store in (synth_archive, dup):
+            out = tmp_path / f"{store.stem}_trips.csv"
+            assert main(["reconstruct", "--store", str(store), "--output", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
 
 class TestClusterCommand:
     @pytest.fixture
@@ -270,6 +282,17 @@ class TestEvaluateCommand:
         assert len(rows) == 1 + 5
         first = rows[1].split(",")
         assert float(first[0]) == 0.0 and float(first[2]) == 0.0
+
+    @pytest.mark.parametrize("index", ["181", "9999", "-182"])
+    def test_snapshot_index_out_of_range_exits_2(self, tmp_path, synth_archive, capsys, index):
+        boundary = tmp_path / "boundary.geojson"
+        write_boundary_geojson(boundary)
+        rc = main(
+            ["evaluate", "--store", str(synth_archive), "--boundary", str(boundary),
+             "--snapshot-index", index, "--output", str(tmp_path / "r.csv")]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_missing_region_file_exits_1(self, tmp_path, synth_archive):
         rc = main(

@@ -138,6 +138,18 @@ class TestReadSnapshots:
         ts = [s.captured_at for s in snaps]
         assert ts == sorted(set(ts))
 
+    def test_repeated_line_dropped(self, filled_store):
+        lines = filled_store.path.read_text().splitlines(keepends=True)
+        filled_store.path.write_text("".join(lines + [lines[2]]))
+        assert [s.captured_at for s in read_snapshots(filled_store)] == [100, 110, 120, 130, 140]
+
+    def test_all_providers_keep_equal_timestamps(self, tmp_path):
+        store = SnapshotStore(tmp_path / "a.jsonl")
+        for provider in ("bird", "lime"):
+            store.append(make_snapshot([("a", 0, 0)], captured_at=100, provider=provider))
+        snaps = read_snapshots(store, provider=None)
+        assert [(s.provider, s.captured_at) for s in snaps] == [("bird", 100), ("lime", 100)]
+
 
 class _FeedHandler(BaseHTTPRequestHandler):
     """Replays a scripted list of responses, one per request."""

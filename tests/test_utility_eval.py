@@ -86,13 +86,17 @@ class TestPointInRegion:
     def test_outside_bbox(self, unit_square):
         assert not point_in_region((5.0, 5.0), unit_square)
 
-    def test_on_edge_counts_inside(self, unit_square):
-        assert point_in_region((0.0, 0.5), unit_square)
-        assert point_in_region((0.5, 0.0), unit_square)
+    def test_edge_tie_rule_south_west_in_north_east_out(self, unit_square):
+        assert point_in_region((0.0, 0.5), unit_square)  # south edge
+        assert point_in_region((0.5, 0.0), unit_square)  # west edge
+        assert not point_in_region((1.0, 0.5), unit_square)  # north edge
+        assert not point_in_region((0.5, 1.0), unit_square)  # east edge
 
-    def test_on_vertex_counts_inside(self, unit_square):
+    def test_vertex_tie_rule_only_south_west_corner_in(self, unit_square):
         assert point_in_region((0.0, 0.0), unit_square)
-        assert point_in_region((1.0, 1.0), unit_square)
+        assert not point_in_region((0.0, 1.0), unit_square)
+        assert not point_in_region((1.0, 0.0), unit_square)
+        assert not point_in_region((1.0, 1.0), unit_square)
 
     def test_point_in_hole_is_outside(self, square_with_hole):
         assert not point_in_region((5.0, 5.0), square_with_hole)
@@ -113,7 +117,7 @@ class TestPointInRegion:
         lons = rng.uniform(-2, 12, 5000)
         vec = points_in_region(lats, lons, square_with_hole)
         for i in range(len(lats)):
-            assert vec[i] == point_in_region((lats[i], lons[i]), square_with_hole)
+            assert vec[i] == winding_number_contains((lats[i], lons[i]), square_with_hole)
 
 
 class TestGeoJsonLoading:
@@ -178,6 +182,13 @@ class TestCountByRegion:
         )
         counts, outside = count_by_region(snap, two_squares)
         assert counts == {"west": 1, "east": 1} and outside == 1
+
+    def test_shared_edge_counts_once_in_east(self, two_squares):
+        # on the common edge lon=1: east's west edge, west's east edge;
+        # the tie rule decides, not the file order
+        snap = make_snapshot([("a", 0.5, 1.0)])
+        counts, outside = count_by_region(snap, two_squares)
+        assert counts == {"west": 0, "east": 1} and outside == 0
 
     def test_overlap_resolves_to_first_in_file_order(self):
         overlapping = RegionSet(
