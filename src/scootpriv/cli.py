@@ -14,8 +14,7 @@ import argparse
 import json
 import sys
 import time
-
-import numpy as np
+from dataclasses import replace
 
 from . import (
     __version__, clustering, feed_ingest, geo_privacy, synth_fleet, trip_recon, utility_eval,
@@ -75,8 +74,19 @@ def cmd_scrape(args) -> int:
     return 0
 
 
-def cmd_reconstruct(args) -> int:
+def _read_one_provider(args) -> list[Snapshot]:
+    """Snapshots of --provider, or of the archive's only provider."""
     snaps = feed_ingest.read_snapshots(SnapshotStore(args.store), args.provider)
+    providers = sorted({s.provider for s in snaps})
+    if len(providers) > 1:
+        raise UsageError(
+            f"{args.store} holds providers {', '.join(providers)}; choose one with --provider"
+        )
+    return snaps
+
+
+def cmd_reconstruct(args) -> int:
+    snaps = _read_one_provider(args)
     trips = trip_recon.reconstruct_trips(snaps, min_move_m=args.min_move_m)
     f = trip_recon.TripFilter(
         min_distance_m=args.min_distance_m, max_duration_s=args.max_duration_s
@@ -171,7 +181,9 @@ def cmd_sanitize(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    snaps = feed_ingest.read_snapshots(SnapshotStore(args.store), args.provider)
+    if args.trials < 1:
+        raise UsageError("--trials must be >= 1")
+    snaps = _read_one_provider(args)
     if not snaps:
         raise StoreError(f"no snapshots in {args.store}")
     if not -len(snaps) <= args.snapshot_index < len(snaps):
@@ -202,24 +214,11 @@ def cmd_evaluate(args) -> int:
         if args.dump_radius_km > 0:
             eps = geo_privacy.epsilon_from(args.dump_radius_km, args.ratio)
             rng = geo_privacy.substream(args.seed, 10**6)
-            lats = np.array([o.lat for o in snapshot.observations])
-            lons = np.array([o.lon for o in snapshot.observations])
-            nlat, nlon = geo_privacy.perturb_many(lats, lons, eps, rng)
-            dump_snap = Snapshot(
-                provider=snapshot.provider,
-                captured_at=snapshot.captured_at,
-                ttl_s=snapshot.ttl_s,
-                observations=tuple(
-                    ScooterObservation(
-                        scooter_id=o.scooter_id,
-                        lat=float(a),
-                        lon=float(b),
-                        is_reserved=o.is_reserved,
-                        is_disabled=o.is_disabled,
-                    )
-                    for o, a, b in zip(snapshot.observations, nlat, nlon)
-                ),
-            )
+            nlat, nlon = geo_privacy.perturb_many(*snapshot.coords(), eps, rng)
+            dump_snap = replace(snapshot, observations=tuple(
+                replace(o, lat=float(a), lon=float(b))
+                for o, a, b in zip(snapshot.observations, nlat, nlon)
+            ))
         else:
             dump_snap = snapshot
         with open(args.dump_geojson, "w", encoding="utf-8") as f:

@@ -8,14 +8,14 @@ keeps replayed fixtures deterministic.
 
 from __future__ import annotations
 
-import http.client
 import json
 import logging
 import time
-import urllib.request
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterator
+
+import numpy as np
 
 log = logging.getLogger(__name__)
 
@@ -65,6 +65,12 @@ class Snapshot:
             for i in ids:
                 (dups if i in seen else seen).add(i)
             raise FeedParseError(f"duplicate scooter_id(s): {sorted(dups)}")
+
+    def coords(self) -> tuple[np.ndarray, np.ndarray]:
+        """Latitudes and longitudes as float arrays, in observation order."""
+        lats = np.array([o.lat for o in self.observations], float)
+        lons = np.array([o.lon for o in self.observations], float)
+        return lats, lons
 
 
 def parse_free_bike_status(raw: bytes, provider: str) -> Snapshot:
@@ -240,6 +246,10 @@ def _fetch_with_retry(
     endpoint: str, interval_s: float, summary: PollSummary, timeout: float
 ) -> bytes | None:
     """3 attempts with exponential backoff capped at interval/2."""
+    # imported here: only scrape fetches, so no other command loads the HTTP stack
+    import http.client
+    import urllib.request
+
     backoff = min(1.0, interval_s / 2)
     for attempt in range(RETRY_ATTEMPTS):
         try:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -162,9 +162,7 @@ def count_by_region(
     Overlaps resolve to the first containing region in file order, so the
     counts always partition the snapshot.
     """
-    lats = np.array([o.lat for o in snapshot.observations], float)
-    lons = np.array([o.lon for o in snapshot.observations], float)
-    assignment = _assign_regions(lats, lons, regions)
+    assignment = _assign_regions(*snapshot.coords(), regions)
     counts = {r.name: int(np.sum(assignment == i)) for i, r in enumerate(regions.regions)}
     return counts, int(np.sum(assignment == -1))
 
@@ -224,33 +222,21 @@ def boundary_loss_experiment(
 ) -> list[UtilityRow]:
     """Mean scooters escaping the boundary per trial, for each R.
 
-    R = 0 means no perturbation. Scooters not initially inside the
-    boundary are excluded. Trial t at grid index g draws from substream
-    g * trials + t of master_seed, so results do not depend on execution
-    order.
+    The neighborhood experiment with the boundary as its one region, over
+    the scooters initially inside it: for those, escaping the region and
+    landing outside the boundary are the same event.
     """
-    if not r_grid:
-        raise ValueError("empty R grid")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    lats = np.array([o.lat for o in snapshot.observations])
-    lons = np.array([o.lon for o in snapshot.observations])
-    initially_inside = points_in_region(lats, lons, boundary)
-    lats, lons = lats[initially_inside], lons[initially_inside]
-    rows = []
-    for g, r_km in enumerate(r_grid):
-        if r_km == 0:
-            rows.append(UtilityRow(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
-            continue
-        eps = geo_privacy.epsilon_from(r_km, ratio)
-        outside_counts = []
-        for t in range(trials):
-            rng = geo_privacy.substream(master_seed, g * trials + t)
-            nlat, nlon = geo_privacy.perturb_many(lats, lons, eps, rng)
-            outside_counts.append(float(np.sum(~points_in_region(nlat, nlon, boundary))))
-        m, se = _mean_stderr(outside_counts)
-        rows.append(UtilityRow(r_km, eps, m, se, 0.0, 0.0, 0.0))
-    return rows
+    inside = points_in_region(*snapshot.coords(), boundary)
+    kept = replace(
+        snapshot, observations=tuple(o for o, i in zip(snapshot.observations, inside) if i)
+    )
+    rows = neighborhood_loss_experiment(
+        kept, RegionSet((boundary,)), r_grid, trials, ratio, master_seed
+    )
+    return [
+        UtilityRow(r.R_km, r.epsilon, r.mean_escapes, r.stderr_escapes, 0.0, 0.0, 0.0)
+        for r in rows
+    ]
 
 
 def neighborhood_loss_experiment(
@@ -263,13 +249,19 @@ def neighborhood_loss_experiment(
 ) -> list[UtilityRow]:
     """Per-neighborhood distortion for each R: escapes (scooters truly in
     a neighborhood whose noisy location falls outside it) and absolute
-    count error, both averaged over trials and neighborhoods."""
+    count error, both averaged over trials and neighborhoods.
+
+    R = 0 means no perturbation. Trial t at grid index g draws from
+    substream g * trials + t of master_seed, so results do not depend on
+    execution order.
+    """
     if not regions.regions:
         raise ValueError("empty region set")
     if not r_grid:
         raise ValueError("empty R grid")
-    lats = np.array([o.lat for o in snapshot.observations])
-    lons = np.array([o.lon for o in snapshot.observations])
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    lats, lons = snapshot.coords()
     true_assignment = _assign_regions(lats, lons, regions)
     n_regions = len(regions.regions)
     true_counts = np.bincount(true_assignment[true_assignment >= 0], minlength=n_regions)
@@ -284,11 +276,8 @@ def neighborhood_loss_experiment(
             rng = geo_privacy.substream(master_seed, g * trials + t)
             nlat, nlon = geo_privacy.perturb_many(lats, lons, eps, rng)
             noisy_assignment = _assign_regions(nlat, nlon, regions)
-            stayed = (true_assignment >= 0) & (noisy_assignment == true_assignment)
-            escaped = (true_assignment >= 0) & ~stayed
-            escapes_by_region = np.bincount(
-                true_assignment[escaped], minlength=n_regions
-            )
+            escaped = (true_assignment >= 0) & (noisy_assignment != true_assignment)
+            escapes_by_region = np.bincount(true_assignment[escaped], minlength=n_regions)
             noisy_counts = np.bincount(
                 noisy_assignment[noisy_assignment >= 0], minlength=n_regions
             )

@@ -1,7 +1,10 @@
 import json
 import math
+import subprocess
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +17,8 @@ from scootpriv.synth_fleet import write_archive
 from scootpriv.trip_recon import haversine_distance, read_trips_csv
 
 from conftest import make_feed_doc, make_snapshot
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -294,6 +299,17 @@ class TestEvaluateCommand:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_trials_below_one_exits_2(self, tmp_path, synth_archive, capsys, trials):
+        boundary = tmp_path / "boundary.geojson"
+        write_boundary_geojson(boundary)
+        rc = main(
+            ["evaluate", "--store", str(synth_archive), "--boundary", str(boundary),
+             "--trials", trials, "--output", str(tmp_path / "r.csv")]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_missing_region_file_exits_1(self, tmp_path, synth_archive):
         rc = main(
             ["evaluate", "--store", str(synth_archive),
@@ -315,6 +331,55 @@ class TestEvaluateCommand:
             )
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+
+class TestMultiProviderArchive:
+    @pytest.fixture
+    def two_provider_archive(self, tmp_path):
+        store = SnapshotStore(tmp_path / "two.jsonl")
+        for provider in ("synth", "lime"):
+            for i in range(2):
+                store.append(
+                    make_snapshot(
+                        [("a", 34.0, -118.4 + 0.01 * i), ("b", 34.05, -118.35)],
+                        captured_at=1_700_000_000 + 60 * i,
+                        provider=provider,
+                    )
+                )
+        return store.path
+
+    def reconstruct_argv(self, tmp_path, store):
+        return ["reconstruct", "--store", str(store), "--output", str(tmp_path / "t.csv")]
+
+    def evaluate_argv(self, tmp_path, store):
+        boundary = tmp_path / "boundary.geojson"
+        write_boundary_geojson(boundary)
+        return ["evaluate", "--store", str(store), "--boundary", str(boundary),
+                "--r-grid", "0:0.1:0.05", "--trials", "2", "--output", str(tmp_path / "r.csv")]
+
+    @pytest.mark.parametrize("argv", ["reconstruct_argv", "evaluate_argv"])
+    def test_without_provider_exits_2_listing_providers(
+        self, tmp_path, two_provider_archive, capsys, argv
+    ):
+        rc = main(getattr(self, argv)(tmp_path, two_provider_archive))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "lime, synth" in err
+
+    @pytest.mark.parametrize("argv", ["reconstruct_argv", "evaluate_argv"])
+    def test_with_provider_exits_0(self, tmp_path, two_provider_archive, argv):
+        assert main(getattr(self, argv)(tmp_path, two_provider_archive) + ["--provider", "lime"]) == 0
+
+
+def test_import_leaves_http_stack_unloaded():
+    # only scrape fetches, so the other commands should not pay for http.client
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import scootpriv.cli; "
+        "sys.exit('http.client' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, str(SRC)], capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 class _OneShotHandler(BaseHTTPRequestHandler):

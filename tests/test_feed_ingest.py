@@ -63,6 +63,17 @@ class TestParse:
             parse_free_bike_status(make_feed_doc([("", 0, 0)]), "p")
 
 
+class TestCoords:
+    def test_float_arrays_in_observation_order(self):
+        lats, lons = make_snapshot([("a", 34, -118), ("b", 33.5, -118.25)]).coords()
+        assert lats.dtype == lons.dtype == float
+        assert lats.tolist() == [34.0, 33.5] and lons.tolist() == [-118.0, -118.25]
+
+    def test_empty_snapshot(self):
+        lats, lons = make_snapshot([]).coords()
+        assert lats.shape == lons.shape == (0,) and lats.dtype == float
+
+
 class TestRoundTrip:
     def test_record_round_trip(self):
         snap = make_snapshot([("a", 34.0, -118.2, True, False), ("b", 33.9, -118.0)])

@@ -232,9 +232,24 @@ class TestBoundaryExperiment:
         assert rows[0].mean_outside == 0.0
 
     def test_outside_scooters_excluded(self, city):
-        snap = make_snapshot([("in", 0.5, 0.5), ("out", 9.0, 9.0)])
-        rows = boundary_loss_experiment(snap, city, [0.0], trials=1, ratio=6, master_seed=0)
-        assert rows[0].mean_outside == 0.0
+        # the second snapshot has no scooter inside: R > 0 runs on an empty fleet
+        for bikes in ([("in", 0.5, 0.5), ("out", 9.0, 9.0)], [("out", 9.0, 9.0)]):
+            rows = boundary_loss_experiment(
+                make_snapshot(bikes), city, [0.0, 0.25], trials=2, ratio=6, master_seed=0
+            )
+            assert [r.mean_outside for r in rows] == [0.0, 0.0]
+
+    def test_rows_pinned(self, city):
+        # fixes the substream layout: a change to the RNG stream fails here
+        snap = make_snapshot([(f"s{i}", 0.5, 1.0 - 0.25 / KM_PER_DEG) for i in range(5)])
+        rows = boundary_loss_experiment(
+            snap, city, [0.0, 0.25, 0.5], trials=20, ratio=6, master_seed=7
+        )
+        assert rows == [
+            UtilityRow(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+            UtilityRow(0.25, 7.16703787691222, 0.5, 0.18496087779795345, 0.0, 0.0, 0.0),
+            UtilityRow(0.5, 3.58351893845611, 1.15, 0.16662280124501821, 0.0, 0.0, 0.0),
+        ]
 
     def test_half_plane_escape_matches_quadrature(self, city):
         eps = epsilon_from(0.25, 6)
@@ -313,6 +328,24 @@ class TestNeighborhoodExperiment:
             neighborhood_loss_experiment(
                 make_snapshot([]), RegionSet(regions=()), [0.1], 1, 6, 0
             )
+
+    def test_zero_trials_rejected(self, halves):
+        with pytest.raises(ValueError, match="trials"):
+            neighborhood_loss_experiment(make_snapshot([]), halves, [0.1], 0, 6, 0)
+
+    def test_rows_pinned(self, halves):
+        # fixes the substream layout: a change to the RNG stream fails here
+        d = 0.2 / KM_PER_DEG
+        snap = make_snapshot(
+            [("w1", 0.5, 0.5 - d), ("w2", 0.3, 0.5 - d / 2), ("e1", 0.5, 0.5 + d),
+             ("out", 2.0, 2.0)]
+        )
+        rows = neighborhood_loss_experiment(snap, halves, [0.0, 0.25, 0.5], 20, 6, 11)
+        assert rows == [
+            UtilityRow(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+            UtilityRow(0.25, 7.16703787691222, 0.0, 0.0, 0.4, 0.25, 0.06786208925382961),
+            UtilityRow(0.5, 3.58351893845611, 0.0, 0.0, 0.55, 0.525, 0.0991742220326909),
+        ]
 
 
 class TestReportEmission:
