@@ -14,20 +14,13 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import replace
 
 from . import (
     __version__, clustering, feed_ingest, geo_privacy, synth_fleet, trip_recon, utility_eval,
 )
 # archives are read through feed_ingest.read_snapshots, looked up on the
 # module at call time, so wrappers set on that attribute see every read
-from .feed_ingest import (
-    ScooterObservation,
-    Snapshot,
-    SnapshotStore,
-    StoreError,
-    poll_feed,
-)
+from .feed_ingest import Snapshot, SnapshotStore, StoreError, poll_feed
 
 
 class UsageError(ValueError):
@@ -35,12 +28,12 @@ class UsageError(ValueError):
 
 
 def parse_r_grid(spec: str) -> list[float]:
-    """Parse "start:stop:step" into an inclusive ascending grid in km."""
+    """Parse "start:stop:step" into an inclusive ascending grid of radii >= 0 km."""
     try:
         start, stop, step = (float(v) for v in spec.split(":"))
     except ValueError as exc:
         raise UsageError(f"bad grid spec {spec!r}, want start:stop:step") from exc
-    if step <= 0 or stop < start:
+    if step <= 0 or stop < start or start < 0:
         raise UsageError(f"bad grid spec {spec!r}")
     n = round((stop - start) / step) + 1
     return [round(start + i * step, 10) for i in range(n)]
@@ -86,11 +79,16 @@ def _read_one_provider(args) -> list[Snapshot]:
 
 
 def cmd_reconstruct(args) -> int:
+    try:
+        f = trip_recon.TripFilter(
+            min_distance_m=args.min_distance_m, max_duration_s=args.max_duration_s
+        )
+    except ValueError as exc:
+        raise UsageError(f"invalid trip filter: {exc}") from exc
+    if args.min_move_m < 0:
+        raise UsageError("--min-move-m must be >= 0")
     snaps = _read_one_provider(args)
     trips = trip_recon.reconstruct_trips(snaps, min_move_m=args.min_move_m)
-    f = trip_recon.TripFilter(
-        min_distance_m=args.min_distance_m, max_duration_s=args.max_duration_s
-    )
     kept = trip_recon.filter_trips(trips, f)
     trip_recon.write_trips_csv(
         kept,
@@ -108,11 +106,13 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_cluster(args) -> int:
+    if args.k < 1:
+        raise UsageError("k must be >= 1")
+    if args.max_size is not None and args.max_size < 1:
+        raise UsageError("--max-size must be >= 1")
     trips = trip_recon.read_trips_csv(args.trips)
     if args.k > len(trips):
         raise UsageError(f"k={args.k} exceeds trip count {len(trips)}")
-    if args.k < 1:
-        raise UsageError("k must be >= 1")
     points = [
         t.start_loc if args.endpoint == "start" else t.end_loc for t in trips
     ]
@@ -133,49 +133,47 @@ def cmd_cluster(args) -> int:
     return 0
 
 
+def _epsilon(flag: str, radius_km: float, ratio: float) -> float:
+    """epsilon = ln(ratio)/R; a bad R or ratio, or an epsilon too small
+    for the noise to stay within city scale, is a usage error."""
+    try:
+        eps = geo_privacy.epsilon_from(radius_km, ratio)
+        geo_privacy.check_epsilon(eps)
+    except ValueError as exc:
+        raise UsageError(f"{flag} {radius_km:g} with --ratio {ratio:g}: {exc}") from exc
+    return eps
+
+
 def _resolve_epsilon(args) -> tuple[float, dict]:
     has_eps = args.epsilon is not None
     has_radius = args.radius_km is not None
     if has_eps == has_radius:
         raise UsageError("give exactly one of --epsilon or --radius-km (with --ratio)")
     if has_eps:
-        if args.epsilon <= 0:
-            raise UsageError("--epsilon must be positive")
+        try:
+            geo_privacy.check_epsilon(args.epsilon)
+        except ValueError as exc:
+            raise UsageError(f"--epsilon: {exc}") from exc
         return args.epsilon, {"epsilon": args.epsilon}
-    eps = geo_privacy.epsilon_from(args.radius_km, args.ratio)
+    eps = _epsilon("--radius-km", args.radius_km, args.ratio)
     return eps, {"epsilon": eps, "radius_km": args.radius_km, "ratio": args.ratio}
 
 
 def cmd_sanitize(args) -> int:
     eps, eps_meta = _resolve_epsilon(args)
     snaps = feed_ingest.read_snapshots(SnapshotStore(args.store))
-    out = SnapshotStore(args.output)
-    with open(args.output, "w", encoding="utf-8"):
-        pass  # truncate
-    out.write_meta(_meta("sanitize", seed=args.seed, **eps_meta))
     rng = geo_privacy.substream(args.seed, 0)
-    for snap in snaps:
-        noisy = tuple(
-            ScooterObservation(
-                scooter_id=o.scooter_id,
-                lat=lat,
-                lon=lon,
-                is_reserved=o.is_reserved,
-                is_disabled=o.is_disabled,
-            )
-            for o, (lat, lon) in (
-                (o, geo_privacy.perturb((o.lat, o.lon), eps, rng))
-                for o in snap.observations
-            )
-        )
-        out.append(
-            Snapshot(
-                provider=snap.provider,
-                captured_at=snap.captured_at,
-                ttl_s=snap.ttl_s,
-                observations=noisy,
-            )
-        )
+
+    def perturbed(snap: Snapshot) -> Snapshot:
+        # one scalar draw per observation, in archive order
+        points = [geo_privacy.perturb((o.lat, o.lon), eps, rng) for o in snap.observations]
+        return snap.with_coords([lat for lat, _ in points], [lon for _, lon in points])
+
+    feed_ingest.write_archive(
+        (perturbed(s) for s in snaps),
+        args.output,
+        meta=_meta("sanitize", seed=args.seed, **eps_meta),
+    )
     print(f"sanitized {len(snaps)} snapshots at epsilon={eps:.4f}")
     return 0
 
@@ -183,6 +181,12 @@ def cmd_sanitize(args) -> int:
 def cmd_evaluate(args) -> int:
     if args.trials < 1:
         raise UsageError("--trials must be >= 1")
+    grid = parse_r_grid(args.r_grid)
+    if max(grid) > 0:
+        _epsilon("--r-grid reaching", max(grid), args.ratio)
+    dump_eps = None
+    if args.dump_geojson and args.dump_radius_km != 0:
+        dump_eps = _epsilon("--dump-radius-km", args.dump_radius_km, args.ratio)
     snaps = _read_one_provider(args)
     if not snaps:
         raise StoreError(f"no snapshots in {args.store}")
@@ -192,7 +196,6 @@ def cmd_evaluate(args) -> int:
         )
     snapshot = snaps[args.snapshot_index]
     boundary = utility_eval.load_regions_geojson(args.boundary)[0]
-    grid = parse_r_grid(args.r_grid)
     boundary_rows = utility_eval.boundary_loss_experiment(
         snapshot, boundary, grid, args.trials, args.ratio, args.seed
     )
@@ -211,60 +214,25 @@ def cmd_evaluate(args) -> int:
     )
     utility_eval.emit_report(report, args.output, fmt=args.format)
     if args.dump_geojson:
-        if args.dump_radius_km > 0:
-            eps = geo_privacy.epsilon_from(args.dump_radius_km, args.ratio)
+        dump_snap = snapshot
+        if dump_eps is not None:
             rng = geo_privacy.substream(args.seed, 10**6)
-            nlat, nlon = geo_privacy.perturb_many(*snapshot.coords(), eps, rng)
-            dump_snap = replace(snapshot, observations=tuple(
-                replace(o, lat=float(a), lon=float(b))
-                for o, a, b in zip(snapshot.observations, nlat, nlon)
-            ))
-        else:
-            dump_snap = snapshot
+            dump_snap = snapshot.with_coords(
+                *geo_privacy.perturb_many(*snapshot.coords(), dump_eps, rng)
+            )
         with open(args.dump_geojson, "w", encoding="utf-8") as f:
             json.dump(utility_eval.snapshot_to_geojson(dump_snap), f, indent=2)
     print(f"{len(rows)} grid rows written to {args.output}")
     return 0
 
 
-def _fleet_config_from_json(doc: dict) -> synth_fleet.FleetConfig:
-    try:
-        area = utility_eval.Region(
-            name=doc.get("area_name", "area"),
-            rings=tuple(
-                tuple((float(lat), float(lon)) for lat, lon in ring)
-                for ring in doc["area_rings"]
-            ),
-        )
-        hotspots = tuple(
-            synth_fleet.Hotspot(
-                center=(float(h["center"][0]), float(h["center"][1])),
-                weight=float(h.get("weight", 1.0)),
-                spread_m=float(h.get("spread_m", 50.0)),
-            )
-            for h in doc.get("hotspots", [])
-        )
-        return synth_fleet.FleetConfig(
-            n_scooters=int(doc["n_scooters"]),
-            area=area,
-            seed=int(doc["seed"]),
-            trip_rate=float(doc.get("trip_rate", 0.2)),
-            trip_distance_m=tuple(doc.get("trip_distance_m", (150.0, 2000.0))),
-            trip_duration_s=tuple(doc.get("trip_duration_s", (120.0, 3000.0))),
-            relocation_rate=float(doc.get("relocation_rate", 0.0)),
-            snapshot_interval_s=int(doc.get("snapshot_interval_s", 60)),
-            duration_h=float(doc.get("duration_h", 10.0)),
-            hotspots=hotspots,
-            provider=str(doc.get("provider", "synth")),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise UsageError(f"invalid fleet config: {exc}") from exc
-
-
 def cmd_synth(args) -> int:
     with open(args.config, encoding="utf-8") as f:
         doc = json.load(f)
-    config = _fleet_config_from_json(doc)
+    try:
+        config = synth_fleet.config_from_json(doc)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise UsageError(f"invalid fleet config: {exc}") from exc
     snapshots, truth = synth_fleet.generate(config)
     synth_fleet.write_archive(
         snapshots, args.output, meta=_meta("synth", seed=config.seed, config=args.config)

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -71,6 +72,14 @@ class Snapshot:
         lats = np.array([o.lat for o in self.observations], float)
         lons = np.array([o.lon for o in self.observations], float)
         return lats, lons
+
+    def with_coords(self, lats, lons) -> Snapshot:
+        """This snapshot with each observation moved to the given
+        coordinates, in observation order; the inverse of coords()."""
+        return replace(self, observations=tuple(
+            replace(o, lat=float(lat), lon=float(lon))
+            for o, lat, lon in zip(self.observations, lats, lons)
+        ))
 
 
 def parse_free_bike_status(raw: bytes, provider: str) -> Snapshot:
@@ -203,12 +212,36 @@ class SnapshotStore:
                     raise StoreError(f"corrupt line {lineno}: {exc}") from exc
 
 
+def write_archive(
+    snapshots: Iterable[Snapshot], path: str | Path, meta: dict | None = None
+) -> None:
+    """Write a fresh archive: one ``_meta`` line if meta is given, then
+    one line per snapshot.
+
+    The lines go to a temporary file beside ``path``, which replaces
+    ``path`` only once every snapshot is written. A failure midway
+    leaves ``path`` as it was and removes the temporary file.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text("")
+        store = SnapshotStore(tmp)
+        if meta:
+            store.write_meta(meta)
+        for snap in snapshots:
+            store.append(snap)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def read_snapshots(
     store: SnapshotStore,
     provider: str | None = None,
     from_ts: int | None = None,
     to_ts: int | None = None,
-    skip_corrupt: bool = False,
 ) -> list[Snapshot]:
     """Snapshots with captured_at in [from_ts, to_ts], ascending (stable).
 
@@ -219,7 +252,7 @@ def read_snapshots(
     if from_ts is not None and to_ts is not None and from_ts > to_ts:
         raise ValueError(f"from ({from_ts}) must not exceed to ({to_ts})")
     out, seen = [], set()
-    for s in store.iter_all(skip_corrupt=skip_corrupt):
+    for s in store.iter_all():
         key = (s.provider, s.captured_at)
         if (
             key in seen

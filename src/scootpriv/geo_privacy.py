@@ -13,7 +13,6 @@ Units: eps carries 1/km; all radial quantities here are km.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,21 +20,23 @@ from .trip_recon import EARTH_RADIUS_KM
 
 # displacements beyond city scale indicate a unit mix-up upstream
 MAX_RADIUS_KM = 100.0
+# largest accepted chance that one draw lands beyond MAX_RADIUS_KM
+MAX_TAIL_PROBABILITY = 1e-12
 
 
-@dataclass(frozen=True)
-class PrivacyParams:
-    """(epsilon, R) pair. The mechanism consumes epsilon alone; radius_km
-    documents the protection radius the epsilon was derived for."""
-
-    epsilon: float  # 1/km
-    radius_km: float
-
-    def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        if self.radius_km <= 0:
-            raise ValueError("radius must be positive")
+def check_epsilon(epsilon: float) -> None:
+    """Reject an epsilon too small for MAX_RADIUS_KM: one draw would
+    exceed it with probability (1 + eps*M) * exp(-eps*M) above
+    MAX_TAIL_PROBABILITY, i.e. eps < 0.311/km (R > 5.76 km at ratio 6)."""
+    if epsilon <= 0:
+        raise ValueError("epsilon must be positive")
+    x = epsilon * MAX_RADIUS_KM
+    tail = (1.0 + x) * math.exp(-x)
+    if tail > MAX_TAIL_PROBABILITY:
+        raise ValueError(
+            f"epsilon {epsilon:.4g}/km too small: a draw lands beyond "
+            f"{MAX_RADIUS_KM:g} km with probability {tail:.1e}"
+        )
 
 
 def substream(master_seed: int, index: int) -> np.random.Generator:

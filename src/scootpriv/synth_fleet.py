@@ -17,14 +17,16 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import geo_privacy
-from .feed_ingest import ScooterObservation, Snapshot, SnapshotStore
-from .trip_recon import Trip, make_trip, write_meta_header
+from .feed_ingest import ScooterObservation, Snapshot
+# re-exported: cli and perfbench/tracing.py reach synth's archive writer by this name
+from .feed_ingest import write_archive  # noqa: F401
+from .trip_recon import TRIP_CSV_COLUMNS, Trip, make_trip, trip_row, write_meta_header
 from .utility_eval import Region, point_in_region
 
 BASE_TIME = 1_700_000_000  # fixed epoch start keeps archives reproducible
@@ -33,25 +35,14 @@ SHUFFLE_DISTANCE_M = (20.0, 90.0)  # below any sane trip-distance floor
 MAINTENANCE_GAP_S = (3700.0, 7200.0)  # beyond any sane trip-duration cap
 MAINTENANCE_DISTANCE_M = (150.0, 1500.0)
 
-GROUND_TRUTH_COLUMNS = [
-    "scooter_id",
-    "start_time",
-    "end_time",
-    "start_lat",
-    "start_lon",
-    "end_lat",
-    "end_lon",
-    "distance_m",
-    "duration_s",
-    "is_fake",
-]
+GROUND_TRUTH_COLUMNS = TRIP_CSV_COLUMNS + ["is_fake"]
 
 
 @dataclass(frozen=True)
 class Hotspot:
     center: tuple[float, float]
-    weight: float
-    spread_m: float
+    weight: float = 1.0
+    spread_m: float = 50.0
 
 
 @dataclass(frozen=True)
@@ -80,6 +71,35 @@ class FleetConfig:
         for lo, hi in (self.trip_distance_m, self.trip_duration_s):
             if not 0 < lo <= hi:
                 raise ValueError("distance/duration bounds must satisfy 0 < min <= max")
+
+
+def config_from_json(doc: dict) -> FleetConfig:
+    """FleetConfig from a parsed JSON fleet config. ``n_scooters``,
+    ``seed`` and ``area_rings`` ([lat, lon] vertices) are required;
+    absent optional keys take FleetConfig's and Hotspot's defaults."""
+    area = Region(
+        name=doc.get("area_name", "area"),
+        rings=tuple(
+            tuple((float(lat), float(lon)) for lat, lon in ring) for ring in doc["area_rings"]
+        ),
+    )
+    hotspots = tuple(
+        Hotspot(
+            center=(float(h["center"][0]), float(h["center"][1])),
+            **{k: float(h[k]) for k in ("weight", "spread_m") if k in h},
+        )
+        for h in doc.get("hotspots", [])
+    )
+    # every other key present is an optional field, cast to its default's type
+    optional = {
+        f.name: type(f.default)(doc[f.name])
+        for f in fields(FleetConfig)
+        if f.name in doc and f.default is not MISSING and f.name != "hotspots"
+    }
+    return FleetConfig(
+        n_scooters=int(doc["n_scooters"]), area=area, seed=int(doc["seed"]),
+        hotspots=hotspots, **optional,
+    )
 
 
 @dataclass
@@ -218,15 +238,6 @@ def generate(config: FleetConfig) -> tuple[list[Snapshot], GroundTruth]:
     return snapshots, truth
 
 
-def write_archive(snapshots: list[Snapshot], path: str | Path, meta: dict | None = None) -> None:
-    store = SnapshotStore(path)
-    Path(path).write_text("")  # fresh archive
-    if meta:
-        store.write_meta(meta)
-    for snap in snapshots:
-        store.append(snap)
-
-
 def write_ground_truth_csv(truth: GroundTruth, path: str | Path, meta: dict | None = None) -> None:
     with open(path, "w", newline="", encoding="utf-8") as f:
         write_meta_header(f, meta)
@@ -234,18 +245,4 @@ def write_ground_truth_csv(truth: GroundTruth, path: str | Path, meta: dict | No
         w.writerow(GROUND_TRUTH_COLUMNS)
         events = [(t, False) for t in truth.trips] + [(t, True) for t in truth.relocations]
         events.sort(key=lambda e: (e[0].start_time, e[0].scooter_id))
-        for trip, fake in events:
-            w.writerow(
-                [
-                    trip.scooter_id,
-                    trip.start_time,
-                    trip.end_time,
-                    f"{trip.start_loc[0]:.6f}",
-                    f"{trip.start_loc[1]:.6f}",
-                    f"{trip.end_loc[0]:.6f}",
-                    f"{trip.end_loc[1]:.6f}",
-                    f"{trip.distance_m:.2f}",
-                    trip.duration_s,
-                    int(fake),
-                ]
-            )
+        w.writerows(trip_row(t) + [int(fake)] for t, fake in events)

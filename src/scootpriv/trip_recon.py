@@ -114,8 +114,11 @@ def reconstruct_trips(
 
     A scooter absent for intermediate snapshots and reappearing elsewhere
     yields a single trip spanning the gap; one that disappears for good
-    yields nothing. Raises on unsorted input or mixed providers.
+    yields nothing. Raises on unsorted input, mixed providers or a
+    negative min_move_m.
     """
+    if min_move_m < 0:
+        raise ValueError("min_move_m must be >= 0")
     if not snapshots:
         return []
     provider = snapshots[0].provider
@@ -219,25 +222,19 @@ def write_meta_header(f, meta: dict | None) -> None:
         f.write(f"# {k}={v}\n")
 
 
+def trip_row(t: Trip) -> list:
+    """One trips-CSV row in TRIP_CSV_COLUMNS order: coordinates to 6
+    decimals, distance to 2."""
+    coords = (f"{v:.6f}" for v in (*t.start_loc, *t.end_loc))
+    return [t.scooter_id, t.start_time, t.end_time, *coords, f"{t.distance_m:.2f}", t.duration_s]
+
+
 def write_trips_csv(trips: list[Trip], path: str | Path, meta: dict | None = None) -> None:
     with open(path, "w", newline="", encoding="utf-8") as f:
         write_meta_header(f, meta)
         w = csv.writer(f)
         w.writerow(TRIP_CSV_COLUMNS)
-        for t in trips:
-            w.writerow(
-                [
-                    t.scooter_id,
-                    t.start_time,
-                    t.end_time,
-                    f"{t.start_loc[0]:.6f}",
-                    f"{t.start_loc[1]:.6f}",
-                    f"{t.end_loc[0]:.6f}",
-                    f"{t.end_loc[1]:.6f}",
-                    f"{t.distance_m:.2f}",
-                    t.duration_s,
-                ]
-            )
+        w.writerows(trip_row(t) for t in trips)
 
 
 def read_trips_csv(path: str | Path) -> list[Trip]:

@@ -126,10 +126,11 @@ def points_in_region(lats: np.ndarray, lons: np.ndarray, region: Region) -> np.n
     return inside
 
 
-def load_regions_geojson(path: str | Path, name_property: str = "name") -> list[Region]:
+def load_regions_geojson(path: str | Path) -> list[Region]:
     """Load Polygon/MultiPolygon features from a GeoJSON FeatureCollection.
 
     GeoJSON coordinates are (lon, lat); rings are stored as (lat, lon).
+    A region is named by its feature's ``name`` property, else ``region_<i>``.
     """
     with open(path, encoding="utf-8") as f:
         doc = json.load(f)
@@ -139,7 +140,7 @@ def load_regions_geojson(path: str | Path, name_property: str = "name") -> list[
     for i, feat in enumerate(doc.get("features", [])):
         geom = feat.get("geometry") or {}
         props = feat.get("properties") or {}
-        name = str(props.get(name_property, f"region_{i}"))
+        name = str(props.get("name", f"region_{i}"))
         gtype = geom.get("type")
         if gtype == "Polygon":
             poly_rings = geom["coordinates"]

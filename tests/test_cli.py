@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from scootpriv import geo_privacy
 from scootpriv.cli import main, parse_r_grid
-from scootpriv.feed_ingest import SnapshotStore
+from scootpriv.feed_ingest import SnapshotStore, write_archive
 from scootpriv.geo_privacy import analytic_cdf
-from scootpriv.synth_fleet import write_archive
 from scootpriv.trip_recon import haversine_distance, read_trips_csv
 
 from conftest import make_feed_doc, make_snapshot
@@ -83,9 +83,43 @@ class TestGridFlag:
     def test_bad_specs(self):
         from scootpriv.cli import UsageError
 
-        for bad in ("1:0:0.1", "0:1:-1", "abc", "0:1"):
+        for bad in ("1:0:0.1", "0:1:-1", "abc", "0:1", "-0.5:0.5:0.5"):
             with pytest.raises(UsageError):
                 parse_r_grid(bad)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["reconstruct", "--min-distance-m", "-1"],
+        ["reconstruct", "--max-duration-s", "0"],
+        ["reconstruct", "--min-move-m", "-1"],
+        ["cluster", "--max-size", "0"],
+        ["cluster", "--k", "0"],
+        ["sanitize", "--radius-km", "0"],
+        ["sanitize", "--radius-km", "0.25", "--ratio", "1"],
+        ["sanitize", "--epsilon", "0.1"],
+        ["sanitize", "--radius-km", "6"],
+        ["evaluate", "--ratio", "1"],
+        ["evaluate", "--r-grid", "0:60:20"],
+        ["evaluate", "--dump-radius-km", "-1", "--dump-geojson", "d.geojson"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_flag_range_error_exits_2_before_reading_input(tmp_path, capsys, argv):
+    # the input does not exist, so reading it first would exit 1
+    missing = str(tmp_path / "missing")
+    inputs = {
+        "reconstruct": ["--store", missing],
+        "cluster": ["--trips", missing],
+        "sanitize": ["--store", missing],
+        "evaluate": ["--store", missing, "--boundary", missing],
+    }
+    out = tmp_path / "out"
+    rc = main(argv[:1] + inputs[argv[0]] + ["--output", str(out)] + argv[1:])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
 
 
 class TestSynthCommand:
@@ -237,6 +271,44 @@ class TestSanitizeCommand:
             ]
         trips_out = tmp_path / "t.csv"
         assert main(["reconstruct", "--store", str(out), "--output", str(trips_out)]) == 0
+
+    def test_small_epsilon_is_usage_error(self, tmp_path, synth_archive, capsys):
+        # below 0.311/km a draw beyond 100 km is too likely; without the
+        # check this failed for some seeds and not for others
+        out = tmp_path / "s.jsonl"
+        argv = ["sanitize", "--store", str(synth_archive), "--output", str(out), "--seed", "1"]
+        assert main(argv + ["--epsilon", "0.1"]) == 2
+        assert "too small" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(argv + ["--epsilon", "0.32"]) == 0
+
+    def test_failure_midway_leaves_no_output(self, tmp_path, synth_archive, monkeypatch):
+        calls = 0
+        real = geo_privacy.perturb
+
+        def perturb_then_fail(*args):
+            nonlocal calls
+            calls += 1
+            if calls > 100:
+                raise ValueError("injected failure")
+            return real(*args)
+
+        monkeypatch.setattr(geo_privacy, "perturb", perturb_then_fail)
+        out = tmp_path / "s.jsonl"
+        rc = main(["sanitize", "--store", str(synth_archive), "--output", str(out),
+                   "--epsilon", "5.0"])
+        assert rc == 1 and calls > 100
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["archive.jsonl", "fleet.json"]
+
+    def test_output_may_be_the_store(self, tmp_path, synth_archive):
+        orig = list(SnapshotStore(synth_archive).iter_all())
+        rc = main(["sanitize", "--store", str(synth_archive), "--output", str(synth_archive),
+                   "--epsilon", "5.0", "--seed", "2"])
+        assert rc == 0
+        noisy = list(SnapshotStore(synth_archive).iter_all())
+        assert [s.captured_at for s in noisy] == [s.captured_at for s in orig]
+        assert noisy != orig
+        assert json.loads(synth_archive.read_text().splitlines()[0])["_meta"]["command"] == "sanitize"
 
     def test_rerun_byte_identical(self, tmp_path, synth_archive):
         files = []

@@ -15,6 +15,7 @@ from scootpriv.feed_ingest import (
     read_snapshots,
     snapshot_from_record,
     snapshot_to_record,
+    write_archive,
 )
 
 from conftest import make_feed_doc, make_snapshot
@@ -72,6 +73,45 @@ class TestCoords:
     def test_empty_snapshot(self):
         lats, lons = make_snapshot([]).coords()
         assert lats.shape == lons.shape == (0,) and lats.dtype == float
+
+    def test_with_coords_inverts_coords(self):
+        s = make_snapshot([("a", 34.0, -118.2, True, False), ("b", 33.9, -118.0)])
+        assert s.with_coords(*s.coords()) == s
+
+    def test_with_coords_moves_only_coordinates(self):
+        s = make_snapshot([("a", 34.0, -118.2, True, False)], captured_at=5)
+        moved = s.with_coords([33.5], [-117.5])
+        assert moved == make_snapshot([("a", 33.5, -117.5, True, False)], captured_at=5)
+        assert type(moved.observations[0].lat) is float
+
+
+class TestWriteArchive:
+    def test_meta_line_then_snapshots(self, tmp_path):
+        path = tmp_path / "a.jsonl"
+        path.write_text("stale\n")
+        snaps = [make_snapshot([("a", 34.0, -118.2)], captured_at=t) for t in (1, 2)]
+        write_archive(snaps, path, meta={"command": "test"})
+        lines = path.read_text().splitlines()
+        assert json.loads(lines[0]) == {"_meta": {"command": "test"}}
+        assert list(SnapshotStore(path).iter_all()) == snaps
+
+    def test_failure_midway_leaves_target_and_no_temp_file(self, tmp_path):
+        path = tmp_path / "a.jsonl"
+        path.write_text("old\n")
+
+        def failing():
+            yield make_snapshot([("a", 34.0, -118.2)], captured_at=1)
+            raise RuntimeError("boom")
+
+        with pytest.raises(RuntimeError):
+            write_archive(failing(), path)
+        assert path.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["a.jsonl"]
+
+    def test_empty_archive(self, tmp_path):
+        path = tmp_path / "a.jsonl"
+        write_archive([], path)
+        assert path.read_text() == ""
 
 
 class TestRoundTrip:

@@ -5,8 +5,8 @@ import pytest
 from scipy import integrate, optimize, stats
 
 from scootpriv.geo_privacy import (
-    PrivacyParams,
     analytic_cdf,
+    check_epsilon,
     displace,
     epsilon_from,
     perturb,
@@ -37,14 +37,21 @@ class TestEpsilonFrom:
             epsilon_from(0.25, 1.0)
 
 
-class TestPrivacyParams:
-    def test_valid(self):
-        PrivacyParams(epsilon=EPS_PAPER, radius_km=0.25)
+class TestCheckEpsilon:
+    def test_threshold_near_0311(self):
+        check_epsilon(0.312)
+        with pytest.raises(ValueError, match="too small"):
+            check_epsilon(0.310)
 
-    @pytest.mark.parametrize("eps,r", [(0, 1), (1, 0), (-1, 1)])
-    def test_invalid(self, eps, r):
-        with pytest.raises(ValueError):
-            PrivacyParams(epsilon=eps, radius_km=r)
+    def test_largest_radius_at_ratio_6_is_576_m(self):
+        check_epsilon(epsilon_from(5.76, 6))
+        with pytest.raises(ValueError, match="too small"):
+            check_epsilon(epsilon_from(5.77, 6))
+
+    @pytest.mark.parametrize("eps", [0.0, -1.0])
+    def test_nonpositive_rejected(self, eps):
+        with pytest.raises(ValueError, match="positive"):
+            check_epsilon(eps)
 
 
 class TestPolarSampling:

@@ -6,6 +6,7 @@ from scootpriv.feed_ingest import SnapshotStore, parse_free_bike_status, snapsho
 from scootpriv.synth_fleet import (
     FleetConfig,
     Hotspot,
+    config_from_json,
     generate,
     write_archive,
     write_ground_truth_csv,
@@ -16,7 +17,9 @@ from scootpriv.trip_recon import (
     haversine_distance,
     parked_count_series,
     reconstruct_trips,
+    trip_row,
 )
+from scootpriv.utility_eval import Region
 
 from conftest import square_region
 
@@ -199,3 +202,53 @@ class TestGroundTruthCsv:
         assert len(lines) - 1 == len(truth.trips) + len(truth.relocations)
         fakes = sum(1 for l in lines[1:] if l.endswith(",1"))
         assert fakes == len(truth.relocations)
+
+    def test_rows_are_trip_rows_plus_fake_flag(self, tmp_path):
+        import csv
+
+        config = FleetConfig(
+            n_scooters=30, area=AREA, seed=5, trip_rate=0.5, relocation_rate=0.5,
+            duration_h=2.0,
+        )
+        _, truth = generate(config)
+        path = tmp_path / "truth.csv"
+        write_ground_truth_csv(truth, path)
+        with open(path, newline="") as f:
+            rows = list(csv.reader(f))[1:]
+        events = sorted(truth.trips + truth.relocations,
+                        key=lambda t: (t.start_time, t.scooter_id))
+        assert rows and len(rows) == len(events)
+        for row, t in zip(rows, events):
+            assert row[:-1] == [str(v) for v in trip_row(t)]
+
+
+RINGS = [[[33.9, -118.5], [33.9, -118.3], [34.1, -118.3], [34.1, -118.5], [33.9, -118.5]]]
+
+
+class TestConfigFromJson:
+    def test_absent_keys_take_fleet_config_defaults(self):
+        config = config_from_json({"n_scooters": 3, "seed": 8, "area_rings": RINGS})
+        area = Region("area", tuple(tuple(tuple(v) for v in ring) for ring in RINGS))
+        assert config == FleetConfig(n_scooters=3, area=area, seed=8)
+
+    def test_hotspot_defaults(self):
+        doc = {"n_scooters": 3, "seed": 8, "area_rings": RINGS,
+               "hotspots": [{"center": [34.0, -118.4]}, {"center": [34.0, -118.3], "weight": 2}]}
+        assert config_from_json(doc).hotspots == (
+            Hotspot(center=(34.0, -118.4)),
+            Hotspot(center=(34.0, -118.3), weight=2.0),
+        )
+
+    def test_given_keys_converted(self):
+        doc = {"n_scooters": "3", "seed": 8, "area_rings": RINGS, "area_name": "la",
+               "trip_rate": 1, "trip_distance_m": [100, 200], "snapshot_interval_s": 30.0,
+               "provider": "bird"}
+        config = config_from_json(doc)
+        assert config.n_scooters == 3 and config.area.name == "la"
+        assert config.trip_rate == 1.0 and config.trip_distance_m == (100, 200)
+        assert config.snapshot_interval_s == 30 and type(config.snapshot_interval_s) is int
+        assert config.provider == "bird"
+
+    def test_missing_required_key(self):
+        with pytest.raises(KeyError):
+            config_from_json({"n_scooters": 3, "area_rings": RINGS})

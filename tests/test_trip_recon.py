@@ -16,6 +16,7 @@ from scootpriv.trip_recon import (
     parked_count_series,
     read_trips_csv,
     reconstruct_trips,
+    trip_row,
     write_trips_csv,
 )
 
@@ -77,6 +78,10 @@ class TestReconstructTrips:
             [(t, {"a": (34.0, -118.2)}) for t in [0, 60, 120, 180]]
         )
         assert reconstruct_trips(snaps) == []
+
+    def test_negative_min_move_rejected(self):
+        with pytest.raises(ValueError, match="min_move_m"):
+            reconstruct_trips([], min_move_m=-1.0)
 
     def test_simple_move(self):
         # 600 m is ~0.0054 degrees of longitude at the equator
@@ -264,3 +269,10 @@ class TestTripCsv:
             assert rt.end_time == orig.end_time
             assert rt.start_loc == pytest.approx(orig.start_loc, abs=1e-6)
             assert rt.distance_m == pytest.approx(orig.distance_m, abs=1.0)
+
+    def test_trip_row_formats(self):
+        t = make_trip("a", (34.0, -118.2), (34.01, -118.21), 100, 700)
+        assert trip_row(t) == [
+            "a", 100, 700, "34.000000", "-118.200000", "34.010000", "-118.210000",
+            f"{t.distance_m:.2f}", 600,
+        ]
