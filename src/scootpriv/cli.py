@@ -20,7 +20,7 @@ from . import (
 )
 # archives are read through feed_ingest.read_snapshots, looked up on the
 # module at call time, so wrappers set on that attribute see every read
-from .feed_ingest import Snapshot, SnapshotStore, StoreError, poll_feed
+from .feed_ingest import Snapshot, SnapshotStore, StoreError, atomic_path, poll_feed
 
 
 class UsageError(ValueError):
@@ -220,7 +220,7 @@ def cmd_evaluate(args) -> int:
             dump_snap = snapshot.with_coords(
                 *geo_privacy.perturb_many(*snapshot.coords(), dump_eps, rng)
             )
-        with open(args.dump_geojson, "w", encoding="utf-8") as f:
+        with atomic_path(args.dump_geojson) as tmp, open(tmp, "w", encoding="utf-8") as f:
             json.dump(utility_eval.snapshot_to_geojson(dump_snap), f, indent=2)
     print(f"{len(rows)} grid rows written to {args.output}")
     return 0

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .feed_ingest import atomic_path
 from .trip_recon import EARTH_RADIUS_KM, write_meta_header
 
 DEG = math.pi / 180.0
@@ -97,9 +98,10 @@ def kmeans_planar(
     """Lloyd's algorithm with seeded k-means++ init on projected points.
 
     Deterministic given (points order, k, seed). Returns (labels,
-    centroids, inertia). Inertia is asserted non-increasing across
-    iterations. Empty clusters are repaired by reseeding the centroid at
-    the point currently farthest from its own centroid.
+    centroids, inertia). Empty clusters are repaired by reseeding the
+    centroid at the point currently farthest from its own centroid.
+    Neither step can raise the inertia, so an increase between
+    iterations raises RuntimeError.
     """
     xy = np.asarray(xy, dtype=float)
     n = len(xy)
@@ -122,7 +124,8 @@ def kmeans_planar(
         shift = float(np.max(np.hypot(*(new_centroids - centroids).T)))
         centroids = new_centroids
         labels, new_inertia = _assign(xy, centroids)
-        assert new_inertia <= inertia + 1e-9, "k-means inertia increased"
+        if new_inertia > inertia + 1e-9:
+            raise RuntimeError(f"k-means inertia increased from {inertia} to {new_inertia}")
         inertia = new_inertia
         if shift < CONVERGENCE_SHIFT_KM:
             break
@@ -165,7 +168,7 @@ def select_small_clusters(clusters: list[Cluster], max_size: int) -> list[Cluste
 
 
 def write_clusters_csv(clusters: list[Cluster], path: str | Path, meta: dict | None = None) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
+    with atomic_path(path) as tmp, open(tmp, "w", newline="", encoding="utf-8") as f:
         write_meta_header(f, meta)
         w = csv.writer(f)
         w.writerow(["cluster_id", "centroid_lat", "centroid_lon", "size"])
@@ -192,5 +195,5 @@ def clusters_to_geojson(clusters: list[Cluster]) -> dict:
 
 
 def write_clusters_geojson(clusters: list[Cluster], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_path(path) as tmp, open(tmp, "w", encoding="utf-8") as f:
         json.dump(clusters_to_geojson(clusters), f, indent=2)

@@ -12,6 +12,8 @@ import json
 import logging
 import os
 import time
+from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
@@ -21,6 +23,8 @@ import numpy as np
 log = logging.getLogger(__name__)
 
 RETRY_ATTEMPTS = 3
+# fetch and parse error messages a PollSummary keeps
+MAX_ERRORS_KEPT = 100
 
 
 class FeedParseError(ValueError):
@@ -212,29 +216,38 @@ class SnapshotStore:
                     raise StoreError(f"corrupt line {lineno}: {exc}") from exc
 
 
+@contextmanager
+def atomic_path(path: str | Path) -> Iterator[Path]:
+    """Yield a temporary path beside ``path`` to write the output to.
+
+    On a normal exit the temporary file replaces ``path``; on any error
+    it is removed and ``path`` is left as it was, so no reader ever sees
+    a partial output. Close the temporary file before the block ends.
+    A symbolic link is followed: the file it names is replaced, the
+    link stays.
+    """
+    path = Path(path).resolve()
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_archive(
     snapshots: Iterable[Snapshot], path: str | Path, meta: dict | None = None
 ) -> None:
-    """Write a fresh archive: one ``_meta`` line if meta is given, then
-    one line per snapshot.
-
-    The lines go to a temporary file beside ``path``, which replaces
-    ``path`` only once every snapshot is written. A failure midway
-    leaves ``path`` as it was and removes the temporary file.
-    """
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
+    """Write a fresh archive atomically (see atomic_path): one ``_meta``
+    line if meta is given, then one line per snapshot."""
+    with atomic_path(path) as tmp:
         tmp.write_text("")
         store = SnapshotStore(tmp)
         if meta:
             store.write_meta(meta)
         for snap in snapshots:
             store.append(snap)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
 
 
 def read_snapshots(
@@ -269,10 +282,19 @@ def read_snapshots(
 
 @dataclass
 class PollSummary:
+    """Counters of one poll_feed run. ``errors`` keeps only the last
+    MAX_ERRORS_KEPT messages, so a long-dead endpoint cannot grow it
+    without bound; ``error_count`` counts them all."""
+
     snapshots_written: int = 0
     fetch_failures: int = 0
     skipped_unchanged: int = 0
-    errors: list[str] = field(default_factory=list)
+    errors: deque[str] = field(default_factory=lambda: deque(maxlen=MAX_ERRORS_KEPT))
+    error_count: int = 0
+
+    def record_error(self, message: str) -> None:
+        self.errors.append(message)
+        self.error_count += 1
 
 
 def _fetch_with_retry(
@@ -291,7 +313,7 @@ def _fetch_with_retry(
                 return resp.read()
         except (OSError, http.client.HTTPException) as exc:
             summary.fetch_failures += 1
-            summary.errors.append(str(exc))
+            summary.record_error(str(exc))
             log.warning("fetch attempt %d failed: %s", attempt + 1, exc)
             if attempt < RETRY_ATTEMPTS - 1:
                 time.sleep(backoff)
@@ -325,7 +347,7 @@ def poll_feed(
             try:
                 snap = parse_free_bike_status(raw, provider)
             except FeedParseError as exc:
-                summary.errors.append(f"parse: {exc}")
+                summary.record_error(f"parse: {exc}")
                 log.warning("parse failure: %s", exc)
             else:
                 if snap.captured_at == last_captured:

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import geo_privacy
-from .feed_ingest import ScooterObservation, Snapshot
+from .feed_ingest import ScooterObservation, Snapshot, atomic_path
 # re-exported: cli and perfbench/tracing.py reach synth's archive writer by this name
 from .feed_ingest import write_archive  # noqa: F401
 from .trip_recon import TRIP_CSV_COLUMNS, Trip, make_trip, trip_row, write_meta_header
@@ -109,7 +109,7 @@ class GroundTruth:
 
 
 def _sample_in_area(area: Region, rng: np.random.Generator) -> tuple[float, float]:
-    lat_min, lon_min, lat_max, lon_max = area.bbox()
+    lat_min, lon_min, lat_max, lon_max = area.bbox
     for _ in range(10_000):
         lat = rng.uniform(lat_min, lat_max)
         lon = rng.uniform(lon_min, lon_max)
@@ -239,7 +239,7 @@ def generate(config: FleetConfig) -> tuple[list[Snapshot], GroundTruth]:
 
 
 def write_ground_truth_csv(truth: GroundTruth, path: str | Path, meta: dict | None = None) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
+    with atomic_path(path) as tmp, open(tmp, "w", newline="", encoding="utf-8") as f:
         write_meta_header(f, meta)
         w = csv.writer(f)
         w.writerow(GROUND_TRUTH_COLUMNS)

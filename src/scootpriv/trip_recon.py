@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .feed_ingest import Snapshot
+from .feed_ingest import Snapshot, atomic_path
 
 EARTH_RADIUS_KM = 6378.1
 EARTH_RADIUS_M = EARTH_RADIUS_KM * 1000.0
@@ -230,7 +230,7 @@ def trip_row(t: Trip) -> list:
 
 
 def write_trips_csv(trips: list[Trip], path: str | Path, meta: dict | None = None) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
+    with atomic_path(path) as tmp, open(tmp, "w", newline="", encoding="utf-8") as f:
         write_meta_header(f, meta)
         w = csv.writer(f)
         w.writerow(TRIP_CSV_COLUMNS)

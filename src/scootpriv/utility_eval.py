@@ -12,11 +12,12 @@ import csv
 import json
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from .feed_ingest import Snapshot
+from .feed_ingest import Snapshot, atomic_path
 from . import geo_privacy
 from .trip_recon import write_meta_header
 
@@ -29,6 +30,12 @@ REPORT_CSV_COLUMNS = [
     "mean_escapes",
     "stderr_escapes",
 ]
+
+
+# margin around a region's bounding box in the containment prefilter:
+# points_in_region interpolates each edge's crossing longitude, and the
+# rounding can land a few ulps (about 1e-13 degrees) outside the box
+BBOX_PAD_DEG = 1e-9
 
 
 class RegionError(ValueError):
@@ -55,7 +62,9 @@ class Region:
                 raise RegionError(f"region {self.name!r}: ring not closed")
             _check_simple(ring, self.name)
 
+    @cached_property
     def bbox(self) -> tuple[float, float, float, float]:
+        """(lat_min, lon_min, lat_max, lon_max) over every ring's vertices."""
         lats = [p[0] for ring in self.rings for p in ring]
         lons = [p[1] for ring in self.rings for p in ring]
         return min(lats), min(lons), max(lats), max(lons)
@@ -171,14 +180,31 @@ def count_by_region(
 def _assign_regions(
     lats: np.ndarray, lons: np.ndarray, regions: RegionSet
 ) -> np.ndarray:
-    """First-containing-region index per point, -1 for outside all."""
+    """First-containing-region index per point, -1 for outside all.
+
+    The points are sorted by latitude once. Each region then runs
+    points_in_region only on the still unassigned points inside its
+    bounding box: a searchsorted slice of the sorted latitudes, narrowed
+    by a longitude test.
+    """
     assignment = np.full(len(lats), -1, dtype=int)
+    order = np.argsort(lats)
+    sorted_lats = lats[order]
     for idx, region in enumerate(regions.regions):
-        unassigned = assignment == -1
-        if not unassigned.any():
-            break
-        hit = points_in_region(lats[unassigned], lons[unassigned], region)
-        assignment[np.flatnonzero(unassigned)[hit]] = idx
+        lat_min, lon_min, lat_max, lon_max = region.bbox
+        lo, hi = np.searchsorted(
+            sorted_lats, (lat_min - BBOX_PAD_DEG, lat_max + BBOX_PAD_DEG), side="left"
+        )
+        cand = order[lo:hi]
+        cand_lons = lons[cand]
+        cand = cand[
+            (cand_lons >= lon_min - BBOX_PAD_DEG)
+            & (cand_lons <= lon_max + BBOX_PAD_DEG)
+            & (assignment[cand] == -1)
+        ]
+        if len(cand):
+            hit = points_in_region(lats[cand], lons[cand], region)
+            assignment[cand[hit]] = idx
     return assignment
 
 
@@ -206,7 +232,7 @@ class UtilityReport:
             raise ValueError("R grid must be ascending")
 
 
-def _mean_stderr(values: list[float]) -> tuple[float, float]:
+def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
     arr = np.asarray(values, float)
     m = float(arr.mean())
     se = float(arr.std(ddof=1) / math.sqrt(len(arr))) if len(arr) > 1 else 0.0
@@ -254,7 +280,8 @@ def neighborhood_loss_experiment(
 
     R = 0 means no perturbation. Trial t at grid index g draws from
     substream g * trials + t of master_seed, so results do not depend on
-    execution order.
+    execution order. Every epsilon is checked against the displacement
+    guard before any draw, so an R too large fails for every seed.
     """
     if not regions.regions:
         raise ValueError("empty region set")
@@ -262,32 +289,39 @@ def neighborhood_loss_experiment(
         raise ValueError("empty R grid")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    epsilons = [0.0 if r_km == 0 else geo_privacy.epsilon_from(r_km, ratio) for r_km in r_grid]
+    for eps in epsilons:
+        if eps:
+            geo_privacy.check_epsilon(eps)
     lats, lons = snapshot.coords()
     true_assignment = _assign_regions(lats, lons, regions)
     n_regions = len(regions.regions)
     true_counts = np.bincount(true_assignment[true_assignment >= 0], minlength=n_regions)
+    offsets = np.arange(trials)[:, None] * n_regions
     rows = []
-    for g, r_km in enumerate(r_grid):
+    for g, (r_km, eps) in enumerate(zip(r_grid, epsilons)):
         if r_km == 0:
             rows.append(UtilityRow(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
             continue
-        eps = geo_privacy.epsilon_from(r_km, ratio)
-        escapes_per_trial, abs_err_per_trial = [], []
+        nlat = np.empty((trials, len(lats)))
+        nlon = np.empty((trials, len(lats)))
         for t in range(trials):
             rng = geo_privacy.substream(master_seed, g * trials + t)
-            nlat, nlon = geo_privacy.perturb_many(lats, lons, eps, rng)
-            noisy_assignment = _assign_regions(nlat, nlon, regions)
-            escaped = (true_assignment >= 0) & (noisy_assignment != true_assignment)
-            escapes_by_region = np.bincount(true_assignment[escaped], minlength=n_regions)
-            noisy_counts = np.bincount(
-                noisy_assignment[noisy_assignment >= 0], minlength=n_regions
-            )
-            escapes_per_trial.append(float(escapes_by_region.mean()))
-            abs_err_per_trial.append(float(np.abs(true_counts - noisy_counts).mean()))
-        esc_m, esc_se = _mean_stderr(escapes_per_trial)
-        err_m, _ = _mean_stderr(abs_err_per_trial)
+            nlat[t], nlon[t] = geo_privacy.perturb_many(lats, lons, eps, rng)
+        # every trial's points in one assignment, one row per trial
+        noisy = _assign_regions(nlat.ravel(), nlon.ravel(), regions).reshape(nlat.shape)
+        escaped = (true_assignment >= 0) & (noisy != true_assignment)
+        escapes = _per_trial_counts((offsets + true_assignment)[escaped], trials, n_regions)
+        noisy_counts = _per_trial_counts((offsets + noisy)[noisy >= 0], trials, n_regions)
+        esc_m, esc_se = _mean_stderr(escapes.mean(axis=1))
+        err_m, _ = _mean_stderr(np.abs(true_counts - noisy_counts).mean(axis=1))
         rows.append(UtilityRow(r_km, eps, 0.0, 0.0, err_m, esc_m, esc_se))
     return rows
+
+
+def _per_trial_counts(index: np.ndarray, trials: int, n_regions: int) -> np.ndarray:
+    """(trials, n_regions) counts of the offset indices t * n_regions + i."""
+    return np.bincount(index, minlength=trials * n_regions).reshape(trials, n_regions)
 
 
 def merge_rows(
@@ -310,7 +344,7 @@ def merge_rows(
 def emit_report(report: UtilityReport, path: str | Path, fmt: str = "csv") -> None:
     """Serialize a report losslessly as CSV (with # metadata header) or JSON."""
     if fmt == "csv":
-        with open(path, "w", newline="", encoding="utf-8") as f:
+        with atomic_path(path) as tmp, open(tmp, "w", newline="", encoding="utf-8") as f:
             write_meta_header(
                 f, {"trials": report.trials, "ratio": report.ratio, "seed": report.master_seed}
             )
@@ -335,7 +369,7 @@ def emit_report(report: UtilityReport, path: str | Path, fmt: str = "csv") -> No
             "seed": report.master_seed,
             "rows": [vars(r) for r in report.rows],
         }
-        with open(path, "w", encoding="utf-8") as f:
+        with atomic_path(path) as tmp, open(tmp, "w", encoding="utf-8") as f:
             json.dump(doc, f, indent=2)
     else:
         raise ValueError(f"unknown format {fmt!r}")

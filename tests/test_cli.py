@@ -1,3 +1,5 @@
+import builtins
+import errno
 import json
 import math
 import subprocess
@@ -10,7 +12,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from scootpriv import geo_privacy
+from scootpriv import cli, clustering, geo_privacy, synth_fleet, trip_recon, utility_eval
 from scootpriv.cli import main, parse_r_grid
 from scootpriv.feed_ingest import SnapshotStore, write_archive
 from scootpriv.geo_privacy import analytic_cdf
@@ -516,3 +518,76 @@ class TestEvaluateGeojsonDump:
         doc = json.loads(dump.read_text())
         snaps = list(SnapshotStore(synth_archive).iter_all())
         assert len(doc["features"]) == len(snaps[-1].observations)
+
+
+class _FullDisk:
+    """A text file whose writes fail with ENOSPC once `room` characters
+    are written, the last write landing in part."""
+
+    def __init__(self, f, room):
+        self._f, self._room = f, room
+
+    def write(self, s):
+        if len(s) > self._room:
+            self._f.write(s[: self._room])
+            self._room = 0
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self._room -= len(s)
+        return self._f.write(s)
+
+    def __getattr__(self, name):
+        return getattr(self._f, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._f.close()
+
+
+class TestAtomicOutputs:
+    """Every output goes to a temporary file that replaces the target
+    only once complete, so a failure midway keeps the old output."""
+
+    @pytest.fixture
+    def inputs(self, tmp_path, synth_archive, synth_config):
+        boundary = tmp_path / "boundary.geojson"
+        write_boundary_geojson(boundary)
+        trips = tmp_path / "in_trips.csv"
+        assert main(["reconstruct", "--store", str(synth_archive), "--output", str(trips)]) == 0
+        evaluate = ["evaluate", "--store", str(synth_archive), "--boundary", str(boundary),
+                    "--r-grid", "0:0.1:0.05", "--trials", "2"]
+        return {
+            "trip_recon": ["reconstruct", "--store", str(synth_archive),
+                           "--output", "{out}"],
+            "clustering.csv": ["cluster", "--trips", str(trips), "--k", "2", "--output", "{out}"],
+            "clustering.geojson": ["cluster", "--trips", str(trips), "--k", "2",
+                                   "--output", str(tmp_path / "c.csv"), "--geojson", "{out}"],
+            "synth_fleet": ["synth", "--config", str(synth_config),
+                            "--output", str(tmp_path / "a2.jsonl"), "--ground-truth", "{out}"],
+            "utility_eval.csv": evaluate + ["--output", "{out}"],
+            "utility_eval.json": evaluate + ["--format", "json", "--output", "{out}"],
+            "cli": evaluate + ["--output", str(tmp_path / "r.csv"), "--dump-geojson", "{out}"],
+        }
+
+    @pytest.mark.parametrize("writer", [
+        "trip_recon", "clustering.csv", "clustering.geojson", "synth_fleet",
+        "utility_eval.csv", "utility_eval.json", "cli",
+    ])
+    def test_full_disk_midway_keeps_old_output(self, tmp_path, inputs, monkeypatch, writer):
+        module = {"trip_recon": trip_recon, "clustering": clustering, "synth_fleet": synth_fleet,
+                  "utility_eval": utility_eval, "cli": cli}[writer.split(".")[0]]
+        out = tmp_path / "out.txt"
+        out.write_text("old\n")
+        real_open = builtins.open
+
+        def open_on_full_disk(file, mode="r", *args, **kwargs):
+            f = real_open(file, mode, *args, **kwargs)
+            # the target, or its temporary file beside it
+            return _FullDisk(f, 40) if "w" in mode and out.name in str(file) else f
+
+        monkeypatch.setattr(module, "open", open_on_full_disk, raising=False)
+        argv = [str(out) if a == "{out}" else a for a in inputs[writer]]
+        assert main(argv) == 1
+        assert out.read_text() == "old\n"
+        assert list(tmp_path.glob(".*.tmp")) == []

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from scootpriv import clustering
 from scootpriv.clustering import (
     Cluster,
     cluster_size_histogram,
@@ -127,6 +128,24 @@ class TestKmeans:
     def test_empty_input(self):
         with pytest.raises(ValueError):
             kmeans([], k=1, seed=0)
+
+
+def test_inertia_increase_raises(monkeypatch):
+    # Lloyd's steps never raise the inertia, so fake a rising one; the
+    # check must hold under python -O too, where an assert would vanish
+    real_assign = clustering._assign
+    calls = 0
+
+    def rising_inertia(xy, centroids):
+        nonlocal calls
+        calls += 1
+        labels, inertia = real_assign(xy, centroids)
+        return labels, inertia + 1e3 * calls
+
+    monkeypatch.setattr(clustering, "_assign", rising_inertia)
+    xy = np.random.default_rng(0).uniform(0, 1, (30, 2))
+    with pytest.raises(RuntimeError, match="inertia increased"):
+        kmeans_planar(xy, k=3, seed=0)
 
 
 class TestHistogramAndSelection:

@@ -5,6 +5,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 from scootpriv.feed_ingest import (
+    MAX_ERRORS_KEPT,
     FeedParseError,
     ScooterObservation,
     Snapshot,
@@ -107,6 +108,17 @@ class TestWriteArchive:
             write_archive(failing(), path)
         assert path.read_text() == "old\n"
         assert [p.name for p in tmp_path.iterdir()] == ["a.jsonl"]
+
+    def test_symlinked_target_written_through(self, tmp_path):
+        real = tmp_path / "store" / "a.jsonl"
+        real.parent.mkdir()
+        real.write_text("old\n")
+        link = tmp_path / "link.jsonl"
+        link.symlink_to(real)
+        snaps = [make_snapshot([("a", 34.0, -118.2)], captured_at=1)]
+        write_archive(snaps, link)
+        assert link.is_symlink()
+        assert list(SnapshotStore(real).iter_all()) == snaps
 
     def test_empty_archive(self, tmp_path):
         path = tmp_path / "a.jsonl"
@@ -294,6 +306,27 @@ class TestPoller:
         assert summary.snapshots_written == 0
         assert summary.fetch_failures >= 1
         assert summary.errors
+
+    def test_dead_endpoint_keeps_last_errors_and_counts_all(self, tmp_path, monkeypatch):
+        import urllib.request
+
+        attempts = 0
+
+        def refuse(*args, **kwargs):
+            nonlocal attempts
+            attempts += 1
+            raise OSError(f"refused {attempts}")
+
+        monkeypatch.setattr(urllib.request, "urlopen", refuse)
+        monkeypatch.setattr("time.sleep", lambda s: None)
+        polls = 200
+        store = SnapshotStore(tmp_path / "a.jsonl")
+        summary = self._run(None, "http://dead.invalid/", store, polls)
+        total = polls * 3  # every poll makes RETRY_ATTEMPTS attempts
+        assert summary.fetch_failures == summary.error_count == total
+        assert list(summary.errors) == [
+            f"refused {i}" for i in range(total - MAX_ERRORS_KEPT + 1, total + 1)
+        ]
 
     def test_nonpositive_interval_rejected(self, tmp_path):
         with pytest.raises(ValueError):

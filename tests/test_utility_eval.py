@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
+from scootpriv import geo_privacy
 from scootpriv.geo_privacy import epsilon_from
 from scootpriv.trip_recon import EARTH_RADIUS_KM
 from scootpriv.utility_eval import (
@@ -13,6 +15,7 @@ from scootpriv.utility_eval import (
     RegionSet,
     UtilityReport,
     UtilityRow,
+    _assign_regions,
     boundary_loss_experiment,
     count_by_region,
     emit_report,
@@ -212,6 +215,89 @@ class TestCountByRegion:
         assert sum(counts.values()) + outside == 200
 
 
+def assign_oracle(lats, lons, regions):
+    """Brute-force first-containing-region index: plain points_in_region
+    over every point and every region, no prefilter."""
+    out = np.full(len(lats), -1)
+    for idx, region in enumerate(regions.regions):
+        out[(out == -1) & points_in_region(lats, lons, region)] = idx
+    return out
+
+
+def _rect(lat0, lon0, h, w):
+    return ((lat0, lon0), (lat0, lon0 + w), (lat0 + h, lon0 + w), (lat0 + h, lon0), (lat0, lon0))
+
+
+def _ulps(x, k):
+    """x moved k representable floats up (k > 0) or down (k < 0)."""
+    for _ in range(abs(k)):
+        x = np.nextafter(x, math.copysign(math.inf, k))
+    return float(x)
+
+
+_coord = st.floats(-3.0, 3.0, allow_nan=False)
+_side = st.floats(0.01, 2.0)
+
+
+@st.composite
+def _region_sets(draw):
+    """Up to four regions, often overlapping: rectangles, triangles with
+    slanted edges, rectangles with a hole, and two-rectangle multipolygons,
+    near the equator or near Los Angeles (coarser ulps)."""
+    olat, olon = draw(st.sampled_from(((0.0, 0.0), (34.0, -118.3))))
+    regions = []
+    for i in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(("rect", "triangle", "holed", "multi")))
+        lat0, lon0 = olat + draw(_coord), olon + draw(_coord)
+        h, w = draw(_side), draw(_side)
+        rect = _rect(lat0, lon0, h, w)
+        if kind == "rect":
+            rings = (rect,)
+        elif kind == "triangle":
+            a, b, c = ((olat + draw(_coord), olon + draw(_coord)) for _ in range(3))
+            rings = ((a, b, c, a),)
+        elif kind == "holed":
+            rings = (rect, _rect(lat0 + h / 4, lon0 + w / 4, h / 2, w / 2))
+        else:
+            rings = (rect, _rect(lat0, lon0 + 1.5 * w, h, w))
+        regions.append(Region(f"r{i}", rings))
+    return RegionSet(tuple(regions))
+
+
+def _boundary_points(regions):
+    """Points on every vertex, on each bbox edge, and along every edge,
+    each also moved one and two ulps either way in each coordinate."""
+    base = []
+    for region in regions.regions:
+        lat_min, lon_min, lat_max, lon_max = region.bbox
+        lat_mid, lon_mid = (lat_min + lat_max) / 2, (lon_min + lon_max) / 2
+        base += [(lat_min, lon_mid), (lat_max, lon_mid), (lat_mid, lon_min), (lat_mid, lon_max)]
+        for ring in region.rings:
+            for (ay, ax), (by, bx) in zip(ring[:-1], ring[1:]):
+                base.append((ay, ax))
+                base += [(ay + f * (by - ay), ax + f * (bx - ax)) for f in (0.3, 0.5)]
+    steps = (-2, -1, 0, 1, 2)
+    return [(_ulps(lat, i), _ulps(lon, j)) for lat, lon in base for i in steps for j in steps]
+
+
+class TestAssignRegions:
+    @settings(max_examples=150, deadline=None)
+    @given(regions=_region_sets(), random_points=st.lists(st.tuples(_coord, _coord), max_size=50))
+    def test_matches_brute_force_oracle(self, regions, random_points):
+        olat, olon = regions.regions[0].rings[0][0]
+        points = [(olat + a, olon + b) for a, b in random_points] + _boundary_points(regions)
+        lats = np.array([p[0] for p in points])
+        lons = np.array([p[1] for p in points])
+        np.testing.assert_array_equal(
+            _assign_regions(lats, lons, regions), assign_oracle(lats, lons, regions)
+        )
+
+    def test_empty_input(self, unit_square):
+        empty = np.array([], float)
+        assignment = _assign_regions(empty, empty, RegionSet((unit_square,)))
+        assert assignment.shape == (0,)
+
+
 class TestBoundaryExperiment:
     @pytest.fixture
     def city(self):
@@ -332,6 +418,24 @@ class TestNeighborhoodExperiment:
     def test_zero_trials_rejected(self, halves):
         with pytest.raises(ValueError, match="trials"):
             neighborhood_loss_experiment(make_snapshot([]), halves, [0.1], 0, 6, 0)
+
+    @pytest.mark.parametrize("experiment", ["neighborhood", "boundary"])
+    def test_epsilon_below_guard_rejected_before_any_draw(self, halves, monkeypatch, experiment):
+        # R = 15 km at ratio 6 gives eps = 0.119/km; drawn, it exceeds the
+        # 100 km displacement guard only for some seeds
+        draws = []
+        monkeypatch.setattr(geo_privacy, "perturb_many", lambda *a: draws.append(a))
+        points = np.random.default_rng(0).uniform(0, 1, (100, 2))
+        snap = make_snapshot([(f"s{i}", float(p[0]), float(p[1])) for i, p in enumerate(points)])
+        for seed in range(20):
+            with pytest.raises(ValueError, match="too small"):
+                if experiment == "neighborhood":
+                    neighborhood_loss_experiment(snap, halves, [0.25, 15.0], 10, 6, seed)
+                else:
+                    boundary_loss_experiment(
+                        snap, square_region("city"), [0.25, 15.0], 10, 6, seed
+                    )
+        assert draws == []
 
     def test_rows_pinned(self, halves):
         # fixes the substream layout: a change to the RNG stream fails here
