@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -28,14 +29,16 @@ class UsageError(ValueError):
 
 
 def parse_r_grid(spec: str) -> list[float]:
-    """Parse "start:stop:step" into an inclusive ascending grid of radii >= 0 km."""
+    """Parse "start:stop:step" into an ascending grid of radii >= 0 km:
+    start + i * step for every i that stays within stop, which is
+    included when the steps reach it to within 1e-9 km."""
     try:
         start, stop, step = (float(v) for v in spec.split(":"))
     except ValueError as exc:
         raise UsageError(f"bad grid spec {spec!r}, want start:stop:step") from exc
     if step <= 0 or stop < start or start < 0:
         raise UsageError(f"bad grid spec {spec!r}")
-    n = round((stop - start) / step) + 1
+    n = math.floor((stop - start + 1e-9) / step) + 1
     return [round(start + i * step, 10) for i in range(n)]
 
 

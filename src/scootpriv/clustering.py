@@ -151,13 +151,6 @@ def kmeans(
     return clusters
 
 
-def cluster_size_histogram(clusters: list[Cluster]) -> dict[int, int]:
-    hist: dict[int, int] = {}
-    for c in clusters:
-        hist[c.size] = hist.get(c.size, 0) + 1
-    return hist
-
-
 def select_small_clusters(clusters: list[Cluster], max_size: int) -> list[Cluster]:
     """Clusters of at most max_size trips, the privacy-sensitive ones,
     sorted ascending by size then id."""

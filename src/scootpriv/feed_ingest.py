@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import logging
 import os
+import sys
 import time
 from collections import deque
 from contextlib import contextmanager
@@ -35,7 +36,7 @@ class StoreError(OSError):
     """Raised when a snapshot archive cannot be read or written."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScooterObservation:
     scooter_id: str
     lat: float
@@ -153,7 +154,9 @@ def snapshot_from_record(rec: dict) -> Snapshot:
         ttl_s=int(rec["ttl_s"]),
         observations=tuple(
             ScooterObservation(
-                scooter_id=b["id"],
+                # one shared string per id: an archive repeats each id
+                # in every snapshot; a non-string id is a corrupt line
+                scooter_id=sys.intern(b["id"]),
                 lat=float(b["lat"]),
                 lon=float(b["lon"]),
                 is_reserved=bool(b["reserved"]),
@@ -196,7 +199,7 @@ class SnapshotStore:
         with open(self.path, "a", encoding="utf-8") as f:
             f.write(json.dumps({"_meta": meta}, separators=(",", ":")) + "\n")
 
-    def iter_all(self, skip_corrupt: bool = False) -> Iterator[Snapshot]:
+    def iter_all(self) -> Iterator[Snapshot]:
         if not self.path.exists():
             raise StoreError(f"no such archive: {self.path}")
         with open(self.path, encoding="utf-8") as f:
@@ -210,9 +213,6 @@ class SnapshotStore:
                         continue
                     yield snapshot_from_record(rec)
                 except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                    if skip_corrupt:
-                        log.warning("skipping corrupt line %d: %s", lineno, exc)
-                        continue
                     raise StoreError(f"corrupt line {lineno}: {exc}") from exc
 
 
@@ -250,29 +250,17 @@ def write_archive(
             store.append(snap)
 
 
-def read_snapshots(
-    store: SnapshotStore,
-    provider: str | None = None,
-    from_ts: int | None = None,
-    to_ts: int | None = None,
-) -> list[Snapshot]:
-    """Snapshots with captured_at in [from_ts, to_ts], ascending (stable).
+def read_snapshots(store: SnapshotStore, provider: str | None = None) -> list[Snapshot]:
+    """Snapshots ascending by captured_at (stable).
 
-    ``provider=None`` keeps every provider; absent bounds are open. Of
-    several snapshots with the same (provider, captured_at), as a
-    restarted scraper can append, only the first in the file is kept.
+    ``provider=None`` keeps every provider. Of several snapshots with the
+    same (provider, captured_at), as a restarted scraper can append, only
+    the first in the file is kept.
     """
-    if from_ts is not None and to_ts is not None and from_ts > to_ts:
-        raise ValueError(f"from ({from_ts}) must not exceed to ({to_ts})")
     out, seen = [], set()
     for s in store.iter_all():
         key = (s.provider, s.captured_at)
-        if (
-            key in seen
-            or (provider is not None and s.provider != provider)
-            or (from_ts is not None and s.captured_at < from_ts)
-            or (to_ts is not None and s.captured_at > to_ts)
-        ):
+        if key in seen or (provider is not None and s.provider != provider):
             continue
         seen.add(key)
         out.append(s)

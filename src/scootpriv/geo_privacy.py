@@ -59,20 +59,17 @@ def epsilon_from(radius_km: float, ratio_bound: float) -> float:
 
 
 def sample_polar_laplace(
-    epsilon: float, rng: np.random.Generator, size: int | None = None
-) -> tuple[np.ndarray, np.ndarray] | tuple[float, float]:
-    """Draw (theta, r): bearing uniform on [0, 2pi), radius Gamma(2, 1/eps).
+    epsilon: float, rng: np.random.Generator, size: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw size (theta, r) pairs as two arrays: bearing uniform on
+    [0, 2pi), radius Gamma(2, 1/eps).
 
     The Gamma shape-2 radial marginal is exactly eps^2 * r * exp(-eps*r).
-    With size=None returns scalars, else arrays of that length.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    n = 1 if size is None else size
-    theta = rng.uniform(0.0, 2.0 * math.pi, size=n)
-    r = rng.gamma(shape=2.0, scale=1.0 / epsilon, size=n)
-    if size is None:
-        return float(theta[0]), float(r[0])
+    theta = rng.uniform(0.0, 2.0 * math.pi, size=size)
+    r = rng.gamma(shape=2.0, scale=1.0 / epsilon, size=size)
     return theta, r
 
 
@@ -113,8 +110,8 @@ def perturb(
 ) -> tuple[float, float]:
     """One geo-indistinguishable release of loc. No truncation: the noisy
     point may land outside any boundary, ocean included."""
-    theta, r = sample_polar_laplace(epsilon, rng)
-    return displace(loc, theta, r)
+    theta, r = sample_polar_laplace(epsilon, rng, size=1)
+    return displace(loc, theta[0], r[0])
 
 
 def perturb_many(

@@ -26,7 +26,7 @@ from . import geo_privacy
 from .feed_ingest import ScooterObservation, Snapshot, atomic_path
 # re-exported: cli and perfbench/tracing.py reach synth's archive writer by this name
 from .feed_ingest import write_archive  # noqa: F401
-from .trip_recon import TRIP_CSV_COLUMNS, Trip, make_trip, trip_row, write_meta_header
+from .trip_recon import TRIP_CSV_COLUMNS, Trip, trip_row, write_meta_header
 from .utility_eval import Region, point_in_region
 
 BASE_TIME = 1_700_000_000  # fixed epoch start keeps archives reproducible
@@ -180,7 +180,7 @@ def generate(config: FleetConfig) -> tuple[list[Snapshot], GroundTruth]:
         for sid in ids:
             st = states[sid]
             if st.arrival_time is not None and t >= st.arrival_time:
-                event = make_trip(sid, st.depart_loc, st.dest, st.depart_snap, t)
+                event = Trip(sid, st.depart_loc, st.dest, st.depart_snap, t)
                 (truth.relocations if st.is_fake_move else truth.trips).append(event)
                 states[sid] = _ScooterState(loc=st.dest)
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 from .feed_ingest import Snapshot, atomic_path
@@ -51,39 +52,28 @@ def haversine_distance(a: tuple[float, float], b: tuple[float, float]) -> float:
 
 @dataclass(frozen=True)
 class Trip:
+    """One inferred move. Duration and great-circle distance derive from
+    the endpoints; the distance is computed on first use, then kept."""
+
     scooter_id: str
     start_loc: tuple[float, float]
     end_loc: tuple[float, float]
     start_time: int
     end_time: int
-    distance_m: float
-    duration_s: int
 
     def __post_init__(self):
         if self.end_time <= self.start_time:
             raise ValueError(
                 f"end_time {self.end_time} must be after start_time {self.start_time}"
             )
-        if self.duration_s != self.end_time - self.start_time:
-            raise ValueError("duration inconsistent with start/end times")
 
+    @property
+    def duration_s(self) -> int:
+        return self.end_time - self.start_time
 
-def make_trip(
-    scooter_id: str,
-    start_loc: tuple[float, float],
-    end_loc: tuple[float, float],
-    start_time: int,
-    end_time: int,
-) -> Trip:
-    return Trip(
-        scooter_id=scooter_id,
-        start_loc=start_loc,
-        end_loc=end_loc,
-        start_time=start_time,
-        end_time=end_time,
-        distance_m=haversine_distance(start_loc, end_loc),
-        duration_s=end_time - start_time,
-    )
+    @cached_property
+    def distance_m(self) -> float:
+        return haversine_distance(self.start_loc, self.end_loc)
 
 
 @dataclass(frozen=True)
@@ -146,9 +136,7 @@ def reconstruct_trips(
                 state[obs.scooter_id] = (loc, snap.captured_at)
                 continue
             if haversine_distance(old_loc, loc) > min_move_m:
-                trips.append(
-                    make_trip(obs.scooter_id, old_loc, loc, last_seen, snap.captured_at)
-                )
+                trips.append(Trip(obs.scooter_id, old_loc, loc, last_seen, snap.captured_at))
                 state[obs.scooter_id] = (loc, snap.captured_at)
             else:
                 # still parked; keep the original fix, refresh last-seen
@@ -158,62 +146,6 @@ def reconstruct_trips(
 
 def filter_trips(trips: list[Trip], f: TripFilter) -> list[Trip]:
     return [t for t in trips if f.keeps(t)]
-
-
-@dataclass(frozen=True)
-class ParkedCountSeries:
-    provider: str
-    points: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        for (t0, c0), (t1, _) in zip(self.points, self.points[1:]):
-            if t1 <= t0:
-                raise ValueError("timestamps must be strictly ascending")
-        if any(c < 0 for _, c in self.points):
-            raise ValueError("counts must be >= 0")
-
-
-def parked_count_series(
-    snapshots: list[Snapshot],
-    include_disabled: bool = True,
-    include_reserved: bool = True,
-) -> ParkedCountSeries:
-    """One (captured_at, parked count) point per snapshot."""
-    points = []
-    for snap in snapshots:
-        n = sum(
-            1
-            for o in snap.observations
-            if (include_disabled or not o.is_disabled)
-            and (include_reserved or not o.is_reserved)
-        )
-        points.append((snap.captured_at, n))
-    provider = snapshots[0].provider if snapshots else ""
-    return ParkedCountSeries(provider, tuple(points))
-
-
-def estimate_fleet_size(series: ParkedCountSeries, window: tuple[int, int]) -> int:
-    """Peak parked count within the window, a fleet-size lower bound that
-    is tight during inactive hours when the whole fleet sits parked."""
-    lo, hi = window
-    counts = [c for t, c in series.points if lo <= t <= hi]
-    if not counts:
-        raise ValueError(f"window {window} does not overlap the series")
-    return max(counts)
-
-
-@dataclass(frozen=True)
-class CapVerdict:
-    compliant: bool
-    exceeds_by: int = 0
-
-
-def check_device_cap(estimate: int, cap: int) -> CapVerdict:
-    if cap <= 0:
-        raise ValueError("cap must be positive")
-    if estimate <= cap:
-        return CapVerdict(compliant=True)
-    return CapVerdict(compliant=False, exceeds_by=estimate - cap)
 
 
 def write_meta_header(f, meta: dict | None) -> None:
@@ -238,17 +170,20 @@ def write_trips_csv(trips: list[Trip], path: str | Path, meta: dict | None = Non
 
 
 def read_trips_csv(path: str | Path) -> list[Trip]:
-    trips = []
+    """Trips from a trips CSV; ValueError if a TRIP_CSV_COLUMNS column is
+    missing from its header."""
     with open(path, newline="", encoding="utf-8") as f:
-        rows = (line for line in f if not line.startswith("#"))
-        for rec in csv.DictReader(rows):
-            trips.append(
-                make_trip(
-                    rec["scooter_id"],
-                    (float(rec["start_lat"]), float(rec["start_lon"])),
-                    (float(rec["end_lat"]), float(rec["end_lon"])),
-                    int(rec["start_time"]),
-                    int(rec["end_time"]),
-                )
+        reader = csv.DictReader(line for line in f if not line.startswith("#"))
+        missing = [c for c in TRIP_CSV_COLUMNS if c not in (reader.fieldnames or [])]
+        if missing:
+            raise ValueError(f"{path}: trips CSV lacks column(s) {', '.join(missing)}")
+        return [
+            Trip(
+                rec["scooter_id"],
+                (float(rec["start_lat"]), float(rec["start_lon"])),
+                (float(rec["end_lat"]), float(rec["end_lon"])),
+                int(rec["start_time"]),
+                int(rec["end_time"]),
             )
-    return trips
+            for rec in reader
+        ]

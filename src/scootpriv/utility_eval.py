@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -20,17 +20,6 @@ import numpy as np
 from .feed_ingest import Snapshot, atomic_path
 from . import geo_privacy
 from .trip_recon import write_meta_header
-
-REPORT_CSV_COLUMNS = [
-    "R_km",
-    "epsilon",
-    "mean_outside",
-    "stderr_outside",
-    "mean_abs_error",
-    "mean_escapes",
-    "stderr_escapes",
-]
-
 
 # margin around a region's bounding box in the containment prefilter:
 # points_in_region interpolates each edge's crossing longitude, and the
@@ -140,41 +129,33 @@ def load_regions_geojson(path: str | Path) -> list[Region]:
 
     GeoJSON coordinates are (lon, lat); rings are stored as (lat, lon).
     A region is named by its feature's ``name`` property, else ``region_<i>``.
+    A collection without features, or a feature whose coordinates are
+    missing or are not rings of [lon, lat] pairs, raises RegionError.
     """
     with open(path, encoding="utf-8") as f:
         doc = json.load(f)
-    if doc.get("type") != "FeatureCollection":
+    if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
         raise RegionError(f"{path}: not a FeatureCollection")
+    if not doc.get("features"):
+        raise RegionError(f"{path}: no features")
     regions = []
-    for i, feat in enumerate(doc.get("features", [])):
+    for i, feat in enumerate(doc["features"]):
         geom = feat.get("geometry") or {}
         props = feat.get("properties") or {}
         name = str(props.get("name", f"region_{i}"))
         gtype = geom.get("type")
-        if gtype == "Polygon":
-            poly_rings = geom["coordinates"]
-        elif gtype == "MultiPolygon":
-            poly_rings = [ring for poly in geom["coordinates"] for ring in poly]
-        else:
+        if gtype not in ("Polygon", "MultiPolygon"):
             raise RegionError(f"{path}: feature {name!r} has unsupported type {gtype}")
-        rings = tuple(
-            tuple((float(lat), float(lon)) for lon, lat in ring) for ring in poly_rings
-        )
+        try:
+            polys = [geom["coordinates"]] if gtype == "Polygon" else geom["coordinates"]
+            rings = tuple(
+                tuple((float(lat), float(lon)) for lon, lat in ring)
+                for poly in polys for ring in poly
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise RegionError(f"{path}: feature {name!r}: malformed coordinates ({exc!r})") from exc
         regions.append(Region(name=name, rings=rings))
     return regions
-
-
-def count_by_region(
-    snapshot: Snapshot, regions: RegionSet
-) -> tuple[dict[str, int], int]:
-    """Per-region scooter counts plus the count matching no region.
-
-    Overlaps resolve to the first containing region in file order, so the
-    counts always partition the snapshot.
-    """
-    assignment = _assign_regions(*snapshot.coords(), regions)
-    counts = {r.name: int(np.sum(assignment == i)) for i, r in enumerate(regions.regions)}
-    return counts, int(np.sum(assignment == -1))
 
 
 def _assign_regions(
@@ -217,6 +198,9 @@ class UtilityRow:
     mean_abs_error: float
     mean_escapes: float
     stderr_escapes: float
+
+
+REPORT_CSV_COLUMNS = [f.name for f in fields(UtilityRow)]
 
 
 @dataclass(frozen=True)
@@ -350,18 +334,7 @@ def emit_report(report: UtilityReport, path: str | Path, fmt: str = "csv") -> No
             )
             w = csv.writer(f)
             w.writerow(REPORT_CSV_COLUMNS)
-            for r in report.rows:
-                w.writerow(
-                    [
-                        repr(r.R_km),
-                        repr(r.epsilon),
-                        repr(r.mean_outside),
-                        repr(r.stderr_outside),
-                        repr(r.mean_abs_error),
-                        repr(r.mean_escapes),
-                        repr(r.stderr_escapes),
-                    ]
-                )
+            w.writerows([repr(getattr(r, c)) for c in REPORT_CSV_COLUMNS] for r in report.rows)
     elif fmt == "json":
         doc = {
             "trials": report.trials,
@@ -392,14 +365,3 @@ def snapshot_to_geojson(snapshot: Snapshot) -> dict:
             for o in snapshot.observations
         ],
     }
-
-
-def load_report_json(path: str | Path) -> UtilityReport:
-    with open(path, encoding="utf-8") as f:
-        doc = json.load(f)
-    return UtilityReport(
-        rows=tuple(UtilityRow(**r) for r in doc["rows"]),
-        trials=doc["trials"],
-        ratio=doc["ratio"],
-        master_seed=doc["seed"],
-    )

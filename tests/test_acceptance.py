@@ -31,12 +31,12 @@ from scootpriv.trip_recon import (
 from scootpriv.utility_eval import (
     Region,
     RegionSet,
-    count_by_region,
+    _assign_regions,
     point_in_region,
     points_in_region,
 )
 
-from conftest import make_snapshot, square_region
+from conftest import square_region
 from test_clustering import brute_force_two_partition
 from test_utility_eval import half_plane_escape_probability, winding_number_contains
 
@@ -158,12 +158,12 @@ def utility_run():
             sub = substream(777, g * trials + t)
             nlat, nlon = perturb_many(lats, lons, eps, sub)
             outside_counts.append(float(np.sum(~points_in_region(nlat, nlon, city))))
-            snap = make_snapshot(
-                [(f"s{i}", float(nlat[i]), float(nlon[i])) for i in range(0, n, 10)]
-            )
-            counts, outside = count_by_region(snap, halves)
-            if sum(counts.values()) + outside != len(snap.observations):
-                partition_ok = False
+            slat, slon = nlat[::10], nlon[::10]
+            assignment = _assign_regions(slat, slon, halves)
+            for idx, half in enumerate(halves.regions):
+                inside = points_in_region(slat, slon, half)
+                if not inside[assignment == idx].all() or inside[assignment == -1].any():
+                    partition_ok = False
         arr = np.array(outside_counts)
         means.append(float(arr.mean()))
         stderrs.append(float(arr.std(ddof=1) / math.sqrt(trials)))

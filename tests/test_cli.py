@@ -82,6 +82,13 @@ class TestGridFlag:
     def test_inclusive_ends(self):
         assert parse_r_grid("0.1:0.3:0.1") == [0.1, 0.2, 0.3]
 
+    def test_stop_kept_within_float_tolerance(self):
+        # 0.3 / 0.1 is 2.9999999999999996 in binary floating point
+        assert parse_r_grid("0:0.3:0.1") == [0.0, 0.1, 0.2, 0.3]
+
+    def test_never_past_stop(self):
+        assert parse_r_grid("0:1:0.35") == [0.0, 0.35, 0.7]
+
     def test_bad_specs(self):
         from scootpriv.cli import UsageError
 
@@ -178,6 +185,17 @@ class TestReconstructCommand:
         )
         assert rc == 1
 
+    def test_non_string_id_exits_1(self, tmp_path, synth_archive, capsys):
+        # GBFS bike_id is a string; a numeric id is a corrupt archive line
+        lines = synth_archive.read_text().splitlines(keepends=True)
+        rec = json.loads(lines[3])
+        rec["bikes"][0]["id"] = 17
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("".join(lines[:3] + [json.dumps(rec) + "\n"] + lines[4:]))
+        rc = main(["reconstruct", "--store", str(bad), "--output", str(tmp_path / "t.csv")])
+        assert rc == 1
+        assert "corrupt line 4" in capsys.readouterr().err
+
     def test_repeated_snapshot_line_ignored(self, tmp_path, synth_archive):
         # a restarted scrape can append a snapshot the archive already holds
         lines = synth_archive.read_text().splitlines(keepends=True)
@@ -218,6 +236,16 @@ class TestClusterCommand:
              "--output", str(tmp_path / "c.csv")]
         )
         assert rc == 2
+
+    def test_csv_without_trip_columns_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "clusters.csv"
+        path.write_text("cluster_id,centroid_lat,centroid_lon,size\n0,34.0,-118.2,3\n")
+        rc = main(["cluster", "--trips", str(path), "--k", "1",
+                   "--output", str(tmp_path / "c.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert all(c in err for c in trip_recon.TRIP_CSV_COLUMNS)
 
     def test_same_seed_byte_identical(self, tmp_path, trips_csv):
         path, n = trips_csv
@@ -391,6 +419,36 @@ class TestEvaluateCommand:
              "--output", str(tmp_path / "r.csv")]
         )
         assert rc == 1
+
+    @pytest.mark.parametrize(
+        "flag,doc",
+        [
+            ("--boundary", []),
+            ("--boundary", {"type": "FeatureCollection", "features": []}),
+            ("--boundary", {"type": "FeatureCollection",
+                            "features": [{"type": "Feature", "geometry": {"type": "Polygon"}}]}),
+            ("--boundary", {"type": "FeatureCollection",
+                            "features": [{"type": "Feature",
+                                          "geometry": {"type": "Polygon", "coordinates": [3.0]}}]}),
+            ("--neighborhoods", {"type": "FeatureCollection", "features": []}),
+        ],
+        ids=["boundary not an object", "boundary without features",
+             "boundary without coordinates", "boundary with malformed coordinates",
+             "neighborhoods without features"],
+    )
+    def test_bad_region_file_exits_2(self, tmp_path, synth_archive, capsys, flag, doc):
+        boundary = tmp_path / "boundary.geojson"
+        write_boundary_geojson(boundary)
+        bad = tmp_path / "bad.geojson"
+        bad.write_text(json.dumps(doc))
+        regions = {"--boundary": boundary, flag: bad}
+        argv = ["evaluate", "--store", str(synth_archive), "--trials", "2",
+                "--output", str(tmp_path / "r.csv")]
+        for name, path in regions.items():
+            argv += [name, str(path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "r.csv").exists()
 
     def test_rerun_byte_identical(self, tmp_path, synth_archive):
         boundary = tmp_path / "boundary.geojson"

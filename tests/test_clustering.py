@@ -7,7 +7,6 @@ import pytest
 from scootpriv import clustering
 from scootpriv.clustering import (
     Cluster,
-    cluster_size_histogram,
     kmeans,
     kmeans_planar,
     project_local,
@@ -151,14 +150,6 @@ def test_inertia_increase_raises(monkeypatch):
 class TestHistogramAndSelection:
     def make_cluster(self, cid, size):
         return Cluster(id=cid, centroid=(34.0, -118.2), member_indices=tuple(range(size)))
-
-    def test_all_singletons(self):
-        clusters = [self.make_cluster(i, 1) for i in range(6)]
-        assert cluster_size_histogram(clusters) == {1: 6}
-
-    def test_mixed_sizes(self):
-        clusters = [self.make_cluster(0, 8), self.make_cluster(1, 8), self.make_cluster(2, 3)]
-        assert cluster_size_histogram(clusters) == {8: 2, 3: 1}
 
     def test_select_none_below_threshold(self):
         clusters = [self.make_cluster(0, 20), self.make_cluster(1, 30)]

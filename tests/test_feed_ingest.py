@@ -131,6 +131,13 @@ class TestRoundTrip:
         snap = make_snapshot([("a", 34.0, -118.2, True, False), ("b", 33.9, -118.0)])
         assert snapshot_from_record(snapshot_to_record(snap)) == snap
 
+    def test_loaded_ids_shared_across_snapshots(self):
+        recs = [snapshot_to_record(make_snapshot([("s-1", 34.0, -118.2)], captured_at=t))
+                for t in (1, 2)]
+        a, b = (snapshot_from_record(json.loads(json.dumps(r))) for r in recs)
+        assert a.observations[0].scooter_id is b.observations[0].scooter_id
+        assert not hasattr(a.observations[0], "__dict__")
+
     def test_store_round_trip(self, tmp_path):
         store = SnapshotStore(tmp_path / "arch.jsonl")
         snaps = [
@@ -156,7 +163,6 @@ class TestStore:
             f.write("garbage\n")
         with pytest.raises(StoreError, match="line 2"):
             list(store.iter_all())
-        assert len(list(store.iter_all(skip_corrupt=True))) == 1
 
     def test_meta_lines_skipped(self, tmp_path):
         path = tmp_path / "a.jsonl"
@@ -174,30 +180,16 @@ class TestReadSnapshots:
             store.append(make_snapshot([("a", 0, 0)], captured_at=100 + 10 * i))
         return store
 
-    def test_empty_range(self, filled_store):
-        assert read_snapshots(filled_store, "test", 0, 50) == []
-
     def test_full_range(self, filled_store):
-        snaps = read_snapshots(filled_store, "test", 0, 10_000)
+        snaps = read_snapshots(filled_store, "test")
         assert len(snaps) == 5
         assert [s.captured_at for s in snaps] == [100, 110, 120, 130, 140]
 
-    def test_partial_range_matches_linear_scan(self, filled_store):
-        lo, hi = 110, 120
-        got = read_snapshots(filled_store, "test", lo, hi)
-        oracle = [s for s in filled_store.iter_all() if lo <= s.captured_at <= hi]
-        assert got == oracle
-        assert len(got) == 2
-
-    def test_from_after_to_rejected(self, filled_store):
-        with pytest.raises(ValueError):
-            read_snapshots(filled_store, "test", 200, 100)
-
     def test_other_provider_excluded(self, filled_store):
-        assert read_snapshots(filled_store, "other", 0, 10_000) == []
+        assert read_snapshots(filled_store, "other") == []
 
     def test_strictly_ordered_no_duplicates(self, filled_store):
-        snaps = read_snapshots(filled_store, "test", 0, 10_000)
+        snaps = read_snapshots(filled_store, "test")
         ts = [s.captured_at for s in snaps]
         assert ts == sorted(set(ts))
 

@@ -81,7 +81,7 @@ class TestPolarSampling:
 
     def test_nonpositive_epsilon_rejected(self):
         with pytest.raises(ValueError):
-            sample_polar_laplace(0.0, np.random.default_rng(0))
+            sample_polar_laplace(0.0, np.random.default_rng(0), size=1)
 
 
 class TestDisplace:
@@ -165,6 +165,16 @@ class TestPerturb:
         first = [perturb(loc, EPS_PAPER, substream(7, i)) for i in (0, 1, 2)]
         second = [perturb(loc, EPS_PAPER, substream(7, i)) for i in (2, 0, 1)]
         assert first == [second[1], second[2], second[0]]
+
+    def test_scalar_matches_batched_draw(self):
+        # sanitize's scalar releases must stay the batched stream's draws
+        rng_a, rng_b = substream(5, 0), substream(5, 0)
+        locs = [(34.05, -118.25), (33.9, -118.4), (34.1, -118.3)]
+        scalar = [perturb(loc, EPS_PAPER, rng_a) for loc in locs]
+        batched = [
+            perturb_many(np.array([lat]), np.array([lon]), EPS_PAPER, rng_b) for lat, lon in locs
+        ]
+        assert scalar == [(float(a[0]), float(b[0])) for a, b in batched]
 
 
 class TestAnalyticCdf:

@@ -15,7 +15,6 @@ from scootpriv.trip_recon import (
     TripFilter,
     filter_trips,
     haversine_distance,
-    parked_count_series,
     reconstruct_trips,
     trip_row,
 )
@@ -156,9 +155,9 @@ class TestAttackOracle:
 
     def test_parked_counts_reflect_riders(self, fleet_run):
         snapshots, _ = fleet_run
-        series = parked_count_series(snapshots)
-        assert all(c <= 100 for _, c in series.points)
-        assert series.points[0][1] == 100  # everyone parked at the start
+        counts = [len(s.observations) for s in snapshots]
+        assert all(c <= 100 for c in counts)
+        assert counts[0] == 100  # everyone parked at the start
 
 
 class TestHotspots:

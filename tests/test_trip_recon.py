@@ -3,17 +3,12 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from scootpriv import trip_recon
 from scootpriv.trip_recon import (
-    CapVerdict,
-    ParkedCountSeries,
     Trip,
     TripFilter,
-    check_device_cap,
-    estimate_fleet_size,
     filter_trips,
     haversine_distance,
-    make_trip,
-    parked_count_series,
     read_trips_csv,
     reconstruct_trips,
     trip_row,
@@ -54,11 +49,25 @@ class TestHaversine:
 class TestTripType:
     def test_end_before_start_rejected(self):
         with pytest.raises(ValueError):
-            make_trip("s", (0, 0), (0, 1), 100, 100)
+            Trip("s", (0, 0), (0, 1), 100, 100)
 
     def test_distance_matches_haversine(self):
-        t = make_trip("s", (34.0, -118.2), (34.01, -118.21), 0, 600)
+        t = Trip("s", (34.0, -118.2), (34.01, -118.21), 0, 600)
         assert t.distance_m == haversine_distance((34.0, -118.2), (34.01, -118.21))
+        assert t.duration_s == 600
+
+    def test_distance_computed_once_through_module_function(self, monkeypatch):
+        calls = []
+
+        def counting(a, b):
+            calls.append((a, b))
+            return haversine_distance(a, b)
+
+        monkeypatch.setattr(trip_recon, "haversine_distance", counting)
+        t = Trip("s", (34.0, -118.2), (34.01, -118.21), 0, 600)
+        assert calls == []
+        assert t.distance_m == t.distance_m
+        assert calls == [((34.0, -118.2), (34.01, -118.21))]
 
 
 def snapshots_for_track(track):
@@ -149,7 +158,7 @@ class TestFilterTrips:
         return TripFilter()
 
     def trip_of(self, distance_deg, duration_s):
-        return make_trip("s", (0.0, 0.0), (0.0, distance_deg), 0, duration_s)
+        return Trip("s", (0.0, 0.0), (0.0, distance_deg), 0, duration_s)
 
     def test_short_trip_removed(self, default_filter):
         t = self.trip_of(50 / ONE_DEGREE_EQUATOR_M, 600)
@@ -165,7 +174,7 @@ class TestFilterTrips:
 
     def test_thresholds_inclusive(self):
         f = TripFilter(min_distance_m=100, max_duration_s=3600)
-        at_dist = make_trip("s", (0, 0), (0, 100 / ONE_DEGREE_EQUATOR_M), 0, 3600)
+        at_dist = Trip("s", (0, 0), (0, 100 / ONE_DEGREE_EQUATOR_M), 0, 3600)
         assert abs(at_dist.distance_m - 100) < 1e-6
         assert filter_trips([at_dist], f) == [at_dist]
 
@@ -182,82 +191,11 @@ class TestFilterTrips:
             TripFilter(max_duration_s=0)
 
 
-class TestParkedCounts:
-    def test_empty_snapshot_counts_zero(self):
-        series = parked_count_series([make_snapshot([], captured_at=10)])
-        assert series.points == ((10, 0),)
-
-    def test_counts_per_snapshot(self):
-        snaps = [
-            make_snapshot([(f"s{i}", 0, 0) for i in range(n)], captured_at=t)
-            for t, n in [(1, 5), (2, 7), (3, 6)]
-        ]
-        series = parked_count_series(snaps)
-        assert series.points == ((1, 5), (2, 7), (3, 6))
-
-    def test_disabled_exclusion_flag(self):
-        snap = make_snapshot(
-            [("a", 0, 0, False, True), ("b", 0, 0, False, False)], captured_at=1
-        )
-        assert parked_count_series([snap]).points == ((1, 2),)
-        assert parked_count_series([snap], include_disabled=False).points == ((1, 1),)
-
-    def test_reserved_exclusion_flag(self):
-        snap = make_snapshot(
-            [("a", 0, 0, True, False), ("b", 0, 0, False, False)], captured_at=1
-        )
-        assert parked_count_series([snap], include_reserved=False).points == ((1, 1),)
-
-    def test_nonascending_timestamps_rejected(self):
-        with pytest.raises(ValueError):
-            ParkedCountSeries("p", ((10, 1), (10, 2)))
-
-
-class TestFleetSize:
-    def test_constant_series(self):
-        series = ParkedCountSeries("p", tuple((t, 10) for t in range(0, 100, 10)))
-        assert estimate_fleet_size(series, (0, 100)) == 10
-
-    def test_max_within_window(self):
-        series = ParkedCountSeries("p", ((1, 5), (2, 9), (3, 7)))
-        assert estimate_fleet_size(series, (1, 3)) == 9
-        assert estimate_fleet_size(series, (3, 3)) == 7
-
-    def test_empty_overlap_rejected(self):
-        series = ParkedCountSeries("p", ((1, 5),))
-        with pytest.raises(ValueError):
-            estimate_fleet_size(series, (10, 20))
-
-    def test_invariant_under_subsampling_keeping_max(self):
-        series = ParkedCountSeries("p", ((1, 5), (2, 9), (3, 7)))
-        subsampled = ParkedCountSeries("p", ((2, 9),))
-        assert estimate_fleet_size(series, (0, 10)) == estimate_fleet_size(
-            subsampled, (0, 10)
-        )
-
-
-class TestDeviceCap:
-    @pytest.mark.parametrize(
-        "estimate,cap,expected",
-        [
-            (2999, 3000, CapVerdict(True)),
-            (3000, 3000, CapVerdict(True)),
-            (3200, 3000, CapVerdict(False, 200)),
-        ],
-    )
-    def test_verdicts(self, estimate, cap, expected):
-        assert check_device_cap(estimate, cap) == expected
-
-    def test_nonpositive_cap_rejected(self):
-        with pytest.raises(ValueError):
-            check_device_cap(1, 0)
-
-
 class TestTripCsv:
     def test_round_trip(self, tmp_path):
         trips = [
-            make_trip("a", (34.0, -118.2), (34.01, -118.21), 100, 700),
-            make_trip("b", (33.9, -118.0), (33.95, -118.05), 200, 1400),
+            Trip("a", (34.0, -118.2), (34.01, -118.21), 100, 700),
+            Trip("b", (33.9, -118.0), (33.95, -118.05), 200, 1400),
         ]
         path = tmp_path / "trips.csv"
         write_trips_csv(trips, path, meta={"seed": 1})
@@ -271,7 +209,7 @@ class TestTripCsv:
             assert rt.distance_m == pytest.approx(orig.distance_m, abs=1.0)
 
     def test_trip_row_formats(self):
-        t = make_trip("a", (34.0, -118.2), (34.01, -118.21), 100, 700)
+        t = Trip("a", (34.0, -118.2), (34.01, -118.21), 100, 700)
         assert trip_row(t) == [
             "a", 100, 700, "34.000000", "-118.200000", "34.010000", "-118.210000",
             f"{t.distance_m:.2f}", 600,

@@ -17,10 +17,8 @@ from scootpriv.utility_eval import (
     UtilityRow,
     _assign_regions,
     boundary_loss_experiment,
-    count_by_region,
     emit_report,
     load_regions_geojson,
-    load_report_json,
     merge_rows,
     neighborhood_loss_experiment,
     point_in_region,
@@ -166,6 +164,9 @@ class TestGeoJsonLoading:
 
 
 class TestCountByRegion:
+    """Per-region counts as evaluate takes them: one _assign_regions index
+    per scooter, -1 for outside every region."""
+
     @pytest.fixture
     def two_squares(self):
         return RegionSet(
@@ -176,22 +177,19 @@ class TestCountByRegion:
         )
 
     def test_empty_snapshot(self, two_squares):
-        counts, outside = count_by_region(make_snapshot([]), two_squares)
-        assert counts == {"west": 0, "east": 0} and outside == 0
+        assert len(_assign_regions(*make_snapshot([]).coords(), two_squares)) == 0
 
     def test_known_placement(self, two_squares):
         snap = make_snapshot(
             [("a", 0.5, 0.5), ("b", 0.5, 1.5), ("c", 5.0, 5.0)]
         )
-        counts, outside = count_by_region(snap, two_squares)
-        assert counts == {"west": 1, "east": 1} and outside == 1
+        assert _assign_regions(*snap.coords(), two_squares).tolist() == [0, 1, -1]
 
     def test_shared_edge_counts_once_in_east(self, two_squares):
         # on the common edge lon=1: east's west edge, west's east edge;
         # the tie rule decides, not the file order
         snap = make_snapshot([("a", 0.5, 1.0)])
-        counts, outside = count_by_region(snap, two_squares)
-        assert counts == {"west": 0, "east": 1} and outside == 0
+        assert _assign_regions(*snap.coords(), two_squares).tolist() == [1]
 
     def test_overlap_resolves_to_first_in_file_order(self):
         overlapping = RegionSet(
@@ -201,18 +199,17 @@ class TestCountByRegion:
             )
         )
         snap = make_snapshot([("a", 0.75, 0.75)])
-        counts, _ = count_by_region(snap, overlapping)
-        assert counts == {"first": 1, "second": 0}
+        assert _assign_regions(*snap.coords(), overlapping).tolist() == [0]
 
     def test_partition_property(self, two_squares):
         rng = np.random.default_rng(2)
-        bikes = [
-            (f"s{i}", float(lat), float(lon))
-            for i, (lat, lon) in enumerate(rng.uniform(-1, 3, size=(200, 2)))
-        ]
-        snap = make_snapshot(bikes)
-        counts, outside = count_by_region(snap, two_squares)
-        assert sum(counts.values()) + outside == 200
+        lats, lons = rng.uniform(-1, 3, size=(2, 200))
+        assignment = _assign_regions(lats, lons, two_squares)
+        assert assignment.shape == (200,)
+        for idx, region in enumerate(two_squares.regions):
+            inside = points_in_region(lats, lons, region)
+            assert inside[assignment == idx].all()
+            assert not inside[assignment == -1].any()
 
 
 def assign_oracle(lats, lons, regions):
@@ -464,7 +461,9 @@ class TestReportEmission:
         report = self.make_report()
         path = tmp_path / "report.json"
         emit_report(report, path, fmt="json")
-        assert load_report_json(path) == report
+        doc = json.loads(path.read_text())
+        assert (doc["trials"], doc["ratio"], doc["seed"]) == (100, 6.0, 1)
+        assert [UtilityRow(**r) for r in doc["rows"]] == list(report.rows)
 
     def test_csv_row_count_matches_grid(self, tmp_path):
         report = self.make_report()
