@@ -21,7 +21,11 @@ from . import (
 )
 # archives are read through feed_ingest.read_snapshots, looked up on the
 # module at call time, so wrappers set on that attribute see every read
-from .feed_ingest import Snapshot, SnapshotStore, StoreError, atomic_path, poll_feed
+from .feed_ingest import Snapshot, SnapshotStore, StoreError, poll_feed, write_json
+
+
+# most points --r-grid may ask for; each one is a full Monte Carlo run
+MAX_GRID_POINTS = 10_000
 
 
 class UsageError(ValueError):
@@ -31,15 +35,18 @@ class UsageError(ValueError):
 def parse_r_grid(spec: str) -> list[float]:
     """Parse "start:stop:step" into an ascending grid of radii >= 0 km:
     start + i * step for every i that stays within stop, which is
-    included when the steps reach it to within 1e-9 km."""
+    included when the steps reach it to within 1e-9 km. A grid of more
+    than MAX_GRID_POINTS points is a usage error, found before it is built."""
     try:
         start, stop, step = (float(v) for v in spec.split(":"))
     except ValueError as exc:
         raise UsageError(f"bad grid spec {spec!r}, want start:stop:step") from exc
-    if step <= 0 or stop < start or start < 0:
+    if not 0 < step < math.inf or not 0 <= start <= stop < math.inf:
         raise UsageError(f"bad grid spec {spec!r}")
-    n = math.floor((stop - start + 1e-9) / step) + 1
-    return [round(start + i * step, 10) for i in range(n)]
+    steps = (stop - start + 1e-9) / step
+    if steps >= MAX_GRID_POINTS:
+        raise UsageError(f"grid spec {spec!r} has {steps + 1:.0f} points, over {MAX_GRID_POINTS}")
+    return [round(start + i * step, 10) for i in range(math.floor(steps) + 1)]
 
 
 def _meta(command: str, **params) -> dict:
@@ -65,7 +72,7 @@ def cmd_scrape(args) -> int:
     print(
         f"stored {summary.snapshots_written} snapshots, "
         f"{summary.fetch_failures} fetch failures, "
-        f"{summary.skipped_unchanged} unchanged skips"
+        f"{summary.skipped_unchanged} skipped as not newer"
     )
     return 0
 
@@ -198,7 +205,10 @@ def cmd_evaluate(args) -> int:
             f"--snapshot-index {args.snapshot_index} out of range for {len(snaps)} snapshots"
         )
     snapshot = snaps[args.snapshot_index]
-    boundary = utility_eval.load_regions_geojson(args.boundary)[0]
+    boundary, *rest = utility_eval.load_regions_geojson(args.boundary)
+    if rest:
+        raise UsageError(f"--boundary {args.boundary} holds {1 + len(rest)} features, want one: "
+                         "a city in parts is one MultiPolygon feature")
     boundary_rows = utility_eval.boundary_loss_experiment(
         snapshot, boundary, grid, args.trials, args.ratio, args.seed
     )
@@ -212,10 +222,11 @@ def cmd_evaluate(args) -> int:
         rows = utility_eval.merge_rows(boundary_rows, neighborhood_rows)
     else:
         rows = boundary_rows
-    report = utility_eval.UtilityReport(
-        rows=tuple(rows), trials=args.trials, ratio=args.ratio, master_seed=args.seed
+    meta = _meta(
+        "evaluate", provider=args.provider or "", snapshot_index=args.snapshot_index,
+        r_grid=args.r_grid, trials=args.trials, ratio=args.ratio, seed=args.seed,
     )
-    utility_eval.emit_report(report, args.output, fmt=args.format)
+    utility_eval.emit_report(rows, args.output, args.format, meta)
     if args.dump_geojson:
         dump_snap = snapshot
         if dump_eps is not None:
@@ -223,8 +234,7 @@ def cmd_evaluate(args) -> int:
             dump_snap = snapshot.with_coords(
                 *geo_privacy.perturb_many(*snapshot.coords(), dump_eps, rng)
             )
-        with atomic_path(args.dump_geojson) as tmp, open(tmp, "w", encoding="utf-8") as f:
-            json.dump(utility_eval.snapshot_to_geojson(dump_snap), f, indent=2)
+        write_json(args.dump_geojson, utility_eval.snapshot_to_geojson(dump_snap))
     print(f"{len(rows)} grid rows written to {args.output}")
     return 0
 

@@ -8,8 +8,6 @@ equator.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -17,8 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .feed_ingest import atomic_path
-from .trip_recon import EARTH_RADIUS_KM, write_meta_header
+from .feed_ingest import points_geojson, write_csv, write_json
+from .trip_recon import EARTH_RADIUS_KM
 
 DEG = math.pi / 180.0
 
@@ -161,32 +159,12 @@ def select_small_clusters(clusters: list[Cluster], max_size: int) -> list[Cluste
 
 
 def write_clusters_csv(clusters: list[Cluster], path: str | Path, meta: dict | None = None) -> None:
-    with atomic_path(path) as tmp, open(tmp, "w", newline="", encoding="utf-8") as f:
-        write_meta_header(f, meta)
-        w = csv.writer(f)
-        w.writerow(["cluster_id", "centroid_lat", "centroid_lon", "size"])
-        for c in clusters:
-            w.writerow([c.id, f"{c.centroid[0]:.6f}", f"{c.centroid[1]:.6f}", c.size])
-
-
-def clusters_to_geojson(clusters: list[Cluster]) -> dict:
-    return {
-        "type": "FeatureCollection",
-        "features": [
-            {
-                "type": "Feature",
-                "geometry": {
-                    "type": "Point",
-                    # GeoJSON is (lon, lat)
-                    "coordinates": [round(c.centroid[1], 6), round(c.centroid[0], 6)],
-                },
-                "properties": {"cluster_id": c.id, "size": c.size},
-            }
-            for c in clusters
-        ],
-    }
+    rows = ([c.id, f"{c.centroid[0]:.6f}", f"{c.centroid[1]:.6f}", c.size] for c in clusters)
+    write_csv(path, ["cluster_id", "centroid_lat", "centroid_lon", "size"], rows, meta)
 
 
 def write_clusters_geojson(clusters: list[Cluster], path: str | Path) -> None:
-    with atomic_path(path) as tmp, open(tmp, "w", encoding="utf-8") as f:
-        json.dump(clusters_to_geojson(clusters), f, indent=2)
+    write_json(path, points_geojson(
+        (round(c.centroid[0], 6), round(c.centroid[1], 6), {"cluster_id": c.id, "size": c.size})
+        for c in clusters
+    ))

@@ -1,4 +1,4 @@
-"""Fetch, parse, and persist GBFS free_bike_status snapshots.
+"""Fetch, parse, and persist GBFS free_bike_status snapshots; write every output file.
 
 Snapshots are archived as newline-delimited JSON, one snapshot per line,
 so archives are append-only, greppable, and streamable. Timestamps come
@@ -8,6 +8,7 @@ keeps replayed fixtures deterministic.
 
 from __future__ import annotations
 
+import csv
 import json
 import logging
 import os
@@ -250,6 +251,35 @@ def write_archive(
             store.append(snap)
 
 
+def write_csv(path: str | Path, columns: list[str], rows: Iterable, meta: dict | None) -> None:
+    """Write a CSV atomically (see atomic_path): one ``# key=value`` line
+    per meta item, which the CSV readers here skip, then the header row
+    and the rows."""
+    with atomic_path(path) as tmp, open(tmp, "w", newline="", encoding="utf-8") as f:
+        for k, v in (meta or {}).items():
+            f.write(f"# {k}={v}\n")
+        w = csv.writer(f)
+        w.writerow(columns)
+        w.writerows(rows)
+
+
+def write_json(path: str | Path, doc: dict) -> None:
+    """Write a JSON document atomically (see atomic_path), indented."""
+    with atomic_path(path) as tmp, open(tmp, "w", encoding="utf-8") as f:
+        json.dump(doc, f, indent=2)
+
+
+def points_geojson(points: Iterable[tuple[float, float, dict]]) -> dict:
+    """Point FeatureCollection of (lat, lon, properties) triples; GeoJSON
+    positions are [lon, lat]."""
+    features = [
+        {"type": "Feature", "geometry": {"type": "Point", "coordinates": [lon, lat]},
+         "properties": properties}
+        for lat, lon, properties in points
+    ]
+    return {"type": "FeatureCollection", "features": features}
+
+
 def read_snapshots(store: SnapshotStore, provider: str | None = None) -> list[Snapshot]:
     """Snapshots ascending by captured_at (stable).
 
@@ -276,6 +306,7 @@ class PollSummary:
 
     snapshots_written: int = 0
     fetch_failures: int = 0
+    # snapshots not newer than the last one stored, as a stale cached copy is
     skipped_unchanged: int = 0
     errors: deque[str] = field(default_factory=lambda: deque(maxlen=MAX_ERRORS_KEPT))
     error_count: int = 0
@@ -320,9 +351,10 @@ def poll_feed(
 ) -> PollSummary:
     """Poll a free_bike_status endpoint, appending changed snapshots.
 
-    Snapshots with the same captured_at as the previously stored one are
-    skipped. Transient fetch or parse errors are logged and retried with
-    bounded backoff; they never abort polling. Returns when stop() is true.
+    A snapshot whose captured_at is not newer than the last one stored
+    (the same document again, or a stale cached copy) is skipped.
+    Transient fetch or parse errors are logged and retried with bounded
+    backoff; they never abort polling. Returns when stop() is true.
     """
     if interval_s <= 0:
         raise ValueError("interval must be positive")
@@ -338,7 +370,7 @@ def poll_feed(
                 summary.record_error(f"parse: {exc}")
                 log.warning("parse failure: %s", exc)
             else:
-                if snap.captured_at == last_captured:
+                if last_captured is not None and snap.captured_at <= last_captured:
                     summary.skipped_unchanged += 1
                 else:
                     store.append(snap)

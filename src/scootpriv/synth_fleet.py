@@ -15,7 +15,6 @@ any snapshot-diffing observer could recover.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
@@ -23,10 +22,10 @@ from pathlib import Path
 import numpy as np
 
 from . import geo_privacy
-from .feed_ingest import ScooterObservation, Snapshot, atomic_path
+from .feed_ingest import ScooterObservation, Snapshot, write_csv
 # re-exported: cli and perfbench/tracing.py reach synth's archive writer by this name
 from .feed_ingest import write_archive  # noqa: F401
-from .trip_recon import TRIP_CSV_COLUMNS, Trip, trip_row, write_meta_header
+from .trip_recon import TRIP_CSV_COLUMNS, Trip, trip_row
 from .utility_eval import Region, point_in_region
 
 BASE_TIME = 1_700_000_000  # fixed epoch start keeps archives reproducible
@@ -239,10 +238,6 @@ def generate(config: FleetConfig) -> tuple[list[Snapshot], GroundTruth]:
 
 
 def write_ground_truth_csv(truth: GroundTruth, path: str | Path, meta: dict | None = None) -> None:
-    with atomic_path(path) as tmp, open(tmp, "w", newline="", encoding="utf-8") as f:
-        write_meta_header(f, meta)
-        w = csv.writer(f)
-        w.writerow(GROUND_TRUTH_COLUMNS)
-        events = [(t, False) for t in truth.trips] + [(t, True) for t in truth.relocations]
-        events.sort(key=lambda e: (e[0].start_time, e[0].scooter_id))
-        w.writerows(trip_row(t) + [int(fake)] for t, fake in events)
+    events = [(t, False) for t in truth.trips] + [(t, True) for t in truth.relocations]
+    events.sort(key=lambda e: (e[0].start_time, e[0].scooter_id))
+    write_csv(path, GROUND_TRUTH_COLUMNS, (trip_row(t) + [int(fake)] for t, fake in events), meta)

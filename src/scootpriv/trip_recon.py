@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
-from .feed_ingest import Snapshot, atomic_path
+from .feed_ingest import Snapshot, write_csv
 
 EARTH_RADIUS_KM = 6378.1
 EARTH_RADIUS_M = EARTH_RADIUS_KM * 1000.0
@@ -148,12 +148,6 @@ def filter_trips(trips: list[Trip], f: TripFilter) -> list[Trip]:
     return [t for t in trips if f.keeps(t)]
 
 
-def write_meta_header(f, meta: dict | None) -> None:
-    """Write provenance as ``# key=value`` lines; CSV readers skip them."""
-    for k, v in (meta or {}).items():
-        f.write(f"# {k}={v}\n")
-
-
 def trip_row(t: Trip) -> list:
     """One trips-CSV row in TRIP_CSV_COLUMNS order: coordinates to 6
     decimals, distance to 2."""
@@ -162,11 +156,7 @@ def trip_row(t: Trip) -> list:
 
 
 def write_trips_csv(trips: list[Trip], path: str | Path, meta: dict | None = None) -> None:
-    with atomic_path(path) as tmp, open(tmp, "w", newline="", encoding="utf-8") as f:
-        write_meta_header(f, meta)
-        w = csv.writer(f)
-        w.writerow(TRIP_CSV_COLUMNS)
-        w.writerows(trip_row(t) for t in trips)
+    write_csv(path, TRIP_CSV_COLUMNS, (trip_row(t) for t in trips), meta)
 
 
 def read_trips_csv(path: str | Path) -> list[Trip]:

@@ -8,7 +8,6 @@ R with epsilon = ln(ratio)/R at each grid point.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, fields, replace
@@ -17,9 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .feed_ingest import Snapshot, atomic_path
+from .feed_ingest import Snapshot, points_geojson, write_csv, write_json
 from . import geo_privacy
-from .trip_recon import write_meta_header
 
 # margin around a region's bounding box in the containment prefilter:
 # points_in_region interpolates each edge's crossing longitude, and the
@@ -127,21 +125,27 @@ def points_in_region(lats: np.ndarray, lons: np.ndarray, region: Region) -> np.n
 def load_regions_geojson(path: str | Path) -> list[Region]:
     """Load Polygon/MultiPolygon features from a GeoJSON FeatureCollection.
 
-    GeoJSON coordinates are (lon, lat); rings are stored as (lat, lon).
-    A region is named by its feature's ``name`` property, else ``region_<i>``.
-    A collection without features, or a feature whose coordinates are
-    missing or are not rings of [lon, lat] pairs, raises RegionError.
+    GeoJSON positions are [lon, lat], then an altitude that is dropped;
+    rings are stored as (lat, lon). A region is named by its feature's
+    ``name`` property, else ``region_<i>``. Anything but a non-empty array
+    of feature objects, with object geometry and properties and rings of
+    positions, raises RegionError.
     """
     with open(path, encoding="utf-8") as f:
         doc = json.load(f)
     if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
         raise RegionError(f"{path}: not a FeatureCollection")
-    if not doc.get("features"):
-        raise RegionError(f"{path}: no features")
+    features = doc.get("features")
+    if not isinstance(features, list) or not features:
+        raise RegionError(f"{path}: features must be a non-empty array")
     regions = []
-    for i, feat in enumerate(doc["features"]):
+    for i, feat in enumerate(features):
+        if not isinstance(feat, dict):
+            raise RegionError(f"{path}: feature {i} is not an object")
         geom = feat.get("geometry") or {}
         props = feat.get("properties") or {}
+        if not isinstance(geom, dict) or not isinstance(props, dict):
+            raise RegionError(f"{path}: feature {i}: geometry or properties is not an object")
         name = str(props.get("name", f"region_{i}"))
         gtype = geom.get("type")
         if gtype not in ("Polygon", "MultiPolygon"):
@@ -149,7 +153,7 @@ def load_regions_geojson(path: str | Path) -> list[Region]:
         try:
             polys = [geom["coordinates"]] if gtype == "Polygon" else geom["coordinates"]
             rings = tuple(
-                tuple((float(lat), float(lon)) for lon, lat in ring)
+                tuple((float(lat), float(lon)) for lon, lat, *_ in ring)
                 for poly in polys for ring in poly
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -201,19 +205,6 @@ class UtilityRow:
 
 
 REPORT_CSV_COLUMNS = [f.name for f in fields(UtilityRow)]
-
-
-@dataclass(frozen=True)
-class UtilityReport:
-    rows: tuple[UtilityRow, ...]
-    trials: int
-    ratio: float
-    master_seed: int
-
-    def __post_init__(self):
-        radii = [r.R_km for r in self.rows]
-        if radii != sorted(radii):
-            raise ValueError("R grid must be ascending")
 
 
 def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
@@ -325,43 +316,26 @@ def merge_rows(
     return merged
 
 
-def emit_report(report: UtilityReport, path: str | Path, fmt: str = "csv") -> None:
-    """Serialize a report losslessly as CSV (with # metadata header) or JSON."""
+def emit_report(rows: list[UtilityRow], path: str | Path, fmt: str, meta: dict) -> None:
+    """Serialize report rows losslessly with the run's provenance (meta):
+    as CSV under ``# key=value`` lines, or as JSON with meta's keys beside
+    ``rows``. Raises ValueError unless the rows ascend in R."""
+    radii = [r.R_km for r in rows]
+    if radii != sorted(radii):
+        raise ValueError("R grid must be ascending")
     if fmt == "csv":
-        with atomic_path(path) as tmp, open(tmp, "w", newline="", encoding="utf-8") as f:
-            write_meta_header(
-                f, {"trials": report.trials, "ratio": report.ratio, "seed": report.master_seed}
-            )
-            w = csv.writer(f)
-            w.writerow(REPORT_CSV_COLUMNS)
-            w.writerows([repr(getattr(r, c)) for c in REPORT_CSV_COLUMNS] for r in report.rows)
+        cells = ([repr(getattr(r, c)) for c in REPORT_CSV_COLUMNS] for r in rows)
+        write_csv(path, REPORT_CSV_COLUMNS, cells, meta)
     elif fmt == "json":
-        doc = {
-            "trials": report.trials,
-            "ratio": report.ratio,
-            "seed": report.master_seed,
-            "rows": [vars(r) for r in report.rows],
-        }
-        with atomic_path(path) as tmp, open(tmp, "w", encoding="utf-8") as f:
-            json.dump(doc, f, indent=2)
+        write_json(path, {**meta, "rows": [vars(r) for r in rows]})
     else:
         raise ValueError(f"unknown format {fmt!r}")
 
 
 def snapshot_to_geojson(snapshot: Snapshot) -> dict:
     """Point FeatureCollection of one snapshot, for map rendering."""
-    return {
-        "type": "FeatureCollection",
-        "features": [
-            {
-                "type": "Feature",
-                "geometry": {"type": "Point", "coordinates": [o.lon, o.lat]},
-                "properties": {
-                    "scooter_id": o.scooter_id,
-                    "reserved": o.is_reserved,
-                    "disabled": o.is_disabled,
-                },
-            }
-            for o in snapshot.observations
-        ],
-    }
+    return points_geojson(
+        (o.lat, o.lon, {"scooter_id": o.scooter_id, "reserved": o.is_reserved,
+                        "disabled": o.is_disabled})
+        for o in snapshot.observations
+    )

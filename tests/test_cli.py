@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from scootpriv import cli, clustering, geo_privacy, synth_fleet, trip_recon, utility_eval
-from scootpriv.cli import main, parse_r_grid
+from scootpriv import cli, feed_ingest, geo_privacy, trip_recon
+from scootpriv.cli import MAX_GRID_POINTS, UsageError, main, parse_r_grid
 from scootpriv.feed_ingest import SnapshotStore, write_archive
 from scootpriv.geo_privacy import analytic_cdf
 from scootpriv.trip_recon import haversine_distance, read_trips_csv
@@ -46,6 +46,14 @@ def synth_archive(tmp_path, synth_config):
     rc = main(["synth", "--config", str(synth_config), "--output", str(out)])
     assert rc == 0
     return out
+
+
+# the boundary write_boundary_geojson writes, as a bare geometry
+SQUARE = {"type": "Polygon", "coordinates": [[[-118.5, 33.9], [-118.3, 33.9], [-118.3, 34.1],
+                                              [-118.5, 34.1], [-118.5, 33.9]]]}
+
+REPORT_PROVENANCE = ["command", "version", "provider", "snapshot_index", "r_grid", "trials",
+                     "ratio", "seed"]
 
 
 def write_boundary_geojson(path, lat0=33.9, lon0=-118.5, side=0.2):
@@ -89,10 +97,14 @@ class TestGridFlag:
     def test_never_past_stop(self):
         assert parse_r_grid("0:1:0.35") == [0.0, 0.35, 0.7]
 
-    def test_bad_specs(self):
-        from scootpriv.cli import UsageError
+    def test_too_many_points_rejected_before_building(self):
+        with pytest.raises(UsageError, match="100001 points"):
+            parse_r_grid("0:1:1e-5")
+        assert len(parse_r_grid(f"0:{MAX_GRID_POINTS - 1}:1")) == MAX_GRID_POINTS
 
-        for bad in ("1:0:0.1", "0:1:-1", "abc", "0:1", "-0.5:0.5:0.5"):
+    def test_bad_specs(self):
+        for bad in ("1:0:0.1", "0:1:-1", "abc", "0:1", "-0.5:0.5:0.5",
+                    "0:inf:1", "0:nan:1", "0:1:inf", "nan:1:0.1"):
             with pytest.raises(UsageError):
                 parse_r_grid(bad)
 
@@ -431,10 +443,24 @@ class TestEvaluateCommand:
                             "features": [{"type": "Feature",
                                           "geometry": {"type": "Polygon", "coordinates": [3.0]}}]}),
             ("--neighborhoods", {"type": "FeatureCollection", "features": []}),
+            ("--boundary", {"type": "FeatureCollection", "features": [1]}),
+            ("--boundary", {"type": "FeatureCollection", "features": 5}),
+            ("--boundary", {"type": "FeatureCollection",
+                            "features": [{"type": "Feature", "properties": "city",
+                                          "geometry": SQUARE}]}),
+            ("--boundary", {"type": "FeatureCollection",
+                            "features": [{"type": "Feature", "geometry": [SQUARE]}]}),
+            ("--boundary", {"type": "FeatureCollection",
+                            "features": [{"type": "Feature", "geometry": {
+                                "type": "Polygon",
+                                "coordinates": [[[-118.5, 33.9], [-118.3], [-118.3, 34.1],
+                                                 [-118.5, 33.9]]]}}]}),
         ],
         ids=["boundary not an object", "boundary without features",
              "boundary without coordinates", "boundary with malformed coordinates",
-             "neighborhoods without features"],
+             "neighborhoods without features", "feature not an object",
+             "features not an array", "properties not an object", "geometry not an object",
+             "position with one number"],
     )
     def test_bad_region_file_exits_2(self, tmp_path, synth_archive, capsys, flag, doc):
         boundary = tmp_path / "boundary.geojson"
@@ -449,6 +475,39 @@ class TestEvaluateCommand:
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error:")
         assert not (tmp_path / "r.csv").exists()
+
+    def test_boundary_of_two_features_exits_2(self, tmp_path, synth_archive, capsys):
+        boundary = tmp_path / "boundary.geojson"
+        feature = {"type": "Feature", "geometry": SQUARE}
+        boundary.write_text(json.dumps({"type": "FeatureCollection",
+                                        "features": [feature, feature]}))
+        rc = main(["evaluate", "--store", str(synth_archive), "--boundary", str(boundary),
+                   "--trials", "2", "--output", str(tmp_path / "r.csv")])
+        assert rc == 2
+        assert "MultiPolygon" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_report_provenance(self, tmp_path, synth_archive, fmt):
+        boundary = tmp_path / "boundary.geojson"
+        write_boundary_geojson(boundary)
+        out = tmp_path / f"r.{fmt}"
+        rc = main(["evaluate", "--store", str(synth_archive), "--boundary", str(boundary),
+                   "--r-grid", "0:0.1:0.05", "--trials", "2", "--seed", "4",
+                   "--snapshot-index", "3", "--format", fmt, "--output", str(out)])
+        assert rc == 0
+        if fmt == "csv":
+            lines = [l[2:].split("=", 1) for l in out.read_text().splitlines() if l.startswith("#")]
+            meta = dict(lines)
+            assert [k for k, _ in lines] == REPORT_PROVENANCE
+        else:
+            meta = json.loads(out.read_text())
+            assert list(meta) == REPORT_PROVENANCE + ["rows"]
+        assert {k: str(meta[k]) for k in REPORT_PROVENANCE} == {
+            "command": "evaluate", "version": cli.__version__, "provider": "",
+            "snapshot_index": "3", "r_grid": "0:0.1:0.05", "trials": "2", "ratio": "6.0",
+            "seed": "4",
+        }
 
     def test_rerun_byte_identical(self, tmp_path, synth_archive):
         boundary = tmp_path / "boundary.geojson"
@@ -633,8 +692,7 @@ class TestAtomicOutputs:
         "utility_eval.csv", "utility_eval.json", "cli",
     ])
     def test_full_disk_midway_keeps_old_output(self, tmp_path, inputs, monkeypatch, writer):
-        module = {"trip_recon": trip_recon, "clustering": clustering, "synth_fleet": synth_fleet,
-                  "utility_eval": utility_eval, "cli": cli}[writer.split(".")[0]]
+        # every output file is opened for writing in feed_ingest, nowhere else
         out = tmp_path / "out.txt"
         out.write_text("old\n")
         real_open = builtins.open
@@ -644,7 +702,7 @@ class TestAtomicOutputs:
             # the target, or its temporary file beside it
             return _FullDisk(f, 40) if "w" in mode and out.name in str(file) else f
 
-        monkeypatch.setattr(module, "open", open_on_full_disk, raising=False)
+        monkeypatch.setattr(feed_ingest, "open", open_on_full_disk, raising=False)
         argv = [str(out) if a == "{out}" else a for a in inputs[writer]]
         assert main(argv) == 1
         assert out.read_text() == "old\n"

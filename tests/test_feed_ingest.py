@@ -4,6 +4,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+from scootpriv import feed_ingest
 from scootpriv.feed_ingest import (
     MAX_ERRORS_KEPT,
     FeedParseError,
@@ -261,6 +262,16 @@ class TestPoller:
         assert summary.snapshots_written == 2
         assert summary.skipped_unchanged == 1
         assert [s.captured_at for s in store.iter_all()] == [1000, 1060]
+
+    def test_stale_snapshot_skipped(self, tmp_path, monkeypatch):
+        # a cached copy can serve an older document after a newer one
+        docs = iter(make_feed_doc([("a", 1, 1)], last_updated=t) for t in (100, 90, 110))
+        monkeypatch.setattr(feed_ingest, "_fetch_with_retry", lambda *args: next(docs))
+        store = SnapshotStore(tmp_path / "a.jsonl")
+        summary = self._run(None, "http://feed.invalid/", store, n_polls=3)
+        assert summary.snapshots_written == 2
+        assert summary.skipped_unchanged == 1
+        assert [s.captured_at for s in store.iter_all()] == [100, 110]
 
     def test_http_failure_retried_then_stored(self, stub_server, tmp_path):
         handler, url = stub_server

@@ -13,7 +13,6 @@ from scootpriv.utility_eval import (
     Region,
     RegionError,
     RegionSet,
-    UtilityReport,
     UtilityRow,
     _assign_regions,
     boundary_loss_experiment,
@@ -155,6 +154,19 @@ class TestGeoJsonLoading:
         assert point_in_region((0.5, 0.5), regions[0])
         assert point_in_region((2.5, 2.5), regions[1])
         assert point_in_region((4.5, 4.5), regions[1])
+
+    def test_altitude_ignored(self, tmp_path):
+        ring = [[0, 0], [1, 0], [1, 1], [0, 1], [0, 0]]
+        loaded = []
+        for positions in (ring, [p + [5] for p in ring]):
+            doc = {"type": "FeatureCollection", "features": [{
+                "type": "Feature", "properties": {"name": "square"},
+                "geometry": {"type": "Polygon", "coordinates": [positions]},
+            }]}
+            path = tmp_path / "square.geojson"
+            path.write_text(json.dumps(doc))
+            loaded.append(load_regions_geojson(path))
+        assert loaded[1] == loaded[0] == [square_region("square")]
 
     def test_not_a_feature_collection(self, tmp_path):
         path = tmp_path / "bad.geojson"
@@ -450,39 +462,41 @@ class TestNeighborhoodExperiment:
 
 
 class TestReportEmission:
-    def make_report(self):
-        rows = (
+    META = {"trials": 100, "ratio": 6.0, "seed": 1}
+
+    def make_rows(self):
+        return [
             UtilityRow(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
             UtilityRow(0.5, 3.58, 12.4, 0.8, 2.5, 1.75, 0.12),
-        )
-        return UtilityReport(rows=rows, trials=100, ratio=6.0, master_seed=1)
+        ]
 
     def test_json_round_trip(self, tmp_path):
-        report = self.make_report()
+        rows = self.make_rows()
         path = tmp_path / "report.json"
-        emit_report(report, path, fmt="json")
+        emit_report(rows, path, fmt="json", meta=self.META)
         doc = json.loads(path.read_text())
         assert (doc["trials"], doc["ratio"], doc["seed"]) == (100, 6.0, 1)
-        assert [UtilityRow(**r) for r in doc["rows"]] == list(report.rows)
+        assert [UtilityRow(**r) for r in doc["rows"]] == rows
 
     def test_csv_row_count_matches_grid(self, tmp_path):
-        report = self.make_report()
+        rows = self.make_rows()
         path = tmp_path / "report.csv"
-        emit_report(report, path, fmt="csv")
+        emit_report(rows, path, fmt="csv", meta=self.META)
         lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
-        assert len(lines) == 1 + len(report.rows)  # header + rows
+        assert len(lines) == 1 + len(rows)  # header + rows
 
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            emit_report(self.make_report(), tmp_path / "x", fmt="xml")
+            emit_report(self.make_rows(), tmp_path / "x", fmt="xml", meta=self.META)
 
-    def test_descending_grid_rejected(self):
-        rows = (
+    def test_descending_grid_rejected(self, tmp_path):
+        rows = [
             UtilityRow(0.5, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0),
             UtilityRow(0.1, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0),
-        )
+        ]
         with pytest.raises(ValueError):
-            UtilityReport(rows=rows, trials=1, ratio=6.0, master_seed=0)
+            emit_report(rows, tmp_path / "r.csv", fmt="csv", meta=self.META)
+        assert not (tmp_path / "r.csv").exists()
 
     def test_merge_rows_joins_on_radius(self):
         b = [UtilityRow(0.1, 1.0, 5.0, 0.5, 0.0, 0.0, 0.0)]
