@@ -111,7 +111,12 @@ def cmd_reconstruct(args) -> int:
             min_move_m=args.min_move_m,
         ),
     )
-    print(f"{len(kept)} trips kept of {len(trips)} reconstructed")
+    # a trip that fails both filters counts under distance
+    too_short = sum(t.distance_m < f.min_distance_m for t in trips)
+    print(
+        f"{len(kept)} trips kept of {len(trips)} reconstructed; {too_short} under "
+        f"--min-distance-m, {len(trips) - len(kept) - too_short} over --max-duration-s"
+    )
     return 0
 
 
@@ -176,7 +181,8 @@ def cmd_sanitize(args) -> int:
 
     def perturbed(snap: Snapshot) -> Snapshot:
         # one scalar draw per observation, in archive order
-        points = [geo_privacy.perturb((o.lat, o.lon), eps, rng) for o in snap.observations]
+        lats, lons = snap.coords()
+        points = [geo_privacy.perturb(loc, eps, rng) for loc in zip(lats.tolist(), lons.tolist())]
         return snap.with_coords([lat for lat, _ in points], [lon for _, lon in points])
 
     feed_ingest.write_archive(
@@ -248,7 +254,7 @@ def cmd_synth(args) -> int:
         raise UsageError(f"invalid fleet config: {exc}") from exc
     snapshots, truth = synth_fleet.generate(config)
     synth_fleet.write_archive(
-        snapshots, args.output, meta=_meta("synth", seed=config.seed, config=args.config)
+        snapshots, args.output, meta=_meta("synth", seed=config.seed, config=doc)
     )
     if args.ground_truth:
         synth_fleet.write_ground_truth_csv(

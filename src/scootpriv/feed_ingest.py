@@ -15,8 +15,10 @@ import os
 import sys
 import time
 from collections import deque
+from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from itertools import compress
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
@@ -39,53 +41,137 @@ class StoreError(OSError):
 
 @dataclass(frozen=True, slots=True)
 class ScooterObservation:
+    """One observation of a Snapshot, as its ``observations`` view builds
+    it on demand; the snapshot's columns hold and validate the data."""
+
     scooter_id: str
     lat: float
     lon: float
     is_reserved: bool = False
     is_disabled: bool = False
 
-    def __post_init__(self):
-        if not self.scooter_id:
-            raise FeedParseError("empty scooter_id")
-        if not -90.0 <= self.lat <= 90.0:
-            raise FeedParseError(f"latitude out of range: {self.lat}")
-        if not -180.0 <= self.lon <= 180.0:
-            raise FeedParseError(f"longitude out of range: {self.lon}")
+
+class _ObservationView(Sequence):
+    """A snapshot's observations as a read-only sequence: its length is
+    the snapshot's, and each item is a ScooterObservation built when it
+    is read."""
+
+    __slots__ = ("_snap",)
+
+    def __init__(self, snap: Snapshot):
+        self._snap = snap
+
+    def __len__(self) -> int:
+        return len(self._snap.ids)
+
+    def __getitem__(self, i: int) -> ScooterObservation:
+        s = self._snap
+        return ScooterObservation(
+            s.ids[i], float(s.lats[i]), float(s.lons[i]), bool(s.reserved[i]), bool(s.disabled[i])
+        )
+
+    def __iter__(self) -> Iterator[ScooterObservation]:
+        return (ScooterObservation(*row) for row in self._snap.rows())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class Snapshot:
-    """One provider's parked-fleet state at an instant."""
+    """One provider's parked-fleet state at an instant, as columns with
+    one entry per observation: ``ids``, ``lats``, ``lons``, ``reserved``
+    and ``disabled``.
+
+    Any sequence is accepted for a column. It is stored as a tuple of
+    interned strings (ids) or a read-only float64 or bool array, and the
+    columns are validated as a whole: ids are non-empty, unique strings;
+    coordinates are in range, NaN rejected. Snapshots compare by value.
+    """
 
     provider: str
     captured_at: int
     ttl_s: int
-    observations: tuple[ScooterObservation, ...]
+    ids: tuple[str, ...]
+    lats: np.ndarray
+    lons: np.ndarray
+    reserved: np.ndarray
+    disabled: np.ndarray
 
     def __post_init__(self):
         if self.ttl_s <= 0:
             raise FeedParseError(f"ttl must be positive, got {self.ttl_s}")
-        ids = [o.scooter_id for o in self.observations]
+        if not -(2**63) <= self.captured_at < 2**63:
+            # reconstruct_trips keeps last-seen times as int64
+            raise FeedParseError(f"captured_at out of range: {self.captured_at}")
+        try:
+            # one shared string per id: an archive repeats each id in every snapshot
+            ids = tuple(map(sys.intern, self.ids))
+        except TypeError as exc:
+            raise FeedParseError(f"scooter_id not a string: {exc}") from exc
+        if "" in ids:
+            raise FeedParseError("empty scooter_id")
         if len(ids) != len(set(ids)):
             seen, dups = set(), set()
             for i in ids:
                 (dups if i in seen else seen).add(i)
             raise FeedParseError(f"duplicate scooter_id(s): {sorted(dups)}")
+        object.__setattr__(self, "ids", ids)
+        for name, dtype in _ARRAY_COLUMNS:
+            col = np.array(getattr(self, name), dtype=dtype)
+            col.flags.writeable = False
+            if col.shape != (len(ids),):
+                raise FeedParseError(f"{name} has shape {col.shape} for {len(ids)} ids")
+            object.__setattr__(self, name, col)
+        for name, col, limit in (("latitude", self.lats, 90.0), ("longitude", self.lons, 180.0)):
+            # NaN fails both comparisons, so it is out of range too
+            bad = ~((col >= -limit) & (col <= limit))
+            if bad.any():
+                raise FeedParseError(f"{name} out of range: {col[bad][0]}")
+
+    def __eq__(self, other):
+        if not isinstance(other, Snapshot):
+            return NotImplemented
+        return (self.provider, self.captured_at, self.ttl_s, self.ids) == (
+            other.provider, other.captured_at, other.ttl_s, other.ids
+        ) and all(np.array_equal(getattr(self, c), getattr(other, c)) for c, _ in _ARRAY_COLUMNS)
+
+    @property
+    def observations(self) -> _ObservationView:
+        """The observations as a read-only sequence, built on demand."""
+        return _ObservationView(self)
+
+    def rows(self) -> Iterator[tuple[str, float, float, bool, bool]]:
+        """(id, lat, lon, reserved, disabled) per observation, as Python
+        values, in observation order."""
+        return zip(
+            self.ids, self.lats.tolist(), self.lons.tolist(),
+            self.reserved.tolist(), self.disabled.tolist(),
+        )
 
     def coords(self) -> tuple[np.ndarray, np.ndarray]:
         """Latitudes and longitudes as float arrays, in observation order."""
-        lats = np.array([o.lat for o in self.observations], float)
-        lons = np.array([o.lon for o in self.observations], float)
-        return lats, lons
+        return self.lats, self.lons
 
     def with_coords(self, lats, lons) -> Snapshot:
         """This snapshot with each observation moved to the given
         coordinates, in observation order; the inverse of coords()."""
-        return replace(self, observations=tuple(
-            replace(o, lat=float(lat), lon=float(lon))
-            for o, lat, lon in zip(self.observations, lats, lons)
-        ))
+        return replace(self, lats=lats, lons=lons)
+
+    def select(self, mask) -> Snapshot:
+        """This snapshot with only the observations where mask is true."""
+        mask = np.asarray(mask, dtype=bool)
+        return replace(
+            self, ids=tuple(compress(self.ids, mask)),
+            **{c: getattr(self, c)[mask] for c, _ in _ARRAY_COLUMNS},
+        )
+
+
+_ARRAY_COLUMNS = (
+    ("lats", np.float64), ("lons", np.float64), ("reserved", bool), ("disabled", bool),
+)
+
+# (feed key, conversion) per Snapshot column, in column order
+_FEED_FIELDS = (
+    ("bike_id", str), ("lat", float), ("lon", float), ("is_reserved", bool), ("is_disabled", bool),
+)
 
 
 def parse_free_bike_status(raw: bytes, provider: str) -> Snapshot:
@@ -111,22 +197,18 @@ def parse_free_bike_status(raw: bytes, provider: str) -> Snapshot:
     if not isinstance(bikes, list):
         raise FeedParseError("data.bikes is not an array")
 
-    observations = []
-    for i, bike in enumerate(bikes):
-        try:
-            observations.append(
-                ScooterObservation(
-                    scooter_id=str(bike["bike_id"]),
-                    lat=float(bike["lat"]),
-                    lon=float(bike["lon"]),
-                    is_reserved=bool(bike["is_reserved"]),
-                    is_disabled=bool(bike["is_disabled"]),
-                )
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FeedParseError(f"bike #{i}: {exc}") from exc
-
-    return Snapshot(provider, last_updated, ttl, tuple(observations))
+    try:
+        columns = [[conv(bike[key]) for bike in bikes] for key, conv in _FEED_FIELDS]
+    except (KeyError, TypeError, ValueError):
+        # name the first bike with a missing or mistyped field
+        for i, bike in enumerate(bikes):
+            try:
+                for key, conv in _FEED_FIELDS:
+                    conv(bike[key])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise FeedParseError(f"bike #{i}: {exc}") from exc
+        raise
+    return Snapshot(provider, last_updated, ttl, *columns)
 
 
 def snapshot_to_record(snap: Snapshot) -> dict:
@@ -136,35 +218,25 @@ def snapshot_to_record(snap: Snapshot) -> dict:
         "captured_at": snap.captured_at,
         "ttl_s": snap.ttl_s,
         "bikes": [
-            {
-                "id": o.scooter_id,
-                "lat": o.lat,
-                "lon": o.lon,
-                "reserved": o.is_reserved,
-                "disabled": o.is_disabled,
-            }
-            for o in snap.observations
+            {"id": i, "lat": lat, "lon": lon, "reserved": reserved, "disabled": disabled}
+            for i, lat, lon, reserved, disabled in snap.rows()
         ],
     }
 
 
 def snapshot_from_record(rec: dict) -> Snapshot:
+    """The Snapshot of one archive record; a missing key or a value of
+    the wrong type is an error of the record."""
+    bikes = rec["bikes"]
     return Snapshot(
         provider=rec["provider"],
         captured_at=int(rec["captured_at"]),
         ttl_s=int(rec["ttl_s"]),
-        observations=tuple(
-            ScooterObservation(
-                # one shared string per id: an archive repeats each id
-                # in every snapshot; a non-string id is a corrupt line
-                scooter_id=sys.intern(b["id"]),
-                lat=float(b["lat"]),
-                lon=float(b["lon"]),
-                is_reserved=bool(b["reserved"]),
-                is_disabled=bool(b["disabled"]),
-            )
-            for b in rec["bikes"]
-        ),
+        ids=[b["id"] for b in bikes],
+        lats=[b["lat"] for b in bikes],
+        lons=[b["lon"] for b in bikes],
+        reserved=[b["reserved"] for b in bikes],
+        disabled=[b["disabled"] for b in bikes],
     )
 
 
@@ -213,7 +285,9 @@ class SnapshotStore:
                     if "_meta" in rec:
                         continue
                     yield snapshot_from_record(rec)
-                except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+                except (
+                    json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError
+                ) as exc:
                     raise StoreError(f"corrupt line {lineno}: {exc}") from exc
 
 

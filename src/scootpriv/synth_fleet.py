@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import geo_privacy
-from .feed_ingest import ScooterObservation, Snapshot, write_csv
+from .feed_ingest import Snapshot, write_csv
 # re-exported: cli and perfbench/tracing.py reach synth's archive writer by this name
 from .feed_ingest import write_archive  # noqa: F401
 from .trip_recon import TRIP_CSV_COLUMNS, Trip, trip_row
@@ -183,17 +183,18 @@ def generate(config: FleetConfig) -> tuple[list[Snapshot], GroundTruth]:
                 (truth.relocations if st.is_fake_move else truth.trips).append(event)
                 states[sid] = _ScooterState(loc=st.dest)
 
-        observations = tuple(
-            ScooterObservation(scooter_id=sid, lat=states[sid].loc[0], lon=states[sid].loc[1])
-            for sid in ids
-            if states[sid].arrival_time is None
-        )
+        parked = [sid for sid in ids if states[sid].arrival_time is None]
+        locs = [states[sid].loc for sid in parked]
         snapshots.append(
             Snapshot(
                 provider=config.provider,
                 captured_at=t,
                 ttl_s=dt,
-                observations=observations,
+                ids=parked,
+                lats=[lat for lat, _ in locs],
+                lons=[lon for _, lon in locs],
+                reserved=np.zeros(len(parked), bool),
+                disabled=np.zeros(len(parked), bool),
             )
         )
 

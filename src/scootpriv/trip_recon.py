@@ -11,10 +11,12 @@ multi-hour charging/maintenance gaps).
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from pathlib import Path
+
+import numpy as np
 
 from .feed_ingest import Snapshot, write_csv
 
@@ -40,14 +42,16 @@ TRIP_CSV_COLUMNS = [
 ]
 
 
-def haversine_distance(a: tuple[float, float], b: tuple[float, float]) -> float:
-    """Great-circle distance in meters between (lat, lon) points in degrees."""
-    lat1, lon1 = math.radians(a[0]), math.radians(a[1])
-    lat2, lon2 = math.radians(b[0]), math.radians(b[1])
+def haversine_distance(a, b):
+    """Great-circle distance in meters between (lat, lon) points in
+    degrees. A coordinate may be an array; the distances are then
+    element-wise, broadcast as numpy does."""
+    lat1, lon1 = np.radians(a[0]), np.radians(a[1])
+    lat2, lon2 = np.radians(b[0]), np.radians(b[1])
     dlat = lat2 - lat1
     dlon = lon2 - lon1
-    h = math.sin(dlat / 2) ** 2 + math.cos(lat1) * math.cos(lat2) * math.sin(dlon / 2) ** 2
-    return 2 * EARTH_RADIUS_M * math.asin(math.sqrt(h))
+    h = np.sin(dlat / 2) ** 2 + np.cos(lat1) * np.cos(lat2) * np.sin(dlon / 2) ** 2
+    return 2 * EARTH_RADIUS_M * np.arcsin(np.sqrt(h))
 
 
 @dataclass(frozen=True)
@@ -73,7 +77,7 @@ class Trip:
 
     @cached_property
     def distance_m(self) -> float:
-        return haversine_distance(self.start_loc, self.end_loc)
+        return float(haversine_distance(self.start_loc, self.end_loc))
 
 
 @dataclass(frozen=True)
@@ -100,20 +104,27 @@ def reconstruct_trips(
     snapshots: list[Snapshot],
     min_move_m: float = DEFAULT_MIN_MOVE_M,
 ) -> list[Trip]:
-    """Diff consecutive snapshots of one provider into unfiltered trips.
+    """Diff consecutive snapshots of one provider into unfiltered trips,
+    in snapshot order, then observation order.
 
     A scooter absent for intermediate snapshots and reappearing elsewhere
     yields a single trip spanning the gap; one that disappears for good
     yields nothing. Raises on unsorted input, mixed providers or a
     negative min_move_m.
+
+    Each snapshot is one join on ids: a dict gives every id a dense
+    index into arrays of its parked fix and last-seen time, and one
+    great-circle call over the snapshot's known ids decides the moves.
     """
     if min_move_m < 0:
         raise ValueError("min_move_m must be >= 0")
     if not snapshots:
         return []
     provider = snapshots[0].provider
-    # (loc, last_seen_at) per scooter
-    state: dict[str, tuple[tuple[float, float], int]] = {}
+    index: dict[str, int] = {}
+    # per dense index: parked fix and last-seen time, grown by doubling
+    park_lat, park_lon = np.empty(0), np.empty(0)
+    seen = np.empty(0, dtype=np.int64)
     trips: list[Trip] = []
     prev_ts = None
     for snap in snapshots:
@@ -121,26 +132,43 @@ def reconstruct_trips(
             raise ValueError(
                 f"mixed providers: {provider!r} and {snap.provider!r}"
             )
-        if prev_ts is not None and snap.captured_at <= prev_ts:
+        t = snap.captured_at
+        if prev_ts is not None and t <= prev_ts:
             raise ValueError("snapshots not strictly ascending in time")
-        prev_ts = snap.captured_at
-        for obs in snap.observations:
-            loc = (obs.lat, obs.lon)
-            known = state.get(obs.scooter_id)
-            if known is None:
-                state[obs.scooter_id] = (loc, snap.captured_at)
-                continue
-            old_loc, last_seen = known
-            if snap.captured_at - last_seen > ID_REUSE_GAP_S:
-                # likely a recycled id, not the same physical scooter
-                state[obs.scooter_id] = (loc, snap.captured_at)
-                continue
-            if haversine_distance(old_loc, loc) > min_move_m:
-                trips.append(Trip(obs.scooter_id, old_loc, loc, last_seen, snap.captured_at))
-                state[obs.scooter_id] = (loc, snap.captured_at)
-            else:
-                # still parked; keep the original fix, refresh last-seen
-                state[obs.scooter_id] = (old_loc, snap.captured_at)
+        prev_ts = t
+        idx = np.fromiter(map(index.get, snap.ids, repeat(-1)), dtype=np.intp, count=len(snap.ids))
+        new = idx < 0
+        for p in np.flatnonzero(new).tolist():
+            idx[p] = index[snap.ids[p]] = len(index)
+        if len(index) > len(seen):
+            size = max(len(index), 2 * len(seen))
+            park_lat, park_lon, seen = (
+                np.concatenate([a, np.empty(size - len(a), a.dtype)])
+                for a in (park_lat, park_lon, seen)
+            )
+        lats, lons = snap.coords()
+        old = ~new
+        k = idx[old]
+        d = haversine_distance((park_lat[k], park_lon[k]), (lats[old], lons[old]))
+        # absent longer than the gap: likely a recycled id, not the same
+        # physical scooter, so a fresh history instead of a trip
+        fresh = t - seen[k] > ID_REUSE_GAP_S
+        moved = ~fresh & (d > min_move_m)
+        pos, km = np.flatnonzero(old)[moved], k[moved]
+        for p, start_lat, start_lon, end_lat, end_lon, start_time in zip(
+            pos.tolist(), park_lat[km].tolist(), park_lon[km].tolist(),
+            lats[pos].tolist(), lons[pos].tolist(), seen[km].tolist(),
+        ):
+            trips.append(
+                Trip(snap.ids[p], (start_lat, start_lon), (end_lat, end_lon), start_time, t)
+            )
+        # a new id, a fresh history or a move parks the scooter here; a
+        # scooter still parked keeps its original fix
+        repark = new.copy()
+        repark[old] = fresh | moved
+        park_lat[idx[repark]] = lats[repark]
+        park_lon[idx[repark]] = lons[repark]
+        seen[idx] = t
     return trips
 
 

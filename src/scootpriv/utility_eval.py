@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from functools import cached_property
 from pathlib import Path
 
@@ -129,7 +129,7 @@ def load_regions_geojson(path: str | Path) -> list[Region]:
     rings are stored as (lat, lon). A region is named by its feature's
     ``name`` property, else ``region_<i>``. Anything but a non-empty array
     of feature objects, with object geometry and properties and rings of
-    positions, raises RegionError.
+    positions that start with two numbers, raises RegionError.
     """
     with open(path, encoding="utf-8") as f:
         doc = json.load(f)
@@ -152,14 +152,21 @@ def load_regions_geojson(path: str | Path) -> list[Region]:
             raise RegionError(f"{path}: feature {name!r} has unsupported type {gtype}")
         try:
             polys = [geom["coordinates"]] if gtype == "Polygon" else geom["coordinates"]
-            rings = tuple(
-                tuple((float(lat), float(lon)) for lon, lat, *_ in ring)
-                for poly in polys for ring in poly
-            )
+            rings = tuple(tuple(_position(p) for p in ring) for poly in polys for ring in poly)
         except (KeyError, TypeError, ValueError) as exc:
             raise RegionError(f"{path}: feature {name!r}: malformed coordinates ({exc!r})") from exc
         regions.append(Region(name=name, rings=rings))
     return regions
+
+
+def _position(p) -> tuple[float, float]:
+    """(lat, lon) of a GeoJSON position [lon, lat, ...]; ValueError unless
+    its first two items are JSON numbers. A string of digits would
+    otherwise unpack into its characters, and a bool convert to 0 or 1."""
+    lon, lat, *_ = p
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (lon, lat)):
+        raise ValueError(f"position {p!r} is not [lon, lat] numbers")
+    return float(lat), float(lon)
 
 
 def _assign_regions(
@@ -228,10 +235,7 @@ def boundary_loss_experiment(
     the scooters initially inside it: for those, escaping the region and
     landing outside the boundary are the same event.
     """
-    inside = points_in_region(*snapshot.coords(), boundary)
-    kept = replace(
-        snapshot, observations=tuple(o for o, i in zip(snapshot.observations, inside) if i)
-    )
+    kept = snapshot.select(points_in_region(*snapshot.coords(), boundary))
     rows = neighborhood_loss_experiment(
         kept, RegionSet((boundary,)), r_grid, trials, ratio, master_seed
     )
@@ -335,7 +339,6 @@ def emit_report(rows: list[UtilityRow], path: str | Path, fmt: str, meta: dict) 
 def snapshot_to_geojson(snapshot: Snapshot) -> dict:
     """Point FeatureCollection of one snapshot, for map rendering."""
     return points_geojson(
-        (o.lat, o.lon, {"scooter_id": o.scooter_id, "reserved": o.is_reserved,
-                        "disabled": o.is_disabled})
-        for o in snapshot.observations
+        (lat, lon, {"scooter_id": i, "reserved": reserved, "disabled": disabled})
+        for i, lat, lon, reserved, disabled in snapshot.rows()
     )

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from scootpriv.feed_ingest import ScooterObservation, Snapshot
+from scootpriv.feed_ingest import Snapshot
 from scootpriv.utility_eval import Region
 
 
@@ -33,16 +33,11 @@ def make_snapshot(bikes, captured_at=1_700_000_000, ttl_s=60, provider="test"):
         provider=provider,
         captured_at=captured_at,
         ttl_s=ttl_s,
-        observations=tuple(
-            ScooterObservation(
-                scooter_id=b[0],
-                lat=b[1],
-                lon=b[2],
-                is_reserved=b[3] if len(b) > 3 else False,
-                is_disabled=b[4] if len(b) > 4 else False,
-            )
-            for b in bikes
-        ),
+        ids=[b[0] for b in bikes],
+        lats=[b[1] for b in bikes],
+        lons=[b[2] for b in bikes],
+        reserved=[b[3] if len(b) > 3 else False for b in bikes],
+        disabled=[b[4] if len(b) > 4 else False for b in bikes],
     )
 
 

@@ -166,6 +166,21 @@ class TestSynthCommand:
         main(["synth", "--config", str(synth_config), "--output", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_same_config_from_two_directories_byte_identical(
+        self, tmp_path, synth_config, monkeypatch
+    ):
+        outs = []
+        for name in ("one", "two"):
+            work = tmp_path / name
+            work.mkdir()
+            (work / "fleet.json").write_bytes(synth_config.read_bytes())
+            monkeypatch.chdir(work)
+            assert main(["synth", "--config", "fleet.json", "--output", "a.jsonl"]) == 0
+            outs.append((work / "a.jsonl").read_bytes())
+        assert outs[0] == outs[1]
+        meta = json.loads(outs[0].splitlines()[0])["_meta"]
+        assert meta["config"] == json.loads(synth_config.read_text())
+
 
 class TestReconstructCommand:
     def test_static_archive_empty_csv(self, tmp_path):
@@ -189,6 +204,26 @@ class TestReconstructCommand:
         for t in read_trips_csv(out):
             assert t.distance_m >= 99.9  # CSV rounds coordinates
             assert t.duration_s <= 3600
+
+    def test_prints_trips_dropped_per_filter(self, tmp_path, capsys):
+        # moves east along the equator: 0.001 degrees is about 111 m
+        track = {
+            0: {"kept": 0.0, "short": 0.0, "long": 0.0, "both": 0.0},
+            600: {"kept": 0.01, "short": 0.0004},
+            7800: {"long": 0.01, "both": 0.0004},
+        }
+        snaps = [
+            make_snapshot([(sid, 0.0, lon) for sid, lon in fixes.items()], captured_at=t)
+            for t, fixes in track.items()
+        ]
+        arch = tmp_path / "a.jsonl"
+        write_archive(snaps, arch)
+        rc = main(["reconstruct", "--store", str(arch), "--output", str(tmp_path / "t.csv")])
+        assert rc == 0
+        assert capsys.readouterr().out.strip() == (
+            "1 trips kept of 4 reconstructed; 2 under --min-distance-m, "
+            "1 over --max-duration-s"
+        )
 
     def test_missing_archive_exits_1(self, tmp_path):
         rc = main(
@@ -455,12 +490,21 @@ class TestEvaluateCommand:
                                 "type": "Polygon",
                                 "coordinates": [[[-118.5, 33.9], [-118.3], [-118.3, 34.1],
                                                  [-118.5, 33.9]]]}}]}),
+            ("--boundary", {"type": "FeatureCollection",
+                            "features": [{"type": "Feature", "geometry": {
+                                "type": "Polygon",
+                                "coordinates": [["00", "10", "11", "01", "00"]]}}]}),
+            ("--boundary", {"type": "FeatureCollection",
+                            "features": [{"type": "Feature", "geometry": {
+                                "type": "Polygon",
+                                "coordinates": [[[0, 0], [True, 0], [True, True], [0, True],
+                                                 [0, 0]]]}}]}),
         ],
         ids=["boundary not an object", "boundary without features",
              "boundary without coordinates", "boundary with malformed coordinates",
              "neighborhoods without features", "feature not an object",
              "features not an array", "properties not an object", "geometry not an object",
-             "position with one number"],
+             "position with one number", "positions of digit strings", "position with a bool"],
     )
     def test_bad_region_file_exits_2(self, tmp_path, synth_archive, capsys, flag, doc):
         boundary = tmp_path / "boundary.geojson"

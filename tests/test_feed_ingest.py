@@ -1,10 +1,13 @@
+import gc
 import json
 import threading
+import tracemalloc
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
+import numpy as np
 import pytest
 
-from scootpriv import feed_ingest
+from scootpriv import feed_ingest, synth_fleet
 from scootpriv.feed_ingest import (
     MAX_ERRORS_KEPT,
     FeedParseError,
@@ -20,7 +23,7 @@ from scootpriv.feed_ingest import (
     write_archive,
 )
 
-from conftest import make_feed_doc, make_snapshot
+from conftest import make_feed_doc, make_snapshot, square_region
 
 
 class TestParse:
@@ -52,6 +55,17 @@ class TestParse:
         with pytest.raises(FeedParseError):
             parse_free_bike_status(json.dumps(doc).encode(), "p")
 
+    @pytest.mark.parametrize("field,value", [("lat", None), ("lon", "east"), ("bike_id", KeyError)])
+    def test_bad_bike_field_names_the_bike(self, field, value):
+        doc = json.loads(make_feed_doc([("a", 0, 0), ("b", 1, 1), ("c", 2, 2)]))
+        bike = doc["data"]["bikes"][1]
+        if value is KeyError:
+            del bike[field]
+        else:
+            bike[field] = value
+        with pytest.raises(FeedParseError, match="bike #1"):
+            parse_free_bike_status(json.dumps(doc).encode(), "p")
+
     @pytest.mark.parametrize("lat,lon", [(91.0, 0.0), (-91.0, 0.0), (0.0, 181.0), (0.0, -180.5)])
     def test_out_of_range_coordinate(self, lat, lon):
         with pytest.raises(FeedParseError):
@@ -79,6 +93,13 @@ class TestCoords:
     def test_with_coords_inverts_coords(self):
         s = make_snapshot([("a", 34.0, -118.2, True, False), ("b", 33.9, -118.0)])
         assert s.with_coords(*s.coords()) == s
+
+    def test_columns_read_only(self):
+        s = make_snapshot([("a", 34.0, -118.2)])
+        with pytest.raises(ValueError, match="read-only"):
+            s.lats[0] = 0.0
+        with pytest.raises(AttributeError):
+            s.lats = np.zeros(1)
 
     def test_with_coords_moves_only_coordinates(self):
         s = make_snapshot([("a", 34.0, -118.2, True, False)], captured_at=5)
@@ -164,6 +185,36 @@ class TestStore:
             f.write("garbage\n")
         with pytest.raises(StoreError, match="line 2"):
             list(store.iter_all())
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda rec: rec["bikes"][0].update(id=17),
+            lambda rec: rec["bikes"][0].update(id=""),
+            lambda rec: rec["bikes"][1].update(id=rec["bikes"][0]["id"]),
+            lambda rec: rec["bikes"][0].update(lat=91),
+            lambda rec: rec["bikes"][0].update(lat=None),
+            lambda rec: rec["bikes"][0].update(lat=float("nan")),
+            lambda rec: rec["bikes"][1].pop("lon"),
+            lambda rec: rec.update(ttl_s=0),
+            lambda rec: rec["bikes"][0].update(lat=10**400),
+            lambda rec: rec.update(captured_at=2**63),
+        ],
+        ids=["non-string id", "empty id", "duplicate id", "lat 91", "lat null", "lat NaN",
+             "missing lon", "ttl 0", "lat of 401 digits", "captured_at past int64"],
+    )
+    def test_corrupt_record_reported_with_line_number(self, tmp_path, corrupt):
+        path = tmp_path / "a.jsonl"
+        snaps = [make_snapshot([("a", 34.0, -118.2), ("b", 34.1, -118.3)], captured_at=t)
+                 for t in (1, 2, 3)]
+        write_archive(snaps, path, meta={"command": "test"})
+        lines = path.read_text().splitlines(keepends=True)
+        rec = json.loads(lines[2])
+        corrupt(rec)
+        lines[2] = json.dumps(rec) + "\n"
+        path.write_text("".join(lines))
+        with pytest.raises(StoreError, match="corrupt line 3"):
+            list(SnapshotStore(path).iter_all())
 
     def test_meta_lines_skipped(self, tmp_path):
         path = tmp_path / "a.jsonl"
@@ -334,3 +385,36 @@ class TestPoller:
     def test_nonpositive_interval_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             poll_feed("http://x/", SnapshotStore(tmp_path / "a.jsonl"), "p", 0, lambda: True)
+
+
+class TestColumnarMemory:
+    def test_loaded_archive_small_and_built_without_observations(self, tmp_path, monkeypatch):
+        config = synth_fleet.FleetConfig(
+            n_scooters=500, area=square_region(lat0=33.9, lon0=-118.5, side_deg=0.2), seed=4,
+            trip_rate=0.3, duration_h=0.5,
+        )
+        snapshots, _ = synth_fleet.generate(config)
+        store = SnapshotStore(tmp_path / "a.jsonl")
+        write_archive(snapshots, store.path)
+        built = 0
+        real_init = ScooterObservation.__init__
+
+        def counting_init(self, *args, **kwargs):
+            nonlocal built
+            built += 1
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ScooterObservation, "__init__", counting_init)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            snaps = read_snapshots(store)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        n_obs = sum(len(s.observations) for s in snaps)
+        assert n_obs == sum(len(s.ids) for s in snapshots) > 10_000
+        assert held / n_obs < 40
+        assert built == 0

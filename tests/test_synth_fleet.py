@@ -104,7 +104,7 @@ class TestGenerate:
             },
         }
         parsed = parse_free_bike_status(json.dumps(gbfs).encode(), rec["provider"])
-        assert parsed.observations == snapshots[0].observations
+        assert tuple(parsed.observations) == tuple(snapshots[0].observations)
 
     def test_invalid_config(self):
         with pytest.raises(ValueError):

@@ -1,10 +1,11 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from scootpriv import trip_recon
 from scootpriv.trip_recon import (
+    ID_REUSE_GAP_S,
     Trip,
     TripFilter,
     filter_trips,
@@ -150,6 +151,69 @@ class TestReconstructTrips:
         for t in reconstruct_trips(snapshots_for_track(track)):
             assert t.end_time > t.start_time
             assert t.distance_m == haversine_distance(t.start_loc, t.end_loc)
+
+
+def scalar_reconstruct(snapshots, min_move_m):
+    """The scalar diff loop, one great-circle call per observation, that
+    the per-snapshot join replaced: the reference for its results."""
+    state = {}
+    trips = []
+    for snap in snapshots:
+        for obs in snap.observations:
+            loc = (obs.lat, obs.lon)
+            known = state.get(obs.scooter_id)
+            if known is None:
+                state[obs.scooter_id] = (loc, snap.captured_at)
+                continue
+            old_loc, last_seen = known
+            if snap.captured_at - last_seen > ID_REUSE_GAP_S:
+                state[obs.scooter_id] = (loc, snap.captured_at)
+                continue
+            if haversine_distance(old_loc, loc) > min_move_m:
+                trips.append(Trip(obs.scooter_id, old_loc, loc, last_seen, snap.captured_at))
+                state[obs.scooter_id] = (loc, snap.captured_at)
+            else:
+                state[obs.scooter_id] = (old_loc, snap.captured_at)
+    return trips
+
+
+# a parked fix, one about 5 m east of it, and one about 111 m north
+BASE, NEAR, FAR = (34.0, -118.3), (34.0, -118.29995), (34.001, -118.3)
+BASE_TO_NEAR_M = float(haversine_distance(BASE, NEAR))
+
+
+@st.composite
+def snapshot_sequences(draw):
+    """Snapshots of ids that appear, vanish and come back, sometimes after
+    more than ID_REUSE_GAP_S, at fixes BASE_TO_NEAR_M apart, and a
+    min_move_m within a few ulps of that distance."""
+    steps = draw(st.lists(
+        st.sampled_from([60, ID_REUSE_GAP_S, ID_REUSE_GAP_S + 1, 2 * ID_REUSE_GAP_S]),
+        max_size=12,
+    ))
+    times = [sum(steps[:i]) for i in range(len(steps) + 1)]
+    fixes = [draw(st.dictionaries(st.sampled_from("abcde"), st.sampled_from([BASE, NEAR, FAR])))
+             for _ in times]
+    min_move_m = BASE_TO_NEAR_M
+    ulps = draw(st.integers(-3, 3))
+    for _ in range(abs(ulps)):
+        min_move_m = math.nextafter(min_move_m, math.copysign(math.inf, ulps))
+    snaps = [make_snapshot([(sid, *loc) for sid, loc in f.items()], captured_at=t)
+             for t, f in zip(times, fixes)]
+    return snaps, min_move_m
+
+
+class TestJoinMatchesScalarLoop:
+    @settings(max_examples=300, deadline=None)
+    @given(snapshot_sequences())
+    def test_same_trips_in_same_order(self, case):
+        snaps, min_move_m = case
+        assert reconstruct_trips(snaps, min_move_m) == scalar_reconstruct(snaps, min_move_m)
+
+    def test_move_of_exactly_min_move_m_is_not_a_trip(self):
+        snaps = snapshots_for_track([(0, {"a": BASE}), (60, {"a": NEAR})])
+        assert reconstruct_trips(snaps, BASE_TO_NEAR_M) == []
+        assert len(reconstruct_trips(snaps, math.nextafter(BASE_TO_NEAR_M, 0))) == 1
 
 
 class TestFilterTrips:
