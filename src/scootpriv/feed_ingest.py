@@ -197,17 +197,13 @@ def parse_free_bike_status(raw: bytes, provider: str) -> Snapshot:
     if not isinstance(bikes, list):
         raise FeedParseError("data.bikes is not an array")
 
-    try:
-        columns = [[conv(bike[key]) for bike in bikes] for key, conv in _FEED_FIELDS]
-    except (KeyError, TypeError, ValueError):
-        # name the first bike with a missing or mistyped field
-        for i, bike in enumerate(bikes):
-            try:
-                for key, conv in _FEED_FIELDS:
-                    conv(bike[key])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise FeedParseError(f"bike #{i}: {exc}") from exc
-        raise
+    columns = [[] for _ in _FEED_FIELDS]
+    for i, bike in enumerate(bikes):
+        try:
+            for column, (key, conv) in zip(columns, _FEED_FIELDS):
+                column.append(conv(bike[key]))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise FeedParseError(f"bike #{i}: {exc}") from exc
     return Snapshot(provider, last_updated, ttl, *columns)
 
 

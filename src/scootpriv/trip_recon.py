@@ -11,6 +11,7 @@ multi-hour charging/maintenance gaps).
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
@@ -42,16 +43,30 @@ TRIP_CSV_COLUMNS = [
 ]
 
 
+# (radians, sin, cos, asin, sqrt) for scalar and for array coordinates
+_SCALAR_OPS = (math.radians, math.sin, math.cos, math.asin, math.sqrt)
+_ARRAY_OPS = (np.radians, np.sin, np.cos, np.arcsin, np.sqrt)
+# numpy's float64 sin, cos and arcsin may differ from libm's in the last
+# bits (e.g. on AVX-512 builds); an array distance is within this relative
+# error of the scalar distance of the same points, near antipodes too
+ARRAY_REL_TOL = 1e-6
+
+
 def haversine_distance(a, b):
     """Great-circle distance in meters between (lat, lon) points in
-    degrees. A coordinate may be an array; the distances are then
-    element-wise, broadcast as numpy does."""
-    lat1, lon1 = np.radians(a[0]), np.radians(a[1])
-    lat2, lon2 = np.radians(b[0]), np.radians(b[1])
+    degrees. Scalar coordinates compute with libm through math, a float;
+    if a coordinate is an array, the distances are element-wise with
+    numpy, broadcast as numpy does, and within ARRAY_REL_TOL of the
+    scalar ones."""
+    radians, sin, cos, asin, sqrt = (
+        _ARRAY_OPS if any(np.ndim(v) for v in (*a, *b)) else _SCALAR_OPS
+    )
+    lat1, lon1 = radians(a[0]), radians(a[1])
+    lat2, lon2 = radians(b[0]), radians(b[1])
     dlat = lat2 - lat1
     dlon = lon2 - lon1
-    h = np.sin(dlat / 2) ** 2 + np.cos(lat1) * np.cos(lat2) * np.sin(dlon / 2) ** 2
-    return 2 * EARTH_RADIUS_M * np.arcsin(np.sqrt(h))
+    h = sin(dlat / 2) ** 2 + cos(lat1) * cos(lat2) * sin(dlon / 2) ** 2
+    return 2 * EARTH_RADIUS_M * asin(sqrt(h))
 
 
 @dataclass(frozen=True)
@@ -77,7 +92,7 @@ class Trip:
 
     @cached_property
     def distance_m(self) -> float:
-        return float(haversine_distance(self.start_loc, self.end_loc))
+        return haversine_distance(self.start_loc, self.end_loc)
 
 
 @dataclass(frozen=True)
@@ -149,7 +164,12 @@ def reconstruct_trips(
         lats, lons = snap.coords()
         old = ~new
         k = idx[old]
-        d = haversine_distance((park_lat[k], park_lon[k]), (lats[old], lons[old]))
+        start, end = (park_lat[k], park_lon[k]), (lats[old], lons[old])
+        d = haversine_distance(start, end)
+        # a distance this close to min_move_m takes the scalar call, so
+        # each move is decided as the scalar loop decided it
+        for j in np.flatnonzero(abs(d - min_move_m) < ARRAY_REL_TOL * min_move_m).tolist():
+            d[j] = haversine_distance((start[0][j], start[1][j]), (end[0][j], end[1][j]))
         # absent longer than the gap: likely a recycled id, not the same
         # physical scooter, so a fresh history instead of a trip
         fresh = t - seen[k] > ID_REUSE_GAP_S

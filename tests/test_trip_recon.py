@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -153,6 +154,17 @@ class TestReconstructTrips:
             assert t.distance_m == haversine_distance(t.start_loc, t.end_loc)
 
 
+def scalar_haversine(a, b):
+    """The great-circle distance of the scalar loop, with math's libm
+    functions: the reference for haversine_distance."""
+    lat1, lon1 = math.radians(a[0]), math.radians(a[1])
+    lat2, lon2 = math.radians(b[0]), math.radians(b[1])
+    dlat = lat2 - lat1
+    dlon = lon2 - lon1
+    h = math.sin(dlat / 2) ** 2 + math.cos(lat1) * math.cos(lat2) * math.sin(dlon / 2) ** 2
+    return 2 * trip_recon.EARTH_RADIUS_M * math.asin(math.sqrt(h))
+
+
 def scalar_reconstruct(snapshots, min_move_m):
     """The scalar diff loop, one great-circle call per observation, that
     the per-snapshot join replaced: the reference for its results."""
@@ -169,7 +181,7 @@ def scalar_reconstruct(snapshots, min_move_m):
             if snap.captured_at - last_seen > ID_REUSE_GAP_S:
                 state[obs.scooter_id] = (loc, snap.captured_at)
                 continue
-            if haversine_distance(old_loc, loc) > min_move_m:
+            if scalar_haversine(old_loc, loc) > min_move_m:
                 trips.append(Trip(obs.scooter_id, old_loc, loc, last_seen, snap.captured_at))
                 state[obs.scooter_id] = (loc, snap.captured_at)
             else:
@@ -177,9 +189,24 @@ def scalar_reconstruct(snapshots, min_move_m):
     return trips
 
 
-# a parked fix, one about 5 m east of it, and one about 111 m north
-BASE, NEAR, FAR = (34.0, -118.3), (34.0, -118.29995), (34.001, -118.3)
-BASE_TO_NEAR_M = float(haversine_distance(BASE, NEAR))
+class TestHaversineMatchesScalar:
+    @given(coords, coords)
+    def test_scalar_is_libm_formula(self, a, b):
+        assert haversine_distance(a, b) == scalar_haversine(a, b)
+
+    @given(st.lists(st.tuples(coords, coords), min_size=1, max_size=20))
+    def test_array_within_tolerance_of_scalar(self, pairs):
+        a, b = zip(*pairs)
+        d = haversine_distance(tuple(np.array(c) for c in zip(*a)), tuple(np.array(c) for c in zip(*b)))
+        ref = [scalar_haversine(p, q) for p, q in pairs]
+        assert d.tolist() == pytest.approx(ref, rel=trip_recon.ARRAY_REL_TOL, abs=0)
+
+
+# a parked fix, one about 21 m east of it, and one about 111 m north;
+# with numpy 2.4.6 on an AVX-512 CPU the array distance from BASE to NEAR
+# is one ulp below libm's, so the join must not decide that move by it
+BASE, NEAR, FAR = (34.0, -118.3), (34.0, -118.2997709), (34.001, -118.3)
+BASE_TO_NEAR_M = scalar_haversine(BASE, NEAR)
 
 
 @st.composite
