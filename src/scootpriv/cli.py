@@ -250,9 +250,10 @@ def cmd_synth(args) -> int:
         doc = json.load(f)
     try:
         config = synth_fleet.config_from_json(doc)
-    except (KeyError, TypeError, ValueError) as exc:
+        # an area with no samplable interior fails only when sampled
+        snapshots, truth = synth_fleet.generate(config)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"invalid fleet config: {exc}") from exc
-    snapshots, truth = synth_fleet.generate(config)
     synth_fleet.write_archive(
         snapshots, args.output, meta=_meta("synth", seed=config.seed, config=doc)
     )

@@ -178,8 +178,9 @@ def parse_free_bike_status(raw: bytes, provider: str) -> Snapshot:
     """Parse a GBFS free_bike_status JSON document into a Snapshot.
 
     ``captured_at`` is the feed's ``last_updated`` timestamp. Unknown
-    extra fields are ignored; missing required fields, out-of-range
-    coordinates, or duplicate bike ids raise FeedParseError.
+    extra fields are ignored; missing or malformed required fields (NaN
+    and Infinity included), out-of-range coordinates, or duplicate bike
+    ids raise FeedParseError.
     """
     try:
         doc = json.loads(raw)
@@ -192,8 +193,8 @@ def parse_free_bike_status(raw: bytes, provider: str) -> Snapshot:
         last_updated = int(doc["last_updated"])
         ttl = int(doc["ttl"])
         bikes = doc["data"]["bikes"]
-    except (KeyError, TypeError) as exc:
-        raise FeedParseError(f"missing required field: {exc}") from exc
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise FeedParseError(f"missing or bad required field: {exc}") from exc
     if not isinstance(bikes, list):
         raise FeedParseError("data.bikes is not an array")
 
@@ -202,7 +203,7 @@ def parse_free_bike_status(raw: bytes, provider: str) -> Snapshot:
         try:
             for column, (key, conv) in zip(columns, _FEED_FIELDS):
                 column.append(conv(bike[key]))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise FeedParseError(f"bike #{i}: {exc}") from exc
     return Snapshot(provider, last_updated, ttl, *columns)
 

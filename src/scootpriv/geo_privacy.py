@@ -73,26 +73,17 @@ def sample_polar_laplace(
     return theta, r
 
 
-def displace(
-    loc: tuple[float, float], theta: float, r_km: float
-) -> tuple[float, float]:
-    """Destination point r_km along initial bearing theta (0 = due north)
-    from loc, on a sphere of radius 6378.1 km."""
-    lat, lon = _displace_arrays(
-        np.asarray([loc[0]]), np.asarray([loc[1]]), np.asarray([theta]), np.asarray([r_km])
-    )
-    return float(lat[0]), float(lon[0])
-
-
-def _displace_arrays(
-    lat_deg: np.ndarray, lon_deg: np.ndarray, theta: np.ndarray, r_km: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def displace(lat, lon, theta, r_km):
+    """Destination r_km along initial bearing theta (radians, 0 = due
+    north) from (lat, lon) in degrees, on a sphere of radius 6378.1 km.
+    Element-wise over scalars or arrays, broadcast as numpy does; returns
+    (lat, lon) in degrees, the longitude in [-180, 180)."""
     if np.any(r_km < 0):
         raise ValueError("negative displacement radius")
     if np.any(r_km > MAX_RADIUS_KM):
         raise ValueError(f"displacement beyond {MAX_RADIUS_KM} km rejected as misuse")
-    lat1 = np.radians(lat_deg)
-    lon1 = np.radians(lon_deg)
+    lat1 = np.radians(lat)
+    lon1 = np.radians(lon)
     delta = r_km / EARTH_RADIUS_KM  # angular distance
     sin_lat2 = np.sin(lat1) * np.cos(delta) + np.cos(lat1) * np.sin(delta) * np.cos(theta)
     lat2 = np.arcsin(np.clip(sin_lat2, -1.0, 1.0))
@@ -111,7 +102,8 @@ def perturb(
     """One geo-indistinguishable release of loc. No truncation: the noisy
     point may land outside any boundary, ocean included."""
     theta, r = sample_polar_laplace(epsilon, rng, size=1)
-    return displace(loc, theta[0], r[0])
+    lat, lon = displace(loc[0], loc[1], theta[0], r[0])
+    return float(lat), float(lon)
 
 
 def perturb_many(
@@ -120,7 +112,7 @@ def perturb_many(
     """Vectorized perturb: fresh independent noise per location."""
     n = len(lats)
     theta, r = sample_polar_laplace(epsilon, rng, size=n)
-    return _displace_arrays(np.asarray(lats, float), np.asarray(lons, float), theta, r)
+    return displace(np.asarray(lats, float), np.asarray(lons, float), theta, r)
 
 
 def analytic_cdf(epsilon: float, x) -> float | np.ndarray:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import MISSING, dataclass, field, fields
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -26,13 +27,15 @@ from .feed_ingest import Snapshot, write_csv
 # re-exported: cli and perfbench/tracing.py reach synth's archive writer by this name
 from .feed_ingest import write_archive  # noqa: F401
 from .trip_recon import TRIP_CSV_COLUMNS, Trip, trip_row
-from .utility_eval import Region, point_in_region
+from .utility_eval import Region, points_in_region
 
 BASE_TIME = 1_700_000_000  # fixed epoch start keeps archives reproducible
 
 SHUFFLE_DISTANCE_M = (20.0, 90.0)  # below any sane trip-distance floor
 MAINTENANCE_GAP_S = (3700.0, 7200.0)  # beyond any sane trip-duration cap
 MAINTENANCE_DISTANCE_M = (150.0, 1500.0)
+# candidate points each scooter may draw when placed in the area
+AREA_DRAWS_PER_SCOOTER = 10_000
 
 GROUND_TRUTH_COLUMNS = TRIP_CSV_COLUMNS + ["is_fake"]
 
@@ -42,6 +45,12 @@ class Hotspot:
     center: tuple[float, float]
     weight: float = 1.0
     spread_m: float = 50.0
+
+    def __post_init__(self):
+        if not (math.isfinite(self.weight) and self.weight > 0):
+            raise ValueError(f"hotspot weight must be positive and finite, got {self.weight}")
+        if not (math.isfinite(self.spread_m) and self.spread_m >= 0):
+            raise ValueError(f"hotspot spread_m must be >= 0 and finite, got {self.spread_m}")
 
 
 @dataclass(frozen=True)
@@ -65,17 +74,27 @@ class FleetConfig:
             raise ValueError("snapshot_interval_s must be positive")
         if self.duration_h <= 0:
             raise ValueError("duration_h must be positive")
-        if self.trip_rate < 0 or self.relocation_rate < 0:
+        if not (self.trip_rate >= 0 and self.relocation_rate >= 0):
             raise ValueError("rates must be >= 0")
+        if sum(self.step_probabilities()) > 1.0:
+            raise ValueError("rates too high for the snapshot interval")
         for lo, hi in (self.trip_distance_m, self.trip_duration_s):
             if not 0 < lo <= hi:
                 raise ValueError("distance/duration bounds must satisfy 0 < min <= max")
+
+    def step_probabilities(self) -> tuple[float, float]:
+        """Chance that a parked scooter starts a trip, and a relocation,
+        in one snapshot interval."""
+        per_hour = self.snapshot_interval_s / 3600.0
+        return self.trip_rate * per_hour, self.relocation_rate * per_hour
 
 
 def config_from_json(doc: dict) -> FleetConfig:
     """FleetConfig from a parsed JSON fleet config. ``n_scooters``,
     ``seed`` and ``area_rings`` ([lat, lon] vertices) are required;
     absent optional keys take FleetConfig's and Hotspot's defaults."""
+    if not isinstance(doc, dict):
+        raise TypeError("a fleet config must be a JSON object")
     area = Region(
         name=doc.get("area_name", "area"),
         rings=tuple(
@@ -107,133 +126,117 @@ class GroundTruth:
     relocations: list[Trip] = field(default_factory=list)
 
 
-def _sample_in_area(area: Region, rng: np.random.Generator) -> tuple[float, float]:
+def _sample_in_area(
+    area: Region, n: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """n points uniform in area, by rejection from its bounding box: each
+    round draws one candidate per point still missing."""
     lat_min, lon_min, lat_max, lon_max = area.bbox
-    for _ in range(10_000):
-        lat = rng.uniform(lat_min, lat_max)
-        lon = rng.uniform(lon_min, lon_max)
-        if point_in_region((lat, lon), area):
-            return lat, lon
-    raise RuntimeError("rejection sampling failed; degenerate area polygon")
+    points = np.empty((0, 2))
+    for _ in range(AREA_DRAWS_PER_SCOOTER):
+        cand = rng.uniform((lat_min, lon_min), (lat_max, lon_max), (n - len(points), 2))
+        points = np.concatenate([points, cand[points_in_region(cand[:, 0], cand[:, 1], area)]])
+        if len(points) == n:
+            return points[:, 0], points[:, 1]
+    raise ValueError(f"area {area.name!r} has no samplable interior: a degenerate polygon")
 
 
-def _sample_hotspot_point(
-    hotspots: tuple[Hotspot, ...], rng: np.random.Generator
-) -> tuple[float, float]:
+def _hotspot_draws(
+    hotspots: tuple[Hotspot, ...], n: int, rng: np.random.Generator
+) -> tuple[np.ndarray, ...]:
+    """displace arguments (center lat, lon, bearing, radius in km) of n
+    hotspot points: a hotspot chosen by weight, a uniform bearing and a
+    half-normal radius of its spread_m."""
     weights = np.array([h.weight for h in hotspots], float)
-    h = hotspots[rng.choice(len(hotspots), p=weights / weights.sum())]
-    r_km = abs(rng.normal(0.0, h.spread_m)) / 1000.0
-    theta = rng.uniform(0.0, 2.0 * math.pi)
-    return geo_privacy.displace(h.center, theta, r_km)
-
-
-def _destination(
-    loc: tuple[float, float],
-    distance_range_m: tuple[float, float],
-    config: FleetConfig,
-    rng: np.random.Generator,
-) -> tuple[float, float]:
-    if config.hotspots:
-        return _sample_hotspot_point(config.hotspots, rng)
-    d_km = rng.uniform(*distance_range_m) / 1000.0
-    theta = rng.uniform(0.0, 2.0 * math.pi)
-    return geo_privacy.displace(loc, theta, d_km)
-
-
-@dataclass
-class _ScooterState:
-    loc: tuple[float, float]
-    arrival_time: float | None = None  # set while in transit
-    dest: tuple[float, float] | None = None
-    depart_snap: int | None = None
-    depart_loc: tuple[float, float] | None = None
-    is_fake_move: bool = False
+    pick = rng.choice(len(hotspots), size=n, p=weights / weights.sum())
+    centers = np.array([h.center for h in hotspots], float)[pick]
+    spreads = np.array([h.spread_m for h in hotspots], float)[pick]
+    theta = rng.uniform(0.0, 2.0 * math.pi, n)
+    return centers[:, 0], centers[:, 1], theta, np.abs(rng.normal(0.0, spreads)) / 1000.0
 
 
 def generate(config: FleetConfig) -> tuple[list[Snapshot], GroundTruth]:
-    """Run the simulation; deterministic given config.seed."""
+    """Run the simulation; deterministic given config.seed.
+
+    Per-scooter state is arrays: the parked position, the arrival time
+    (inf while parked), the destination, the departure time and whether
+    the move is a relocation. Each step turns the arrivals into truth
+    events and snapshots the parked scooters. Then one uniform draw per
+    scooter decides the departures: below p_trip a trip, and the
+    relocation band above it split evenly into shuffles and maintenance
+    moves. One displace call places every destination.
+    """
     rng = np.random.default_rng(config.seed)
     dt = config.snapshot_interval_s
     n_steps = int(config.duration_h * 3600 // dt) + 1
-    times = [BASE_TIME + i * dt for i in range(n_steps)]
+    n = config.n_scooters
+    ids = [f"scooter-{i:04d}" for i in range(n)]
+    if config.hotspots:
+        lat, lon = geo_privacy.displace(*_hotspot_draws(config.hotspots, n, rng))
+    else:
+        lat, lon = _sample_in_area(config.area, n, rng)
 
-    ids = [f"scooter-{i:04d}" for i in range(config.n_scooters)]
-    states: dict[str, _ScooterState] = {}
-    for sid in ids:
-        if config.hotspots:
-            loc = _sample_hotspot_point(config.hotspots, rng)
-        else:
-            loc = _sample_in_area(config.area, rng)
-        states[sid] = _ScooterState(loc=loc)
+    p_trip, p_reloc = config.step_probabilities()
+    # a draw u below the first edge starts a trip, then a shuffle, then maintenance
+    kind_edges = [p_trip, p_trip + p_reloc / 2.0, p_trip + p_reloc]
+    # per kind: distance (km) and duration (s) ranges
+    distance_km = (
+        np.array([config.trip_distance_m, SHUFFLE_DISTANCE_M, MAINTENANCE_DISTANCE_M]) / 1000.0
+    )
+    duration_s = np.array([config.trip_duration_s, (dt / 2.0, dt / 2.0), MAINTENANCE_GAP_S])
 
-    p_trip = config.trip_rate * dt / 3600.0
-    p_reloc = config.relocation_rate * dt / 3600.0
-    if p_trip + p_reloc > 1.0:
-        raise ValueError("rates too high for the snapshot interval")
-
+    arrival = np.full(n, np.inf)
+    dest_lat, dest_lon = np.empty(n), np.empty(n)
+    depart_t = np.zeros(n, np.int64)
+    fake = np.zeros(n, bool)
+    no_flags = np.zeros(n, bool)
     snapshots: list[Snapshot] = []
     truth = GroundTruth()
 
-    for step, t in enumerate(times):
+    for step in range(n_steps):
+        t = BASE_TIME + step * dt
         # arrivals: scooters finishing a move reappear at this snapshot
-        for sid in ids:
-            st = states[sid]
-            if st.arrival_time is not None and t >= st.arrival_time:
-                event = Trip(sid, st.depart_loc, st.dest, st.depart_snap, t)
-                (truth.relocations if st.is_fake_move else truth.trips).append(event)
-                states[sid] = _ScooterState(loc=st.dest)
+        arrived = np.flatnonzero(arrival <= t)
+        for i in arrived.tolist():
+            start, end = (lat.item(i), lon.item(i)), (dest_lat.item(i), dest_lon.item(i))
+            event = Trip(ids[i], start, end, depart_t.item(i), t)
+            (truth.relocations if fake[i] else truth.trips).append(event)
+        lat[arrived], lon[arrived] = dest_lat[arrived], dest_lon[arrived]
+        arrival[arrived] = np.inf
 
-        parked = [sid for sid in ids if states[sid].arrival_time is None]
-        locs = [states[sid].loc for sid in parked]
+        parked = np.isinf(arrival)
         snapshots.append(
             Snapshot(
                 provider=config.provider,
                 captured_at=t,
                 ttl_s=dt,
-                ids=parked,
-                lats=[lat for lat, _ in locs],
-                lons=[lon for _, lon in locs],
-                reserved=np.zeros(len(parked), bool),
-                disabled=np.zeros(len(parked), bool),
+                ids=tuple(compress(ids, parked)),
+                lats=lat[parked],
+                lons=lon[parked],
+                reserved=no_flags[parked],
+                disabled=no_flags[parked],
             )
         )
-
         if step == n_steps - 1:
             break
 
         # departures in the interval after this snapshot
-        for sid in ids:
-            st = states[sid]
-            if st.arrival_time is not None:
-                continue
-            u = rng.random()
-            if u < p_trip:
-                dest = _destination(st.loc, config.trip_distance_m, config, rng)
-                duration = rng.uniform(*config.trip_duration_s)
-                fake = False
-            elif u < p_trip + p_reloc:
-                # half shuffles, half maintenance gaps
-                if rng.random() < 0.5:
-                    d_km = rng.uniform(*SHUFFLE_DISTANCE_M) / 1000.0
-                    theta = rng.uniform(0.0, 2.0 * math.pi)
-                    dest = geo_privacy.displace(st.loc, theta, d_km)
-                    duration = dt / 2.0
-                else:
-                    d_km = rng.uniform(*MAINTENANCE_DISTANCE_M) / 1000.0
-                    theta = rng.uniform(0.0, 2.0 * math.pi)
-                    dest = geo_privacy.displace(st.loc, theta, d_km)
-                    duration = rng.uniform(*MAINTENANCE_GAP_S)
-                fake = True
-            else:
-                continue
-            states[sid] = _ScooterState(
-                loc=st.loc,
-                arrival_time=t + max(duration, 1.0),
-                dest=dest,
-                depart_snap=t,
-                depart_loc=st.loc,
-                is_fake_move=fake,
+        u = rng.random(n)
+        movers = np.flatnonzero(parked & (u < kind_edges[-1]))
+        kind = np.searchsorted(kind_edges, u[movers], side="right")
+        from_lat, from_lon = lat[movers], lon[movers]
+        r_km = rng.uniform(*distance_km[kind].T)
+        theta = rng.uniform(0.0, 2.0 * math.pi, len(movers))
+        if config.hotspots:
+            # trips end near a hotspot, wherever they start
+            trip = kind == 0
+            from_lat[trip], from_lon[trip], theta[trip], r_km[trip] = _hotspot_draws(
+                config.hotspots, int(trip.sum()), rng
             )
+        dest_lat[movers], dest_lon[movers] = geo_privacy.displace(from_lat, from_lon, theta, r_km)
+        arrival[movers] = t + np.maximum(rng.uniform(*duration_s[kind].T), 1.0)
+        depart_t[movers] = t
+        fake[movers] = kind > 0
 
     return snapshots, truth
 

@@ -89,11 +89,6 @@ class RegionSet:
             raise RegionError("duplicate region names")
 
 
-def point_in_region(p: tuple[float, float], region: Region) -> bool:
-    """Scalar form of points_in_region, with the same tie rule."""
-    return bool(points_in_region(np.array([p[0]]), np.array([p[1]]), region)[0])
-
-
 def points_in_region(lats: np.ndarray, lons: np.ndarray, region: Region) -> np.ndarray:
     """Even-odd containment over all rings; holes subtract.
 

@@ -32,7 +32,6 @@ from scootpriv.utility_eval import (
     Region,
     RegionSet,
     _assign_regions,
-    point_in_region,
     points_in_region,
 )
 
@@ -204,16 +203,16 @@ def test_criterion_6_geometry_invariants(utility_run, square_with_hole, unit_squ
         loc = (rng.uniform(-60, 60), rng.uniform(-179, 179))
         theta = rng.uniform(0, 2 * math.pi)
         r_km = rng.uniform(1e-4, 50.0)
-        dest = displace(loc, theta, r_km)
+        dest = displace(*loc, theta, r_km)
         if abs(haversine_distance(loc, dest) - r_km * 1000) > 1e-6 * r_km * 1000:
             distance_ok = False
 
     containment_ok = True
     for region in (unit_square, square_with_hole):
         pts = rng.uniform(-2, 12, size=(10_000, 2))
-        for p in pts:
-            p = (float(p[0]), float(p[1]))
-            if point_in_region(p, region) != winding_number_contains(p, region):
+        inside = points_in_region(pts[:, 0], pts[:, 1], region)
+        for p, got in zip(pts.tolist(), inside.tolist()):
+            if got != winding_number_contains(p, region):
                 containment_ok = False
                 break
 

@@ -155,10 +155,24 @@ class TestSynthCommand:
         assert len(list(SnapshotStore(out).iter_all())) == 181
         assert truth.read_text().splitlines()
 
-    def test_invalid_config_exits_2(self, tmp_path):
+    def test_invalid_config_exits_2(self, tmp_path, synth_config, capsys):
+        good = json.loads(synth_config.read_text())
+        collinear = [[[34.0, -118.5], [34.0, -118.4], [34.0, -118.3], [34.0, -118.5]]]
+        hotspot = {"center": [34.0, -118.4]}
+        bad_docs = [
+            {"n_scooters": 0},
+            [good],
+            {**good, "area_rings": collinear},
+            {**good, "hotspots": [{**hotspot, "weight": 0}]},
+            {**good, "hotspots": [{**hotspot, "spread_m": -5}]},
+            {**good, "trip_rate": 50.0, "relocation_rate": 20.0},
+        ]
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"n_scooters": 0}))
-        assert main(["synth", "--config", str(bad), "--output", str(tmp_path / "o")]) == 2
+        for doc in bad_docs:
+            bad.write_text(json.dumps(doc))
+            assert main(["synth", "--config", str(bad), "--output", str(tmp_path / "o")]) == 2, doc
+            err = capsys.readouterr().err
+            assert err.startswith("error: invalid fleet config") and "Traceback" not in err, doc
 
     def test_rerun_byte_identical(self, tmp_path, synth_config):
         out1, out2 = tmp_path / "a1.jsonl", tmp_path / "a2.jsonl"

@@ -55,7 +55,10 @@ class TestParse:
         with pytest.raises(FeedParseError):
             parse_free_bike_status(json.dumps(doc).encode(), "p")
 
-    @pytest.mark.parametrize("field,value", [("lat", None), ("lon", "east"), ("bike_id", KeyError)])
+    @pytest.mark.parametrize("field,value", [
+        ("lat", None), ("lon", "east"), ("bike_id", KeyError),
+        pytest.param("lat", 10**400, id="lat-401-digits"),
+    ])
     def test_bad_bike_field_names_the_bike(self, field, value):
         doc = json.loads(make_feed_doc([("a", 0, 0), ("b", 1, 1), ("c", 2, 2)]))
         bike = doc["data"]["bikes"][1]
@@ -64,6 +67,13 @@ class TestParse:
         else:
             bike[field] = value
         with pytest.raises(FeedParseError, match="bike #1"):
+            parse_free_bike_status(json.dumps(doc).encode(), "p")
+
+    @pytest.mark.parametrize("field,value", [("last_updated", float("inf")), ("ttl", float("nan"))])
+    def test_non_finite_header_field(self, field, value):
+        doc = json.loads(make_feed_doc([("a", 0, 0)]))
+        doc[field] = value  # json.dumps writes Infinity or NaN, which json.loads reads back
+        with pytest.raises(FeedParseError):
             parse_free_bike_status(json.dumps(doc).encode(), "p")
 
     @pytest.mark.parametrize("lat,lon", [(91.0, 0.0), (-91.0, 0.0), (0.0, 181.0), (0.0, -180.5)])
@@ -322,6 +332,18 @@ class TestPoller:
         summary = self._run(None, "http://feed.invalid/", store, n_polls=3)
         assert summary.snapshots_written == 2
         assert summary.skipped_unchanged == 1
+        assert [s.captured_at for s in store.iter_all()] == [100, 110]
+
+    def test_unparsable_document_counted_and_polling_continues(self, tmp_path, monkeypatch):
+        bad = json.loads(make_feed_doc([("a", 1, 1)]))
+        bad["last_updated"] = float("inf")
+        docs = iter([make_feed_doc([("a", 1, 1)], last_updated=100), json.dumps(bad).encode(),
+                     make_feed_doc([("a", 2, 2)], last_updated=110)])
+        monkeypatch.setattr(feed_ingest, "_fetch_with_retry", lambda *args: next(docs))
+        store = SnapshotStore(tmp_path / "a.jsonl")
+        summary = self._run(None, "http://feed.invalid/", store, n_polls=3)
+        assert summary.error_count == 1 and summary.errors[0].startswith("parse:")
+        assert summary.snapshots_written == 2
         assert [s.captured_at for s in store.iter_all()] == [100, 110]
 
     def test_http_failure_retried_then_stored(self, stub_server, tmp_path):

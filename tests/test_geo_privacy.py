@@ -87,12 +87,12 @@ class TestPolarSampling:
 class TestDisplace:
     def test_zero_radius_identity(self):
         loc = (34.05, -118.25)
-        assert displace(loc, 1.234, 0.0) == pytest.approx(loc)
+        assert displace(*loc, 1.234, 0.0) == pytest.approx(loc)
 
     def test_due_north_arc(self):
         # 0.01 degrees of arc on a 6378.1 km sphere
         r_km = 0.01 * math.pi / 180 * 6378.1
-        lat, lon = displace((0.0, 0.0), 0.0, r_km)
+        lat, lon = displace(0.0, 0.0, 0.0, r_km)
         assert lat == pytest.approx(0.01, abs=1e-9)
         assert lon == pytest.approx(0.0, abs=1e-9)
 
@@ -102,13 +102,13 @@ class TestDisplace:
             loc = (rng.uniform(-60, 60), rng.uniform(-179, 179))
             theta = rng.uniform(0, 2 * math.pi)
             r_km = rng.uniform(0.001, 50.0)
-            dest = displace(loc, theta, r_km)
+            dest = displace(*loc, theta, r_km)
             d = haversine_distance(loc, dest)
             assert d == pytest.approx(r_km * 1000, rel=1e-6)
 
     def test_oversized_radius_rejected(self):
         with pytest.raises(ValueError):
-            displace((0, 0), 0.0, 101.0)
+            displace(0, 0, 0.0, 101.0)
 
 
 class TestPerturb:

@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from scootpriv.clustering import kmeans
 from scootpriv.feed_ingest import SnapshotStore, parse_free_bike_status, snapshot_to_record
 from scootpriv.synth_fleet import (
+    MAINTENANCE_GAP_S,
     FleetConfig,
     Hotspot,
     config_from_json,
@@ -12,13 +16,14 @@ from scootpriv.synth_fleet import (
     write_ground_truth_csv,
 )
 from scootpriv.trip_recon import (
+    DEFAULT_MIN_MOVE_M,
     TripFilter,
     filter_trips,
     haversine_distance,
     reconstruct_trips,
     trip_row,
 )
-from scootpriv.utility_eval import Region
+from scootpriv.utility_eval import Region, points_in_region
 
 from conftest import square_region
 
@@ -72,10 +77,7 @@ class TestGenerate:
     def test_initial_positions_inside_area(self):
         config = FleetConfig(n_scooters=50, area=AREA, seed=2, trip_rate=0.0, duration_h=0.1)
         snapshots, _ = generate(config)
-        from scootpriv.utility_eval import point_in_region
-
-        for o in snapshots[0].observations:
-            assert point_in_region((o.lat, o.lon), AREA)
+        assert points_in_region(*snapshots[0].coords(), AREA).tolist() == [True] * 50
 
     def test_archives_parse_round_trip(self, tmp_path):
         import json
@@ -158,6 +160,78 @@ class TestAttackOracle:
         counts = [len(s.observations) for s in snapshots]
         assert all(c <= 100 for c in counts)
         assert counts[0] == 100  # everyone parked at the start
+
+
+hotspots_in_area = st.lists(
+    st.builds(
+        Hotspot,
+        center=st.tuples(st.floats(33.92, 34.08), st.floats(-118.48, -118.32)),
+        weight=st.floats(0.1, 5.0),
+        spread_m=st.floats(20.0, 300.0),
+    ),
+    max_size=3,
+).map(tuple)
+
+
+@st.composite
+def small_configs(draw):
+    interval = draw(st.integers(10, 120))
+    # a trip longer than the interval is absent from at least one snapshot;
+    # the 1 s margin outlasts rounding the arrival time near BASE_TIME
+    min_duration = draw(st.floats(interval + 1.0, 600.0))
+    return FleetConfig(
+        n_scooters=draw(st.integers(1, 30)),
+        area=AREA,
+        seed=draw(st.integers(0, 2**32 - 1)),
+        trip_rate=draw(st.floats(0.0, 4.0)),
+        relocation_rate=draw(st.floats(0.0, 2.0)),
+        trip_duration_s=(min_duration, draw(st.floats(min_duration, 3000.0))),
+        snapshot_interval_s=interval,
+        duration_h=draw(st.floats(0.2, 1.5)),
+        hotspots=draw(hotspots_in_area),
+    )
+
+
+class TestOracleOnSmallFleets:
+    @settings(max_examples=100, deadline=None)
+    @given(small_configs())
+    def test_reconstruction_recovers_exactly_the_recoverable_trips(self, config):
+        snapshots, truth = generate(config)
+        # a hotspot trip can end within min_move_m of its start; the attack
+        # cannot see such a move, and the stay keeps its first fix
+        assume(all(t.distance_m > DEFAULT_MIN_MOVE_M for t in truth.trips))
+        kept = filter_trips(reconstruct_trips(snapshots), TripFilter())
+        assert {trip_key(t) for t in kept} == expected_recoverable(
+            truth, config.snapshot_interval_s
+        )
+        by_key = {trip_key(t): t for t in truth.trips}
+        for t in kept:
+            assert (t.start_loc, t.end_loc) == (by_key[trip_key(t)].start_loc,
+                                                by_key[trip_key(t)].end_loc)
+
+
+class TestDepartureRates:
+    def test_departures_and_relocation_split_match_rates(self):
+        config = FleetConfig(
+            n_scooters=200, area=AREA, seed=13, trip_rate=0.6, relocation_rate=0.3,
+            duration_h=24.0,
+        )
+        snapshots, truth = generate(config)
+        dt = config.snapshot_interval_s
+        # departures this early have all arrived by the last snapshot
+        last_start = snapshots[-1].captured_at - MAINTENANCE_GAP_S[1] - dt
+        parked_steps = sum(len(s.ids) for s in snapshots if s.captured_at <= last_start)
+        trips = [t for t in truth.trips if t.start_time <= last_start]
+        relocations = [t for t in truth.relocations if t.start_time <= last_start]
+
+        p_trip, p_reloc = config.step_probabilities()
+        p = p_trip + p_reloc
+        departures = len(trips) + len(relocations)
+        assert abs(departures - parked_steps * p) <= 5 * math.sqrt(parked_steps * p * (1 - p))
+        shuffles = sum(t.duration_s == dt for t in relocations)
+        maintenance = sum(t.duration_s > 3600 for t in relocations)
+        assert shuffles + maintenance == len(relocations)
+        assert abs(shuffles - len(relocations) / 2) <= 5 * math.sqrt(len(relocations) / 4)
 
 
 class TestHotspots:

@@ -20,7 +20,6 @@ from scootpriv.utility_eval import (
     load_regions_geojson,
     merge_rows,
     neighborhood_loss_experiment,
-    point_in_region,
     points_in_region,
 )
 
@@ -79,37 +78,37 @@ class TestRegionValidation:
             RegionSet(regions=(unit_square, unit_square))
 
 
+def contains(points, region):
+    """points_in_region over a table of (lat, lon) points, as a list."""
+    lats, lons = np.array(points, float).T
+    return points_in_region(lats, lons, region).tolist()
+
+
 class TestPointInRegion:
     def test_center_inside(self, unit_square):
-        assert point_in_region((0.5, 0.5), unit_square)
+        assert contains([(0.5, 0.5)], unit_square) == [True]
 
     def test_outside_bbox(self, unit_square):
-        assert not point_in_region((5.0, 5.0), unit_square)
+        assert contains([(5.0, 5.0)], unit_square) == [False]
 
     def test_edge_tie_rule_south_west_in_north_east_out(self, unit_square):
-        assert point_in_region((0.0, 0.5), unit_square)  # south edge
-        assert point_in_region((0.5, 0.0), unit_square)  # west edge
-        assert not point_in_region((1.0, 0.5), unit_square)  # north edge
-        assert not point_in_region((0.5, 1.0), unit_square)  # east edge
+        # south, west, north and east edge
+        points = [(0.0, 0.5), (0.5, 0.0), (1.0, 0.5), (0.5, 1.0)]
+        assert contains(points, unit_square) == [True, True, False, False]
 
     def test_vertex_tie_rule_only_south_west_corner_in(self, unit_square):
-        assert point_in_region((0.0, 0.0), unit_square)
-        assert not point_in_region((0.0, 1.0), unit_square)
-        assert not point_in_region((1.0, 0.0), unit_square)
-        assert not point_in_region((1.0, 1.0), unit_square)
+        points = [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)]
+        assert contains(points, unit_square) == [True, False, False, False]
 
     def test_point_in_hole_is_outside(self, square_with_hole):
-        assert not point_in_region((5.0, 5.0), square_with_hole)
-        assert point_in_region((2.0, 2.0), square_with_hole)
+        assert contains([(5.0, 5.0), (2.0, 2.0)], square_with_hole) == [False, True]
 
     @pytest.mark.parametrize("fixture_name", ["unit_square", "square_with_hole"])
     def test_agrees_with_winding_oracle(self, fixture_name, request):
         region = request.getfixturevalue(fixture_name)
         rng = np.random.default_rng(0)
-        pts = rng.uniform(-2, 12, size=(10_000, 2))
-        for p in pts:
-            p = (float(p[0]), float(p[1]))
-            assert point_in_region(p, region) == winding_number_contains(p, region)
+        pts = rng.uniform(-2, 12, size=(10_000, 2)).tolist()
+        assert contains(pts, region) == [winding_number_contains(p, region) for p in pts]
 
     def test_vectorized_matches_scalar(self, square_with_hole):
         rng = np.random.default_rng(1)
@@ -151,9 +150,8 @@ class TestGeoJsonLoading:
         regions = load_regions_geojson(path)
         assert [r.name for r in regions] == ["one", "two"]
         # GeoJSON (lon, lat) flipped to (lat, lon)
-        assert point_in_region((0.5, 0.5), regions[0])
-        assert point_in_region((2.5, 2.5), regions[1])
-        assert point_in_region((4.5, 4.5), regions[1])
+        assert contains([(0.5, 0.5)], regions[0]) == [True]
+        assert contains([(2.5, 2.5), (4.5, 4.5)], regions[1]) == [True, True]
 
     def test_altitude_ignored(self, tmp_path):
         ring = [[0, 0], [1, 0], [1, 1], [0, 1], [0, 0]]
