@@ -15,6 +15,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import replace
 
 from . import (
     __version__, clustering, feed_ingest, geo_privacy, synth_fleet, trip_recon, utility_eval,
@@ -47,6 +48,16 @@ def parse_r_grid(spec: str) -> list[float]:
     if steps >= MAX_GRID_POINTS:
         raise UsageError(f"grid spec {spec!r} has {steps + 1:.0f} points, over {MAX_GRID_POINTS}")
     return [round(start + i * step, 10) for i in range(math.floor(steps) + 1)]
+
+
+def _reject_non_finite(args) -> None:
+    """Every float flag must be finite, but --duration inf, which runs
+    scrape until it is interrupted."""
+    for name, value in vars(args).items():
+        if name == "duration" and value == math.inf:
+            continue
+        if isinstance(value, float) and not math.isfinite(value):
+            raise UsageError(f"--{name.replace('_', '-')} must be finite, got {value}")
 
 
 def _meta(command: str, **params) -> dict:
@@ -181,9 +192,9 @@ def cmd_sanitize(args) -> int:
 
     def perturbed(snap: Snapshot) -> Snapshot:
         # one scalar draw per observation, in archive order
-        lats, lons = snap.coords()
-        points = [geo_privacy.perturb(loc, eps, rng) for loc in zip(lats.tolist(), lons.tolist())]
-        return snap.with_coords([lat for lat, _ in points], [lon for _, lon in points])
+        locs = zip(snap.lats.tolist(), snap.lons.tolist())
+        points = [geo_privacy.perturb(loc, eps, rng) for loc in locs]
+        return replace(snap, lats=[lat for lat, _ in points], lons=[lon for _, lon in points])
 
     feed_ingest.write_archive(
         (perturbed(s) for s in snaps),
@@ -237,9 +248,8 @@ def cmd_evaluate(args) -> int:
         dump_snap = snapshot
         if dump_eps is not None:
             rng = geo_privacy.substream(args.seed, 10**6)
-            dump_snap = snapshot.with_coords(
-                *geo_privacy.perturb_many(*snapshot.coords(), dump_eps, rng)
-            )
+            lats, lons = geo_privacy.perturb_many(snapshot.lats, snapshot.lons, dump_eps, rng)
+            dump_snap = replace(snapshot, lats=lats, lons=lons)
         write_json(args.dump_geojson, utility_eval.snapshot_to_geojson(dump_snap))
     print(f"{len(rows)} grid rows written to {args.output}")
     return 0
@@ -338,6 +348,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _reject_non_finite(args)
         return args.func(args)
     except (UsageError, utility_eval.RegionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -39,22 +40,10 @@ class StoreError(OSError):
     """Raised when a snapshot archive cannot be read or written."""
 
 
-@dataclass(frozen=True, slots=True)
-class ScooterObservation:
-    """One observation of a Snapshot, as its ``observations`` view builds
-    it on demand; the snapshot's columns hold and validate the data."""
-
-    scooter_id: str
-    lat: float
-    lon: float
-    is_reserved: bool = False
-    is_disabled: bool = False
-
-
 class _ObservationView(Sequence):
     """A snapshot's observations as a read-only sequence: its length is
-    the snapshot's, and each item is a ScooterObservation built when it
-    is read."""
+    the snapshot's, and each item is an (id, lat, lon, reserved,
+    disabled) tuple of Python values, built when it is read."""
 
     __slots__ = ("_snap",)
 
@@ -64,14 +53,15 @@ class _ObservationView(Sequence):
     def __len__(self) -> int:
         return len(self._snap.ids)
 
-    def __getitem__(self, i: int) -> ScooterObservation:
+    def __getitem__(self, i: int) -> tuple[str, float, float, bool, bool]:
         s = self._snap
-        return ScooterObservation(
-            s.ids[i], float(s.lats[i]), float(s.lons[i]), bool(s.reserved[i]), bool(s.disabled[i])
-        )
+        return s.ids[i], s.lats.item(i), s.lons.item(i), s.reserved.item(i), s.disabled.item(i)
 
-    def __iter__(self) -> Iterator[ScooterObservation]:
-        return (ScooterObservation(*row) for row in self._snap.rows())
+    def __iter__(self) -> Iterator[tuple[str, float, float, bool, bool]]:
+        s = self._snap
+        return zip(
+            s.ids, s.lats.tolist(), s.lons.tolist(), s.reserved.tolist(), s.disabled.tolist()
+        )
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -138,23 +128,6 @@ class Snapshot:
         """The observations as a read-only sequence, built on demand."""
         return _ObservationView(self)
 
-    def rows(self) -> Iterator[tuple[str, float, float, bool, bool]]:
-        """(id, lat, lon, reserved, disabled) per observation, as Python
-        values, in observation order."""
-        return zip(
-            self.ids, self.lats.tolist(), self.lons.tolist(),
-            self.reserved.tolist(), self.disabled.tolist(),
-        )
-
-    def coords(self) -> tuple[np.ndarray, np.ndarray]:
-        """Latitudes and longitudes as float arrays, in observation order."""
-        return self.lats, self.lons
-
-    def with_coords(self, lats, lons) -> Snapshot:
-        """This snapshot with each observation moved to the given
-        coordinates, in observation order; the inverse of coords()."""
-        return replace(self, lats=lats, lons=lons)
-
     def select(self, mask) -> Snapshot:
         """This snapshot with only the observations where mask is true."""
         mask = np.asarray(mask, dtype=bool)
@@ -168,9 +141,37 @@ _ARRAY_COLUMNS = (
     ("lats", np.float64), ("lons", np.float64), ("reserved", bool), ("disabled", bool),
 )
 
+# JSON types a coordinate may have: a bool is an int to Python, but not
+# a coordinate, and neither is a string
+_NUMBER_TYPES = frozenset((int, float))
+
+
+def json_number(value) -> float:
+    """A coordinate read from JSON, as a float: a finite number, never a
+    bool or a string (Python's json reads NaN and Infinity as numbers).
+    Anything else is a ValueError, an integer too large an OverflowError."""
+    if type(value) not in _NUMBER_TYPES or not math.isfinite(value):
+        raise ValueError(f"{value!r} is not a finite number")
+    return float(value)
+
+
+def _feed_flag(value) -> bool:
+    """A feed flag: a JSON boolean, or 0 or 1 as GBFS 1.x wrote it."""
+    if type(value) is not bool and not (type(value) is int and value in (0, 1)):
+        raise ValueError(f"{value!r} is not a boolean")
+    return bool(value)
+
+
 # (feed key, conversion) per Snapshot column, in column order
 _FEED_FIELDS = (
-    ("bike_id", str), ("lat", float), ("lon", float), ("is_reserved", bool), ("is_disabled", bool),
+    ("bike_id", str), ("lat", json_number), ("lon", json_number),
+    ("is_reserved", _feed_flag), ("is_disabled", _feed_flag),
+)
+# (record key, JSON types) per Snapshot array column, in column order;
+# Snapshot checks the ids, and that every coordinate is finite
+_RECORD_FIELDS = (
+    ("lat", _NUMBER_TYPES), ("lon", _NUMBER_TYPES),
+    ("reserved", frozenset((bool,))), ("disabled", frozenset((bool,))),
 )
 
 
@@ -179,8 +180,9 @@ def parse_free_bike_status(raw: bytes, provider: str) -> Snapshot:
 
     ``captured_at`` is the feed's ``last_updated`` timestamp. Unknown
     extra fields are ignored; missing or malformed required fields (NaN
-    and Infinity included), out-of-range coordinates, or duplicate bike
-    ids raise FeedParseError.
+    and Infinity included; a coordinate must be a JSON number, a flag a
+    boolean or 0 or 1), out-of-range coordinates, or duplicate bike ids
+    raise FeedParseError.
     """
     try:
         doc = json.loads(raw)
@@ -216,24 +218,26 @@ def snapshot_to_record(snap: Snapshot) -> dict:
         "ttl_s": snap.ttl_s,
         "bikes": [
             {"id": i, "lat": lat, "lon": lon, "reserved": reserved, "disabled": disabled}
-            for i, lat, lon, reserved, disabled in snap.rows()
+            for i, lat, lon, reserved, disabled in snap.observations
         ],
     }
 
 
 def snapshot_from_record(rec: dict) -> Snapshot:
     """The Snapshot of one archive record; a missing key or a value of
-    the wrong type is an error of the record."""
+    the wrong type is an error of the record. Types are checked a column
+    at a time, on the set of the column's types."""
     bikes = rec["bikes"]
+    columns = []
+    for key, types in _RECORD_FIELDS:
+        column = [b[key] for b in bikes]
+        wrong = set(map(type, column)) - types
+        if wrong:
+            raise ValueError(f"bike {key} of type {sorted(t.__name__ for t in wrong)}")
+        columns.append(column)
     return Snapshot(
-        provider=rec["provider"],
-        captured_at=int(rec["captured_at"]),
-        ttl_s=int(rec["ttl_s"]),
-        ids=[b["id"] for b in bikes],
-        lats=[b["lat"] for b in bikes],
-        lons=[b["lon"] for b in bikes],
-        reserved=[b["reserved"] for b in bikes],
-        disabled=[b["disabled"] for b in bikes],
+        rec["provider"], int(rec["captured_at"]), int(rec["ttl_s"]),
+        [b["id"] for b in bikes], *columns,
     )
 
 
@@ -427,8 +431,8 @@ def poll_feed(
     Transient fetch or parse errors are logged and retried with bounded
     backoff; they never abort polling. Returns when stop() is true.
     """
-    if interval_s <= 0:
-        raise ValueError("interval must be positive")
+    if not 0 < interval_s < math.inf:
+        raise ValueError(f"interval must be positive and finite, got {interval_s}")
     summary = PollSummary()
     last_captured: int | None = None
     effective_interval = interval_s

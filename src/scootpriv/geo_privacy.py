@@ -27,9 +27,10 @@ MAX_TAIL_PROBABILITY = 1e-12
 def check_epsilon(epsilon: float) -> None:
     """Reject an epsilon too small for MAX_RADIUS_KM: one draw would
     exceed it with probability (1 + eps*M) * exp(-eps*M) above
-    MAX_TAIL_PROBABILITY, i.e. eps < 0.311/km (R > 5.76 km at ratio 6)."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    MAX_TAIL_PROBABILITY, i.e. eps < 0.311/km (R > 5.76 km at ratio 6).
+    An infinite epsilon, which adds no noise, and NaN are rejected too."""
+    if not 0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     x = epsilon * MAX_RADIUS_KM
     tail = (1.0 + x) * math.exp(-x)
     if tail > MAX_TAIL_PROBABILITY:
@@ -51,10 +52,10 @@ def substream(master_seed: int, index: int) -> np.random.Generator:
 def epsilon_from(radius_km: float, ratio_bound: float) -> float:
     """Privacy rate (1/km) making any two locations within radius_km
     indistinguishable up to the given likelihood ratio: ln(ratio)/R."""
-    if radius_km <= 0:
-        raise ValueError("radius must be positive")
-    if ratio_bound <= 1:
-        raise ValueError("ratio bound must exceed 1")
+    if not 0 < radius_km < math.inf:
+        raise ValueError(f"radius must be positive and finite, got {radius_km}")
+    if not 1 < ratio_bound < math.inf:
+        raise ValueError(f"ratio bound must exceed 1 and be finite, got {ratio_bound}")
     return math.log(ratio_bound) / radius_km
 
 

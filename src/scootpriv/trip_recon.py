@@ -103,10 +103,11 @@ class TripFilter:
     max_duration_s: int = 3600
 
     def __post_init__(self):
-        if self.min_distance_m < 0:
-            raise ValueError("min_distance_m must be >= 0")
-        if self.max_duration_s <= 0:
-            raise ValueError("max_duration_s must be > 0")
+        # NaN fails both comparisons, so it is rejected too
+        if not self.min_distance_m >= 0:
+            raise ValueError(f"min_distance_m must be >= 0, got {self.min_distance_m}")
+        if not self.max_duration_s > 0:
+            raise ValueError(f"max_duration_s must be > 0, got {self.max_duration_s}")
 
     def keeps(self, trip: Trip) -> bool:
         return (
@@ -125,14 +126,18 @@ def reconstruct_trips(
     A scooter absent for intermediate snapshots and reappearing elsewhere
     yields a single trip spanning the gap; one that disappears for good
     yields nothing. Raises on unsorted input, mixed providers or a
-    negative min_move_m.
+    min_move_m that is negative or NaN.
+
+    A parked stay keeps its first fix: a move of at most min_move_m is
+    invisible, and the next trip starts from that earlier fix, not from
+    where the scooter last stood.
 
     Each snapshot is one join on ids: a dict gives every id a dense
     index into arrays of its parked fix and last-seen time, and one
     great-circle call over the snapshot's known ids decides the moves.
     """
-    if min_move_m < 0:
-        raise ValueError("min_move_m must be >= 0")
+    if not min_move_m >= 0:
+        raise ValueError(f"min_move_m must be >= 0, got {min_move_m}")
     if not snapshots:
         return []
     provider = snapshots[0].provider
@@ -161,7 +166,7 @@ def reconstruct_trips(
                 np.concatenate([a, np.empty(size - len(a), a.dtype)])
                 for a in (park_lat, park_lon, seen)
             )
-        lats, lons = snap.coords()
+        lats, lons = snap.lats, snap.lons
         old = ~new
         k = idx[old]
         start, end = (park_lat[k], park_lon[k]), (lats[old], lons[old])

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .feed_ingest import Snapshot, points_geojson, write_csv, write_json
+from .feed_ingest import Snapshot, json_number, points_geojson, write_csv, write_json
 from . import geo_privacy
 
 # margin around a region's bounding box in the containment prefilter:
@@ -57,26 +57,44 @@ class Region:
         return min(lats), min(lons), max(lats), max(lons)
 
 
-def _segments_intersect(p1, p2, q1, q2) -> bool:
-    def orient(a, b, c):
-        v = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-        return 0 if v == 0 else (1 if v > 0 else -1)
+# edge pairs _check_simple tests at once, which bounds its memory
+SIMPLE_CHECK_PAIRS = 1 << 18
 
-    o1, o2 = orient(p1, p2, q1), orient(p1, p2, q2)
-    o3, o4 = orient(q1, q2, p1), orient(q1, q2, p2)
-    return o1 != o2 and o3 != o4
+
+def _sides(v0, v1, d0, d1, edges: slice, vertices: slice) -> np.ndarray:
+    """[e, k]: the side of edge e's line that vertex k lies on, as the
+    sign of the float64 orientation (b - a) x (k - a) of the edge a -> b:
+    1, -1, or 0 on the line. NaN counts as -1."""
+    s = d0[edges, None] * (v1[vertices] - v1[edges, None]) - d1[edges, None] * (
+        v0[vertices] - v0[edges, None]
+    )
+    return np.fmax(np.sign(s), -1.0)
 
 
 def _check_simple(ring, name: str) -> None:
-    """Reject self-intersecting rings (non-adjacent proper crossings)."""
-    edges = list(zip(ring[:-1], ring[1:]))
-    n = len(edges)
-    for i in range(n):
-        for j in range(i + 2, n):
-            if i == 0 and j == n - 1:
-                continue  # first and last edges share the closing vertex
-            if _segments_intersect(*edges[i], *edges[j]):
-                raise RegionError(f"region {name!r}: self-intersecting ring")
+    """Reject self-intersecting rings: two edges, neither adjacent nor the
+    first and last (they share the closing vertex), each of whose ends
+    are on different sides of the other's line, or one on it.
+
+    Edge i is tested against every edge j >= i + 2, a block of rows of
+    about SIMPLE_CHECK_PAIRS pairs at a time."""
+    r = np.asarray(ring, float)
+    v0, v1 = r[:, 0], r[:, 1]
+    # edge e runs from vertex e to vertex e + 1
+    d0, d1 = v0[1:] - v0[:-1], v1[1:] - v1[:-1]
+    n = len(d0)
+    rows = max(1, SIMPLE_CHECK_PAIRS // n)
+    for lo in range(0, n - 2, rows):
+        hi = min(lo + rows, n - 2)
+        # row i - lo, column j - lo - 2: edge i against edge j
+        ij = _sides(v0, v1, d0, d1, slice(lo, hi), slice(lo + 2, n + 1))
+        ji = _sides(v0, v1, d0, d1, slice(lo + 2, n), slice(lo, hi + 1))
+        crossing = (ij[:, :-1] != ij[:, 1:]) & (ji[:, :-1] != ji[:, 1:]).T
+        crossing &= np.arange(hi - lo)[:, None] <= np.arange(n - lo - 2)
+        if lo == 0:
+            crossing[0, -1] = False  # edges 0 and n - 1
+        if crossing.any():
+            raise RegionError(f"region {name!r}: self-intersecting ring")
 
 
 @dataclass(frozen=True)
@@ -148,7 +166,7 @@ def load_regions_geojson(path: str | Path) -> list[Region]:
         try:
             polys = [geom["coordinates"]] if gtype == "Polygon" else geom["coordinates"]
             rings = tuple(tuple(_position(p) for p in ring) for poly in polys for ring in poly)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise RegionError(f"{path}: feature {name!r}: malformed coordinates ({exc!r})") from exc
         regions.append(Region(name=name, rings=rings))
     return regions
@@ -156,12 +174,10 @@ def load_regions_geojson(path: str | Path) -> list[Region]:
 
 def _position(p) -> tuple[float, float]:
     """(lat, lon) of a GeoJSON position [lon, lat, ...]; ValueError unless
-    its first two items are JSON numbers. A string of digits would
-    otherwise unpack into its characters, and a bool convert to 0 or 1."""
+    its first two items are finite JSON numbers (feed_ingest.json_number).
+    A string of digits unpacks into its characters, which are rejected."""
     lon, lat, *_ = p
-    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (lon, lat)):
-        raise ValueError(f"position {p!r} is not [lon, lat] numbers")
-    return float(lat), float(lon)
+    return json_number(lat), json_number(lon)
 
 
 def _assign_regions(
@@ -230,7 +246,7 @@ def boundary_loss_experiment(
     the scooters initially inside it: for those, escaping the region and
     landing outside the boundary are the same event.
     """
-    kept = snapshot.select(points_in_region(*snapshot.coords(), boundary))
+    kept = snapshot.select(points_in_region(snapshot.lats, snapshot.lons, boundary))
     rows = neighborhood_loss_experiment(
         kept, RegionSet((boundary,)), r_grid, trials, ratio, master_seed
     )
@@ -267,7 +283,7 @@ def neighborhood_loss_experiment(
     for eps in epsilons:
         if eps:
             geo_privacy.check_epsilon(eps)
-    lats, lons = snapshot.coords()
+    lats, lons = snapshot.lats, snapshot.lons
     true_assignment = _assign_regions(lats, lons, regions)
     n_regions = len(regions.regions)
     true_counts = np.bincount(true_assignment[true_assignment >= 0], minlength=n_regions)
@@ -335,5 +351,5 @@ def snapshot_to_geojson(snapshot: Snapshot) -> dict:
     """Point FeatureCollection of one snapshot, for map rendering."""
     return points_geojson(
         (lat, lon, {"scooter_id": i, "reserved": reserved, "disabled": disabled})
-        for i, lat, lon, reserved, disabled in snapshot.rows()
+        for i, lat, lon, reserved, disabled in snapshot.observations
     )

@@ -1,3 +1,4 @@
+import argparse
 import builtins
 import errno
 import json
@@ -13,7 +14,7 @@ import pytest
 from scipy import stats
 
 from scootpriv import cli, feed_ingest, geo_privacy, trip_recon
-from scootpriv.cli import MAX_GRID_POINTS, UsageError, main, parse_r_grid
+from scootpriv.cli import MAX_GRID_POINTS, UsageError, build_parser, main, parse_r_grid
 from scootpriv.feed_ingest import SnapshotStore, write_archive
 from scootpriv.geo_privacy import analytic_cdf
 from scootpriv.trip_recon import haversine_distance, read_trips_csv
@@ -141,6 +142,57 @@ def test_flag_range_error_exits_2_before_reading_input(tmp_path, capsys, argv):
     assert rc == 2
     assert capsys.readouterr().err.startswith("error:")
     assert not out.exists()
+
+
+def float_flags() -> list[tuple[str, str]]:
+    """(subcommand, flag) for every type=float option of the parser."""
+    subparsers = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    return [
+        (command, action.option_strings[0])
+        for command, parser in subparsers.choices.items()
+        for action in parser._actions
+        if action.type is float
+    ]
+
+
+@pytest.mark.parametrize(
+    "command,flag,value",
+    # scrape --duration inf runs until interrupted
+    [(c, f, v) for c, f in float_flags() for v in ("nan", "inf")
+     if (f, v) != ("--duration", "inf")],
+)
+def test_non_finite_float_flag_exits_2_before_reading_input(
+    tmp_path, capsys, monkeypatch, command, flag, value
+):
+    monkeypatch.setattr(cli, "poll_feed", lambda **kwargs: pytest.fail("scrape polled"))
+    # the inputs do not exist, so reading one would exit 1
+    missing, out = str(tmp_path / "missing"), str(tmp_path / "out")
+    required = {
+        "scrape": ["--url", "http://feed.invalid/", "--provider", "p", "--store", out,
+                   "--duration", "1"],
+        "reconstruct": ["--store", missing, "--output", out],
+        "sanitize": ["--store", missing, "--output", out],
+        "evaluate": ["--store", missing, "--boundary", missing, "--output", out],
+    }
+    assert main([command, *required[command], flag, value]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {flag} must be finite")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_scrape_duration_inf_runs_until_interrupted(tmp_path, monkeypatch):
+    stops = []
+
+    def poll(**kwargs):
+        stops.append(kwargs["stop"]())
+        return feed_ingest.PollSummary()
+
+    monkeypatch.setattr(cli, "poll_feed", poll)
+    argv = ["scrape", "--url", "http://feed.invalid/", "--provider", "p",
+            "--store", str(tmp_path / "a.jsonl"), "--duration", "inf"]
+    assert main(argv) == 0
+    assert stops == [False]
 
 
 class TestSynthCommand:
@@ -357,9 +409,7 @@ class TestSanitizeCommand:
         assert len(orig) == len(noisy)
         for o_snap, n_snap in zip(orig, noisy):
             assert o_snap.captured_at == n_snap.captured_at
-            assert [o.scooter_id for o in o_snap.observations] == [
-                o.scooter_id for o in n_snap.observations
-            ]
+            assert o_snap.ids == n_snap.ids
         trips_out = tmp_path / "t.csv"
         assert main(["reconstruct", "--store", str(out), "--output", str(trips_out)]) == 0
 
@@ -430,7 +480,7 @@ class TestSanitizeCommand:
         d_km = []
         for o_snap, n_snap in zip(snaps, SnapshotStore(out).iter_all()):
             for o, n in zip(o_snap.observations, n_snap.observations):
-                d_km.append(haversine_distance((o.lat, o.lon), (n.lat, n.lon)) / 1000)
+                d_km.append(haversine_distance(o[1:3], n[1:3]) / 1000)
         ks = stats.kstest(np.array(d_km), lambda x: analytic_cdf(eps, x)).statistic
         assert ks < 0.01
 
@@ -513,12 +563,19 @@ class TestEvaluateCommand:
                                 "type": "Polygon",
                                 "coordinates": [[[0, 0], [True, 0], [True, True], [0, True],
                                                  [0, 0]]]}}]}),
+            *(("--neighborhoods", {"type": "FeatureCollection",
+                                   "features": [{"type": "Feature", "geometry": {
+                                       "type": "Polygon",
+                                       "coordinates": [[[0, 0], [1, 0], [1, v], [0, 1],
+                                                        [0, 0]]]}}]})
+              for v in (float("nan"), float("inf"))),
         ],
         ids=["boundary not an object", "boundary without features",
              "boundary without coordinates", "boundary with malformed coordinates",
              "neighborhoods without features", "feature not an object",
              "features not an array", "properties not an object", "geometry not an object",
-             "position with one number", "positions of digit strings", "position with a bool"],
+             "position with one number", "positions of digit strings", "position with a bool",
+             "position NaN", "position Infinity"],
     )
     def test_bad_region_file_exits_2(self, tmp_path, synth_archive, capsys, flag, doc):
         boundary = tmp_path / "boundary.geojson"

@@ -2,6 +2,7 @@ import gc
 import json
 import threading
 import tracemalloc
+from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
@@ -11,7 +12,6 @@ from scootpriv import feed_ingest, synth_fleet
 from scootpriv.feed_ingest import (
     MAX_ERRORS_KEPT,
     FeedParseError,
-    ScooterObservation,
     Snapshot,
     SnapshotStore,
     StoreError,
@@ -33,8 +33,7 @@ class TestParse:
         assert snap.provider == "bird"
         assert snap.captured_at == 1_700_000_000
         assert len(snap.observations) == 2
-        assert snap.observations[0].scooter_id == "a"
-        assert snap.observations[0].lat == 34.0
+        assert snap.observations[0] == ("a", 34.0, -118.2, False, False)
 
     @pytest.mark.parametrize("ttl", [60, 300])
     def test_ttl_passthrough(self, ttl):
@@ -58,6 +57,7 @@ class TestParse:
     @pytest.mark.parametrize("field,value", [
         ("lat", None), ("lon", "east"), ("bike_id", KeyError),
         pytest.param("lat", 10**400, id="lat-401-digits"),
+        ("lat", True), ("lat", "34.0"), ("is_reserved", "false"), ("is_disabled", 2),
     ])
     def test_bad_bike_field_names_the_bike(self, field, value):
         doc = json.loads(make_feed_doc([("a", 0, 0), ("b", 1, 1), ("c", 2, 2)]))
@@ -68,6 +68,13 @@ class TestParse:
             bike[field] = value
         with pytest.raises(FeedParseError, match="bike #1"):
             parse_free_bike_status(json.dumps(doc).encode(), "p")
+
+    def test_gbfs_1_integer_flags_load(self):
+        raw = make_feed_doc([("a", 34, -118, 1, 0), ("b", 34.5, -118.5, 0, 1)])
+        snap = parse_free_bike_status(raw, "p")
+        assert list(snap.observations) == [
+            ("a", 34.0, -118.0, True, False), ("b", 34.5, -118.5, False, True)
+        ]
 
     @pytest.mark.parametrize("field,value", [("last_updated", float("inf")), ("ttl", float("nan"))])
     def test_non_finite_header_field(self, field, value):
@@ -92,17 +99,19 @@ class TestParse:
 
 class TestCoords:
     def test_float_arrays_in_observation_order(self):
-        lats, lons = make_snapshot([("a", 34, -118), ("b", 33.5, -118.25)]).coords()
+        s = make_snapshot([("a", 34, -118), ("b", 33.5, -118.25)])
+        lats, lons = s.lats, s.lons
         assert lats.dtype == lons.dtype == float
         assert lats.tolist() == [34.0, 33.5] and lons.tolist() == [-118.0, -118.25]
 
     def test_empty_snapshot(self):
-        lats, lons = make_snapshot([]).coords()
+        s = make_snapshot([])
+        lats, lons = s.lats, s.lons
         assert lats.shape == lons.shape == (0,) and lats.dtype == float
 
-    def test_with_coords_inverts_coords(self):
+    def test_replaced_coords_round_trip(self):
         s = make_snapshot([("a", 34.0, -118.2, True, False), ("b", 33.9, -118.0)])
-        assert s.with_coords(*s.coords()) == s
+        assert replace(s, lats=s.lats, lons=s.lons) == s
 
     def test_columns_read_only(self):
         s = make_snapshot([("a", 34.0, -118.2)])
@@ -111,11 +120,12 @@ class TestCoords:
         with pytest.raises(AttributeError):
             s.lats = np.zeros(1)
 
-    def test_with_coords_moves_only_coordinates(self):
+    def test_replaced_coords_move_only_coordinates(self):
         s = make_snapshot([("a", 34.0, -118.2, True, False)], captured_at=5)
-        moved = s.with_coords([33.5], [-117.5])
+        moved = replace(s, lats=[33.5], lons=[-117.5])
         assert moved == make_snapshot([("a", 33.5, -117.5, True, False)], captured_at=5)
-        assert type(moved.observations[0].lat) is float
+        assert list(map(type, moved.observations[0])) == [str, float, float, bool, bool]
+        assert list(moved.observations) == [moved.observations[0]]
 
 
 class TestWriteArchive:
@@ -167,7 +177,7 @@ class TestRoundTrip:
         recs = [snapshot_to_record(make_snapshot([("s-1", 34.0, -118.2)], captured_at=t))
                 for t in (1, 2)]
         a, b = (snapshot_from_record(json.loads(json.dumps(r))) for r in recs)
-        assert a.observations[0].scooter_id is b.observations[0].scooter_id
+        assert a.observations[0][0] is b.observations[0][0]
         assert not hasattr(a.observations[0], "__dict__")
 
     def test_store_round_trip(self, tmp_path):
@@ -209,9 +219,14 @@ class TestStore:
             lambda rec: rec.update(ttl_s=0),
             lambda rec: rec["bikes"][0].update(lat=10**400),
             lambda rec: rec.update(captured_at=2**63),
+            lambda rec: rec["bikes"][0].update(lat=True),
+            lambda rec: rec["bikes"][0].update(lat="34.0"),
+            lambda rec: rec["bikes"][0].update(reserved="false"),
+            lambda rec: rec["bikes"][0].update(disabled=None),
         ],
         ids=["non-string id", "empty id", "duplicate id", "lat 91", "lat null", "lat NaN",
-             "missing lon", "ttl 0", "lat of 401 digits", "captured_at past int64"],
+             "missing lon", "ttl 0", "lat of 401 digits", "captured_at past int64",
+             "lat true", "lat string", "reserved string", "disabled null"],
     )
     def test_corrupt_record_reported_with_line_number(self, tmp_path, corrupt):
         path = tmp_path / "a.jsonl"
@@ -408,6 +423,13 @@ class TestPoller:
         with pytest.raises(ValueError):
             poll_feed("http://x/", SnapshotStore(tmp_path / "a.jsonl"), "p", 0, lambda: True)
 
+    @pytest.mark.parametrize("interval", [float("nan"), float("inf")])
+    def test_non_finite_interval_rejected(self, tmp_path, interval):
+        # either would end the first sleep in an error, after a fetch
+        with pytest.raises(ValueError, match="finite"):
+            poll_feed("http://x/", SnapshotStore(tmp_path / "a.jsonl"), "p", interval,
+                      lambda: True)
+
 
 class TestColumnarMemory:
     def test_loaded_archive_small_and_built_without_observations(self, tmp_path, monkeypatch):
@@ -418,15 +440,18 @@ class TestColumnarMemory:
         snapshots, _ = synth_fleet.generate(config)
         store = SnapshotStore(tmp_path / "a.jsonl")
         write_archive(snapshots, store.path)
+        view = type(snapshots[0].observations)
         built = 0
-        real_init = ScooterObservation.__init__
 
-        def counting_init(self, *args, **kwargs):
-            nonlocal built
-            built += 1
-            real_init(self, *args, **kwargs)
+        def counting(method):
+            def wrapper(*args):
+                nonlocal built
+                built += 1
+                return method(*args)
+            return wrapper
 
-        monkeypatch.setattr(ScooterObservation, "__init__", counting_init)
+        for name in ("__iter__", "__getitem__"):
+            monkeypatch.setattr(view, name, counting(getattr(view, name)))
         gc.collect()
         tracemalloc.start()
         try:

@@ -35,6 +35,9 @@ class TestEpsilonFrom:
             epsilon_from(0.0, 4)
         with pytest.raises(ValueError):
             epsilon_from(0.25, 1.0)
+        for radius_km, ratio in [(math.inf, 4), (math.nan, 4), (0.25, math.inf), (0.25, math.nan)]:
+            with pytest.raises(ValueError, match="finite"):
+                epsilon_from(radius_km, ratio)
 
 
 class TestCheckEpsilon:
@@ -51,6 +54,12 @@ class TestCheckEpsilon:
     @pytest.mark.parametrize("eps", [0.0, -1.0])
     def test_nonpositive_rejected(self, eps):
         with pytest.raises(ValueError, match="positive"):
+            check_epsilon(eps)
+
+    @pytest.mark.parametrize("eps", [math.inf, math.nan])
+    def test_non_finite_rejected(self, eps):
+        # an infinite epsilon would publish the true locations
+        with pytest.raises(ValueError, match="finite"):
             check_epsilon(eps)
 
 

@@ -93,6 +93,8 @@ class TestReconstructTrips:
     def test_negative_min_move_rejected(self):
         with pytest.raises(ValueError, match="min_move_m"):
             reconstruct_trips([], min_move_m=-1.0)
+        with pytest.raises(ValueError, match="min_move_m"):
+            reconstruct_trips([], min_move_m=math.nan)
 
     def test_simple_move(self):
         # 600 m is ~0.0054 degrees of longitude at the equator
@@ -171,21 +173,21 @@ def scalar_reconstruct(snapshots, min_move_m):
     state = {}
     trips = []
     for snap in snapshots:
-        for obs in snap.observations:
-            loc = (obs.lat, obs.lon)
-            known = state.get(obs.scooter_id)
+        for scooter_id, lat, lon, _, _ in snap.observations:
+            loc = (lat, lon)
+            known = state.get(scooter_id)
             if known is None:
-                state[obs.scooter_id] = (loc, snap.captured_at)
+                state[scooter_id] = (loc, snap.captured_at)
                 continue
             old_loc, last_seen = known
             if snap.captured_at - last_seen > ID_REUSE_GAP_S:
-                state[obs.scooter_id] = (loc, snap.captured_at)
+                state[scooter_id] = (loc, snap.captured_at)
                 continue
             if scalar_haversine(old_loc, loc) > min_move_m:
-                trips.append(Trip(obs.scooter_id, old_loc, loc, last_seen, snap.captured_at))
-                state[obs.scooter_id] = (loc, snap.captured_at)
+                trips.append(Trip(scooter_id, old_loc, loc, last_seen, snap.captured_at))
+                state[scooter_id] = (loc, snap.captured_at)
             else:
-                state[obs.scooter_id] = (old_loc, snap.captured_at)
+                state[scooter_id] = (old_loc, snap.captured_at)
     return trips
 
 
@@ -280,6 +282,10 @@ class TestFilterTrips:
             TripFilter(min_distance_m=-1)
         with pytest.raises(ValueError):
             TripFilter(max_duration_s=0)
+        with pytest.raises(ValueError, match="min_distance_m"):
+            TripFilter(min_distance_m=math.nan)
+        with pytest.raises(ValueError, match="max_duration_s"):
+            TripFilter(max_duration_s=math.nan)
 
 
 class TestTripCsv:

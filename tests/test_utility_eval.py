@@ -1,12 +1,13 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
-from scootpriv import geo_privacy
+from scootpriv import geo_privacy, utility_eval
 from scootpriv.geo_privacy import epsilon_from
 from scootpriv.trip_recon import EARTH_RADIUS_KM
 from scootpriv.utility_eval import (
@@ -59,6 +60,42 @@ def half_plane_escape_probability(d_km, eps):
     return q
 
 
+def pairwise_simple(ring) -> bool:
+    """The ring check _check_simple replaced, one pair of edges at a time
+    in Python floats: the reference for its decisions."""
+    def orient(a, b, c):
+        v = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+        return 0 if v == 0 else (1 if v > 0 else -1)
+
+    edges = list(zip(ring[:-1], ring[1:]))
+    n = len(edges)
+    for i in range(n):
+        for j in range(i + 2, n):
+            if i == 0 and j == n - 1:
+                continue  # first and last edges share the closing vertex
+            (p1, p2), (q1, q2) = edges[i], edges[j]
+            if (orient(p1, p2, q1) != orient(p1, p2, q2)
+                    and orient(q1, q2, p1) != orient(q1, q2, p2)):
+                return False
+    return True
+
+
+@st.composite
+def grid_rings(draw):
+    """Closed rings of 3-30 vertices on a small grid of drawn origin and
+    spacing, so collinear and touching edges are common; sorted by angle
+    around their mean, a ring is often simple."""
+    lat0, lon0 = draw(st.floats(-89.0, 89.0)), draw(st.floats(-179.0, 179.0))
+    step = draw(st.sampled_from([1.0, 0.1, 1e-3, 1e-7]))
+    cell = st.tuples(st.integers(0, 4), st.integers(0, 4))
+    cells = draw(st.lists(cell, min_size=3, max_size=30))
+    points = [(lat0 + i * step, lon0 + j * step) for i, j in cells]
+    if draw(st.booleans()):
+        c0, c1 = np.mean(points, axis=0)
+        points.sort(key=lambda p: math.atan2(p[1] - c1, p[0] - c0))
+    return tuple(points + points[:1])
+
+
 class TestRegionValidation:
     def test_too_few_vertices(self):
         with pytest.raises(RegionError):
@@ -76,6 +113,31 @@ class TestRegionValidation:
     def test_duplicate_region_names(self, unit_square):
         with pytest.raises(RegionError):
             RegionSet(regions=(unit_square, unit_square))
+
+    @settings(max_examples=500, deadline=None)
+    @given(grid_rings(), st.one_of(st.integers(1, 100), st.just(utility_eval.SIMPLE_CHECK_PAIRS)))
+    def test_agrees_with_pairwise_oracle(self, ring, block):
+        # small blocks split even a short ring into several
+        default, utility_eval.SIMPLE_CHECK_PAIRS = utility_eval.SIMPLE_CHECK_PAIRS, block
+        try:
+            Region("r", (ring,))
+            accepted = True
+        except RegionError:
+            accepted = False
+        finally:
+            utility_eval.SIMPLE_CHECK_PAIRS = default
+        assert accepted == pairwise_simple(ring)
+
+    def test_5000_vertex_ring_validates_quickly(self):
+        angles = np.linspace(0.0, 2 * math.pi, 5000, endpoint=False)
+        ring = list(zip((34 + 0.1 * np.sin(angles)).tolist(),
+                        (-118 + 0.1 * np.cos(angles)).tolist()))
+        start = time.perf_counter()
+        Region("circle", (tuple(ring + ring[:1]),))
+        assert time.perf_counter() - start < 5.0
+        ring[2500], ring[2501] = ring[2501], ring[2500]
+        with pytest.raises(RegionError, match="self-intersect"):
+            Region("circle", (tuple(ring + ring[:1]),))
 
 
 def contains(points, region):
@@ -187,19 +249,20 @@ class TestCountByRegion:
         )
 
     def test_empty_snapshot(self, two_squares):
-        assert len(_assign_regions(*make_snapshot([]).coords(), two_squares)) == 0
+        snap = make_snapshot([])
+        assert len(_assign_regions(snap.lats, snap.lons, two_squares)) == 0
 
     def test_known_placement(self, two_squares):
         snap = make_snapshot(
             [("a", 0.5, 0.5), ("b", 0.5, 1.5), ("c", 5.0, 5.0)]
         )
-        assert _assign_regions(*snap.coords(), two_squares).tolist() == [0, 1, -1]
+        assert _assign_regions(snap.lats, snap.lons, two_squares).tolist() == [0, 1, -1]
 
     def test_shared_edge_counts_once_in_east(self, two_squares):
         # on the common edge lon=1: east's west edge, west's east edge;
         # the tie rule decides, not the file order
         snap = make_snapshot([("a", 0.5, 1.0)])
-        assert _assign_regions(*snap.coords(), two_squares).tolist() == [1]
+        assert _assign_regions(snap.lats, snap.lons, two_squares).tolist() == [1]
 
     def test_overlap_resolves_to_first_in_file_order(self):
         overlapping = RegionSet(
@@ -209,7 +272,7 @@ class TestCountByRegion:
             )
         )
         snap = make_snapshot([("a", 0.75, 0.75)])
-        assert _assign_regions(*snap.coords(), overlapping).tolist() == [0]
+        assert _assign_regions(snap.lats, snap.lons, overlapping).tolist() == [0]
 
     def test_partition_property(self, two_squares):
         rng = np.random.default_rng(2)
