@@ -67,8 +67,8 @@ def _meta(command: str, **params) -> dict:
 def cmd_scrape(args) -> int:
     if not args.url.startswith(("http://", "https://")):
         raise UsageError(f"not an http(s) URL: {args.url!r}")
-    if args.interval <= 0:
-        raise UsageError("--interval must be positive")
+    if not 0 < args.interval <= feed_ingest.MAX_INTERVAL_S:
+        raise UsageError(f"--interval must be positive, at most {feed_ingest.MAX_INTERVAL_S:g} s")
     if args.duration < 0:
         raise UsageError("--duration must be >= 0")
     store = SnapshotStore(args.store)
@@ -160,33 +160,15 @@ def cmd_cluster(args) -> int:
 
 
 def _epsilon(flag: str, radius_km: float, ratio: float) -> float:
-    """epsilon = ln(ratio)/R; a bad R or ratio, or an epsilon too small
-    for the noise to stay within city scale, is a usage error."""
+    """epsilon_from(R, ratio), whose every rejection is a usage error."""
     try:
-        eps = geo_privacy.epsilon_from(radius_km, ratio)
-        geo_privacy.check_epsilon(eps)
+        return geo_privacy.epsilon_from(radius_km, ratio)
     except ValueError as exc:
         raise UsageError(f"{flag} {radius_km:g} with --ratio {ratio:g}: {exc}") from exc
-    return eps
-
-
-def _resolve_epsilon(args) -> tuple[float, dict]:
-    has_eps = args.epsilon is not None
-    has_radius = args.radius_km is not None
-    if has_eps == has_radius:
-        raise UsageError("give exactly one of --epsilon or --radius-km (with --ratio)")
-    if has_eps:
-        try:
-            geo_privacy.check_epsilon(args.epsilon)
-        except ValueError as exc:
-            raise UsageError(f"--epsilon: {exc}") from exc
-        return args.epsilon, {"epsilon": args.epsilon}
-    eps = _epsilon("--radius-km", args.radius_km, args.ratio)
-    return eps, {"epsilon": eps, "radius_km": args.radius_km, "ratio": args.ratio}
 
 
 def cmd_sanitize(args) -> int:
-    eps, eps_meta = _resolve_epsilon(args)
+    eps = _epsilon("--radius-km", args.radius_km, args.ratio)
     snaps = feed_ingest.read_snapshots(SnapshotStore(args.store))
     rng = geo_privacy.substream(args.seed, 0)
 
@@ -199,7 +181,8 @@ def cmd_sanitize(args) -> int:
     feed_ingest.write_archive(
         (perturbed(s) for s in snaps),
         args.output,
-        meta=_meta("sanitize", seed=args.seed, **eps_meta),
+        meta=_meta("sanitize", seed=args.seed, epsilon=eps, radius_km=args.radius_km,
+                   ratio=args.ratio),
     )
     print(f"sanitized {len(snaps)} snapshots at epsilon={eps:.4f}")
     return 0
@@ -312,8 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("sanitize", help="perturb every archived coordinate")
     s.add_argument("--store", required=True)
-    s.add_argument("--epsilon", type=float, default=None, help="1/km")
-    s.add_argument("--radius-km", type=float, default=None)
+    s.add_argument("--radius-km", type=float, required=True, help="R; epsilon = ln(ratio)/R")
     s.add_argument("--ratio", type=float, default=6.0)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--output", required=True)

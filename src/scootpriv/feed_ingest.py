@@ -30,6 +30,8 @@ log = logging.getLogger(__name__)
 RETRY_ATTEMPTS = 3
 # fetch and parse error messages a PollSummary keeps
 MAX_ERRORS_KEPT = 100
+# longest poll interval, one day: time.sleep overflows on far longer ones
+MAX_INTERVAL_S = 86_400.0
 
 
 class FeedParseError(ValueError):
@@ -155,6 +157,24 @@ def json_number(value) -> float:
     return float(value)
 
 
+def json_int(value) -> int:
+    """A timestamp or duration read from JSON, as an int: an integral
+    number (1700000000.0 is 1700000000), never a bool or a string, nor
+    NaN or Infinity. Anything else is a ValueError."""
+    if type(value) is int:
+        return value
+    if type(value) is float and value.is_integer():
+        return int(value)
+    raise ValueError(f"{value!r} is not an integer")
+
+
+def _feed_id(value) -> str:
+    """A feed bike_id: a JSON string, as GBFS defines it."""
+    if type(value) is not str:
+        raise ValueError(f"bike_id {value!r} is not a string")
+    return value
+
+
 def _feed_flag(value) -> bool:
     """A feed flag: a JSON boolean, or 0 or 1 as GBFS 1.x wrote it."""
     if type(value) is not bool and not (type(value) is int and value in (0, 1)):
@@ -164,7 +184,7 @@ def _feed_flag(value) -> bool:
 
 # (feed key, conversion) per Snapshot column, in column order
 _FEED_FIELDS = (
-    ("bike_id", str), ("lat", json_number), ("lon", json_number),
+    ("bike_id", _feed_id), ("lat", json_number), ("lon", json_number),
     ("is_reserved", _feed_flag), ("is_disabled", _feed_flag),
 )
 # (record key, JSON types) per Snapshot array column, in column order;
@@ -181,8 +201,8 @@ def parse_free_bike_status(raw: bytes, provider: str) -> Snapshot:
     ``captured_at`` is the feed's ``last_updated`` timestamp. Unknown
     extra fields are ignored; missing or malformed required fields (NaN
     and Infinity included; a coordinate must be a JSON number, a flag a
-    boolean or 0 or 1), out-of-range coordinates, or duplicate bike ids
-    raise FeedParseError.
+    boolean or 0 or 1, an id a string, last_updated and ttl integers),
+    out-of-range coordinates, or duplicate bike ids raise FeedParseError.
     """
     try:
         doc = json.loads(raw)
@@ -192,8 +212,8 @@ def parse_free_bike_status(raw: bytes, provider: str) -> Snapshot:
         raise FeedParseError("document is not a JSON object")
 
     try:
-        last_updated = int(doc["last_updated"])
-        ttl = int(doc["ttl"])
+        last_updated = json_int(doc["last_updated"])
+        ttl = json_int(doc["ttl"])
         bikes = doc["data"]["bikes"]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FeedParseError(f"missing or bad required field: {exc}") from exc
@@ -236,7 +256,7 @@ def snapshot_from_record(rec: dict) -> Snapshot:
             raise ValueError(f"bike {key} of type {sorted(t.__name__ for t in wrong)}")
         columns.append(column)
     return Snapshot(
-        rec["provider"], int(rec["captured_at"]), int(rec["ttl_s"]),
+        rec["provider"], json_int(rec["captured_at"]), json_int(rec["ttl_s"]),
         [b["id"] for b in bikes], *columns,
     )
 
@@ -431,8 +451,10 @@ def poll_feed(
     Transient fetch or parse errors are logged and retried with bounded
     backoff; they never abort polling. Returns when stop() is true.
     """
-    if not 0 < interval_s < math.inf:
-        raise ValueError(f"interval must be positive and finite, got {interval_s}")
+    if not 0 < interval_s <= MAX_INTERVAL_S:
+        raise ValueError(
+            f"interval must be positive and finite, at most {MAX_INTERVAL_S:g} s, got {interval_s}"
+        )
     summary = PollSummary()
     last_captured: int | None = None
     effective_interval = interval_s

@@ -24,22 +24,6 @@ MAX_RADIUS_KM = 100.0
 MAX_TAIL_PROBABILITY = 1e-12
 
 
-def check_epsilon(epsilon: float) -> None:
-    """Reject an epsilon too small for MAX_RADIUS_KM: one draw would
-    exceed it with probability (1 + eps*M) * exp(-eps*M) above
-    MAX_TAIL_PROBABILITY, i.e. eps < 0.311/km (R > 5.76 km at ratio 6).
-    An infinite epsilon, which adds no noise, and NaN are rejected too."""
-    if not 0 < epsilon < math.inf:
-        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
-    x = epsilon * MAX_RADIUS_KM
-    tail = (1.0 + x) * math.exp(-x)
-    if tail > MAX_TAIL_PROBABILITY:
-        raise ValueError(
-            f"epsilon {epsilon:.4g}/km too small: a draw lands beyond "
-            f"{MAX_RADIUS_KM:g} km with probability {tail:.1e}"
-        )
-
-
 def substream(master_seed: int, index: int) -> np.random.Generator:
     """Independent, reproducible RNG substream for a (trial, worker) index.
 
@@ -51,12 +35,24 @@ def substream(master_seed: int, index: int) -> np.random.Generator:
 
 def epsilon_from(radius_km: float, ratio_bound: float) -> float:
     """Privacy rate (1/km) making any two locations within radius_km
-    indistinguishable up to the given likelihood ratio: ln(ratio)/R."""
+    indistinguishable up to the given likelihood ratio: ln(ratio)/R.
+    R must be positive and finite, the ratio finite and above 1, and eps
+    large enough that one draw lands beyond MAX_RADIUS_KM with probability
+    (1 + eps*M) * exp(-eps*M) <= MAX_TAIL_PROBABILITY: eps >= 0.311/km,
+    so R <= 5.76 km at ratio 6."""
     if not 0 < radius_km < math.inf:
         raise ValueError(f"radius must be positive and finite, got {radius_km}")
     if not 1 < ratio_bound < math.inf:
         raise ValueError(f"ratio bound must exceed 1 and be finite, got {ratio_bound}")
-    return math.log(ratio_bound) / radius_km
+    epsilon = math.log(ratio_bound) / radius_km
+    x = epsilon * MAX_RADIUS_KM
+    tail = (1.0 + x) * math.exp(-x)
+    if tail > MAX_TAIL_PROBABILITY:
+        raise ValueError(
+            f"epsilon {epsilon:.4g}/km too small: a draw lands beyond "
+            f"{MAX_RADIUS_KM:g} km with probability {tail:.1e}"
+        )
+    return epsilon
 
 
 def sample_polar_laplace(
@@ -67,8 +63,9 @@ def sample_polar_laplace(
 
     The Gamma shape-2 radial marginal is exactly eps^2 * r * exp(-eps*r).
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    # an infinite epsilon adds no noise: it would publish the true locations
+    if not 0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     theta = rng.uniform(0.0, 2.0 * math.pi, size=size)
     r = rng.gamma(shape=2.0, scale=1.0 / epsilon, size=size)
     return theta, r
@@ -123,14 +120,3 @@ def analytic_cdf(epsilon: float, x) -> float | np.ndarray:
         raise ValueError("x must be >= 0")
     out = 1.0 - (1.0 + epsilon * x) * np.exp(-epsilon * x)
     return float(out) if out.ndim == 0 else out
-
-
-def planar_density(
-    epsilon: float, center: tuple[float, float], at: tuple[float, float]
-) -> float:
-    """Planar Laplace output density (1/km^2) at a point, for planar
-    (x, y) km coordinates."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    d = math.hypot(at[0] - center[0], at[1] - center[1])
-    return epsilon**2 / (2.0 * math.pi) * math.exp(-epsilon * d)

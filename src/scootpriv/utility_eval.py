@@ -270,8 +270,8 @@ def neighborhood_loss_experiment(
 
     R = 0 means no perturbation. Trial t at grid index g draws from
     substream g * trials + t of master_seed, so results do not depend on
-    execution order. Every epsilon is checked against the displacement
-    guard before any draw, so an R too large fails for every seed.
+    execution order. Every epsilon is built, and so checked, before any
+    draw, so an R too large fails for every seed.
     """
     if not regions.regions:
         raise ValueError("empty region set")
@@ -280,9 +280,6 @@ def neighborhood_loss_experiment(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     epsilons = [0.0 if r_km == 0 else geo_privacy.epsilon_from(r_km, ratio) for r_km in r_grid]
-    for eps in epsilons:
-        if eps:
-            geo_privacy.check_epsilon(eps)
     lats, lons = snapshot.lats, snapshot.lons
     true_assignment = _assign_regions(lats, lons, regions)
     n_regions = len(regions.regions)

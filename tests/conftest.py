@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -39,6 +40,15 @@ def make_snapshot(bikes, captured_at=1_700_000_000, ttl_s=60, provider="test"):
         reserved=[b[3] if len(b) > 3 else False for b in bikes],
         disabled=[b[4] if len(b) > 4 else False for b in bikes],
     )
+
+
+def planar_density(epsilon, center, at):
+    """Planar Laplace output density (1/km^2) at a point, for planar
+    (x, y) km coordinates: the oracle of the indistinguishability bound."""
+    if epsilon <= 0:
+        raise ValueError("epsilon must be positive")
+    d = math.hypot(at[0] - center[0], at[1] - center[1])
+    return epsilon**2 / (2.0 * math.pi) * math.exp(-epsilon * d)
 
 
 def square_region(name="square", lat0=0.0, lon0=0.0, side_deg=1.0):

@@ -18,7 +18,6 @@ from scootpriv.geo_privacy import (
     displace,
     epsilon_from,
     perturb_many,
-    planar_density,
     substream,
 )
 from scootpriv.synth_fleet import FleetConfig, Hotspot, generate
@@ -35,7 +34,7 @@ from scootpriv.utility_eval import (
     points_in_region,
 )
 
-from conftest import square_region
+from conftest import planar_density, square_region
 from test_clustering import brute_force_two_partition
 from test_utility_eval import half_plane_escape_probability, winding_number_contains
 

@@ -120,7 +120,7 @@ class TestGridFlag:
         ["cluster", "--k", "0"],
         ["sanitize", "--radius-km", "0"],
         ["sanitize", "--radius-km", "0.25", "--ratio", "1"],
-        ["sanitize", "--epsilon", "0.1"],
+        ["sanitize", "--radius-km", "18"],
         ["sanitize", "--radius-km", "6"],
         ["evaluate", "--ratio", "1"],
         ["evaluate", "--r-grid", "0:60:20"],
@@ -173,11 +173,21 @@ def test_non_finite_float_flag_exits_2_before_reading_input(
         "scrape": ["--url", "http://feed.invalid/", "--provider", "p", "--store", out,
                    "--duration", "1"],
         "reconstruct": ["--store", missing, "--output", out],
-        "sanitize": ["--store", missing, "--output", out],
+        "sanitize": ["--store", missing, "--output", out, "--radius-km", "0.25"],
         "evaluate": ["--store", missing, "--boundary", missing, "--output", out],
     }
     assert main([command, *required[command], flag, value]) == 2
     assert capsys.readouterr().err.startswith(f"error: {flag} must be finite")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_scrape_interval_over_a_day_exits_2_before_polling(tmp_path, capsys, monkeypatch):
+    # time.sleep overflows on an interval this long
+    monkeypatch.setattr(cli, "poll_feed", lambda **kwargs: pytest.fail("scrape polled"))
+    argv = ["scrape", "--url", "http://feed.invalid/", "--provider", "p",
+            "--store", str(tmp_path / "a.jsonl"), "--duration", "1", "--interval", "1e300"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: --interval")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -376,16 +386,16 @@ class TestClusterCommand:
 
 
 class TestSanitizeCommand:
-    def test_requires_exactly_one_epsilon_source(self, tmp_path, synth_archive):
+    def test_requires_exactly_one_epsilon_source(self, tmp_path, synth_archive, capsys):
+        # R and the ratio are the only way to set the noise
         out = str(tmp_path / "s.jsonl")
-        assert main(["sanitize", "--store", str(synth_archive), "--output", out]) == 2
-        assert (
-            main(
-                ["sanitize", "--store", str(synth_archive), "--output", out,
-                 "--epsilon", "1.0", "--radius-km", "0.25"]
-            )
-            == 2
-        )
+        argv = ["sanitize", "--store", str(synth_archive), "--output", out]
+        for extra in ([], ["--epsilon", "1.0"], ["--epsilon", "1.0", "--radius-km", "0.25"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + extra)
+            assert exc.value.code == 2
+        assert "--radius-km" in capsys.readouterr().err
+        assert not (tmp_path / "s.jsonl").exists()
 
     def test_radius_ratio_metadata_epsilon(self, tmp_path, synth_archive):
         out = tmp_path / "s.jsonl"
@@ -397,12 +407,13 @@ class TestSanitizeCommand:
         meta = json.loads(out.read_text().splitlines()[0])["_meta"]
         assert meta["epsilon"] == pytest.approx(4 * math.log(6))
         assert meta["seed"] == 1
+        assert list(meta)[2:] == ["seed", "epsilon", "radius_km", "ratio"]
 
     def test_schema_preserved_and_reconstructable(self, tmp_path, synth_archive):
         out = tmp_path / "s.jsonl"
         main(
             ["sanitize", "--store", str(synth_archive), "--output", str(out),
-             "--epsilon", "5.0", "--seed", "2"]
+             "--radius-km", "0.36", "--seed", "2"]
         )
         orig = list(SnapshotStore(synth_archive).iter_all())
         noisy = list(SnapshotStore(out).iter_all())
@@ -418,10 +429,10 @@ class TestSanitizeCommand:
         # check this failed for some seeds and not for others
         out = tmp_path / "s.jsonl"
         argv = ["sanitize", "--store", str(synth_archive), "--output", str(out), "--seed", "1"]
-        assert main(argv + ["--epsilon", "0.1"]) == 2
+        assert main(argv + ["--radius-km", "18"]) == 2  # epsilon 0.0995/km
         assert "too small" in capsys.readouterr().err
         assert not out.exists()
-        assert main(argv + ["--epsilon", "0.32"]) == 0
+        assert main(argv + ["--radius-km", "5.59"]) == 0  # epsilon 0.3205/km
 
     def test_failure_midway_leaves_no_output(self, tmp_path, synth_archive, monkeypatch):
         calls = 0
@@ -437,14 +448,14 @@ class TestSanitizeCommand:
         monkeypatch.setattr(geo_privacy, "perturb", perturb_then_fail)
         out = tmp_path / "s.jsonl"
         rc = main(["sanitize", "--store", str(synth_archive), "--output", str(out),
-                   "--epsilon", "5.0"])
+                   "--radius-km", "0.36"])
         assert rc == 1 and calls > 100
         assert sorted(p.name for p in tmp_path.iterdir()) == ["archive.jsonl", "fleet.json"]
 
     def test_output_may_be_the_store(self, tmp_path, synth_archive):
         orig = list(SnapshotStore(synth_archive).iter_all())
         rc = main(["sanitize", "--store", str(synth_archive), "--output", str(synth_archive),
-                   "--epsilon", "5.0", "--seed", "2"])
+                   "--radius-km", "0.36", "--seed", "2"])
         assert rc == 0
         noisy = list(SnapshotStore(synth_archive).iter_all())
         assert [s.captured_at for s in noisy] == [s.captured_at for s in orig]
@@ -475,7 +486,7 @@ class TestSanitizeCommand:
         eps = 4 * math.log(6)
         main(
             ["sanitize", "--store", str(arch), "--output", str(out),
-             "--epsilon", str(eps), "--seed", "3"]
+             "--radius-km", "0.25", "--ratio", "6", "--seed", "3"]
         )
         d_km = []
         for o_snap, n_snap in zip(snaps, SnapshotStore(out).iter_all()):

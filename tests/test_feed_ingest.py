@@ -35,10 +35,10 @@ class TestParse:
         assert len(snap.observations) == 2
         assert snap.observations[0] == ("a", 34.0, -118.2, False, False)
 
-    @pytest.mark.parametrize("ttl", [60, 300])
+    @pytest.mark.parametrize("ttl", [60, 300, 60.0])
     def test_ttl_passthrough(self, ttl):
         snap = parse_free_bike_status(make_feed_doc([("a", 0, 0)], ttl=ttl), "p")
-        assert snap.ttl_s == ttl
+        assert snap.ttl_s == ttl and type(snap.ttl_s) is int
 
     def test_extra_fields_ignored(self):
         raw = make_feed_doc([("a", 1.0, 2.0)], extra={"version": "2.3", "junk": [1]})
@@ -58,6 +58,8 @@ class TestParse:
         ("lat", None), ("lon", "east"), ("bike_id", KeyError),
         pytest.param("lat", 10**400, id="lat-401-digits"),
         ("lat", True), ("lat", "34.0"), ("is_reserved", "false"), ("is_disabled", 2),
+        # GBFS defines bike_id as a string
+        ("bike_id", None), ("bike_id", True), ("bike_id", 17),
     ])
     def test_bad_bike_field_names_the_bike(self, field, value):
         doc = json.loads(make_feed_doc([("a", 0, 0), ("b", 1, 1), ("c", 2, 2)]))
@@ -76,7 +78,11 @@ class TestParse:
             ("a", 34.0, -118.0, True, False), ("b", 34.5, -118.5, False, True)
         ]
 
-    @pytest.mark.parametrize("field,value", [("last_updated", float("inf")), ("ttl", float("nan"))])
+    @pytest.mark.parametrize("field,value", [
+        ("last_updated", float("inf")), ("ttl", float("nan")),
+        # an integer header is an integral JSON number, not a string or a bool
+        ("last_updated", "1700000000"), ("ttl", True), ("ttl", 60.9),
+    ])
     def test_non_finite_header_field(self, field, value):
         doc = json.loads(make_feed_doc([("a", 0, 0)]))
         doc[field] = value  # json.dumps writes Infinity or NaN, which json.loads reads back
@@ -173,6 +179,13 @@ class TestRoundTrip:
         snap = make_snapshot([("a", 34.0, -118.2, True, False), ("b", 33.9, -118.0)])
         assert snapshot_from_record(snapshot_to_record(snap)) == snap
 
+    def test_integral_float_timestamps_load_as_int(self):
+        rec = snapshot_to_record(make_snapshot([("a", 34.0, -118.2)]))
+        rec.update(captured_at=1_700_000_000.0, ttl_s=60.0)
+        snap = snapshot_from_record(rec)
+        assert (snap.captured_at, snap.ttl_s) == (1_700_000_000, 60)
+        assert type(snap.captured_at) is int and type(snap.ttl_s) is int
+
     def test_loaded_ids_shared_across_snapshots(self):
         recs = [snapshot_to_record(make_snapshot([("s-1", 34.0, -118.2)], captured_at=t))
                 for t in (1, 2)]
@@ -223,10 +236,17 @@ class TestStore:
             lambda rec: rec["bikes"][0].update(lat="34.0"),
             lambda rec: rec["bikes"][0].update(reserved="false"),
             lambda rec: rec["bikes"][0].update(disabled=None),
+            lambda rec: rec.update(captured_at="1700000000"),
+            lambda rec: rec.update(captured_at=True),
+            lambda rec: rec.update(captured_at=float("nan")),
+            lambda rec: rec.update(ttl_s=60.9),
+            lambda rec: rec.update(ttl_s=float("inf")),
         ],
         ids=["non-string id", "empty id", "duplicate id", "lat 91", "lat null", "lat NaN",
              "missing lon", "ttl 0", "lat of 401 digits", "captured_at past int64",
-             "lat true", "lat string", "reserved string", "disabled null"],
+             "lat true", "lat string", "reserved string", "disabled null",
+             "captured_at string", "captured_at true", "captured_at NaN", "ttl_s 60.9",
+             "ttl_s Infinity"],
     )
     def test_corrupt_record_reported_with_line_number(self, tmp_path, corrupt):
         path = tmp_path / "a.jsonl"
@@ -422,6 +442,12 @@ class TestPoller:
     def test_nonpositive_interval_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             poll_feed("http://x/", SnapshotStore(tmp_path / "a.jsonl"), "p", 0, lambda: True)
+
+    def test_interval_over_a_day_rejected(self, tmp_path):
+        # time.sleep overflows on an interval this long
+        with pytest.raises(ValueError, match="at most 86400 s"):
+            poll_feed("http://x/", SnapshotStore(tmp_path / "a.jsonl"), "p", 1e300,
+                      lambda: True)
 
     @pytest.mark.parametrize("interval", [float("nan"), float("inf")])
     def test_non_finite_interval_rejected(self, tmp_path, interval):

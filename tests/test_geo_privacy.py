@@ -6,16 +6,16 @@ from scipy import integrate, optimize, stats
 
 from scootpriv.geo_privacy import (
     analytic_cdf,
-    check_epsilon,
     displace,
     epsilon_from,
     perturb,
     perturb_many,
-    planar_density,
     sample_polar_laplace,
     substream,
 )
 from scootpriv.trip_recon import haversine_distance
+
+from conftest import planar_density
 
 EPS_PAPER = 4 * math.log(6)  # the 0.25 km / ratio-6 operating point
 
@@ -41,26 +41,32 @@ class TestEpsilonFrom:
 
 
 class TestCheckEpsilon:
+    """epsilon_from rejects an epsilon too small for the 100 km guard, and
+    the noise draw one that is not positive and finite."""
+
     def test_threshold_near_0311(self):
-        check_epsilon(0.312)
+        epsilon_from(math.log(6) / 0.312, 6)  # epsilon 0.312/km
         with pytest.raises(ValueError, match="too small"):
-            check_epsilon(0.310)
+            epsilon_from(math.log(6) / 0.310, 6)
 
     def test_largest_radius_at_ratio_6_is_576_m(self):
-        check_epsilon(epsilon_from(5.76, 6))
+        epsilon_from(5.76, 6)
         with pytest.raises(ValueError, match="too small"):
-            check_epsilon(epsilon_from(5.77, 6))
+            epsilon_from(5.77, 6)
 
-    @pytest.mark.parametrize("eps", [0.0, -1.0])
-    def test_nonpositive_rejected(self, eps):
+    @pytest.mark.parametrize("radius_km", [0.0, -1.0])
+    def test_nonpositive_rejected(self, radius_km):
         with pytest.raises(ValueError, match="positive"):
-            check_epsilon(eps)
+            epsilon_from(radius_km, 6)
 
     @pytest.mark.parametrize("eps", [math.inf, math.nan])
     def test_non_finite_rejected(self, eps):
         # an infinite epsilon would publish the true locations
+        loc = (34.05, -118.25)
         with pytest.raises(ValueError, match="finite"):
-            check_epsilon(eps)
+            perturb(loc, eps, substream(0, 0))
+        with pytest.raises(ValueError, match="finite"):
+            perturb_many(np.array([loc[0]]), np.array([loc[1]]), eps, substream(0, 0))
 
 
 class TestPolarSampling:
