@@ -15,6 +15,7 @@ import json
 import math
 import sys
 import time
+from collections.abc import Iterator
 from dataclasses import replace
 
 from . import (
@@ -82,21 +83,25 @@ def cmd_scrape(args) -> int:
     )
     print(
         f"stored {summary.snapshots_written} snapshots, "
-        f"{summary.fetch_failures} fetch failures, "
+        f"{summary.fetch_failures} fetch failures, {summary.parse_errors} parse errors, "
         f"{summary.skipped_unchanged} skipped as not newer"
     )
     return 0
 
 
-def _read_one_provider(args) -> list[Snapshot]:
-    """Snapshots of --provider, or of the archive's only provider."""
-    snaps = feed_ingest.read_snapshots(SnapshotStore(args.store), args.provider)
-    providers = sorted({s.provider for s in snaps})
-    if len(providers) > 1:
-        raise UsageError(
-            f"{args.store} holds providers {', '.join(providers)}; choose one with --provider"
-        )
-    return snaps
+def _read_one_provider(args) -> Iterator[Snapshot]:
+    """The stream of snapshots of --provider, or of the archive's only
+    provider: a second provider is a usage error where it is read."""
+    first = None
+    for snap in feed_ingest.read_snapshots(SnapshotStore(args.store), args.provider):
+        if first is None:
+            first = snap.provider
+        elif snap.provider != first:
+            providers = ", ".join(sorted((first, snap.provider)))
+            raise UsageError(
+                f"{args.store} holds providers {providers}; choose one with --provider"
+            )
+        yield snap
 
 
 def cmd_reconstruct(args) -> int:
@@ -108,8 +113,7 @@ def cmd_reconstruct(args) -> int:
         raise UsageError(f"invalid trip filter: {exc}") from exc
     if args.min_move_m < 0:
         raise UsageError("--min-move-m must be >= 0")
-    snaps = _read_one_provider(args)
-    trips = trip_recon.reconstruct_trips(snaps, min_move_m=args.min_move_m)
+    trips = trip_recon.reconstruct_trips(_read_one_provider(args), min_move_m=args.min_move_m)
     kept = trip_recon.filter_trips(trips, f)
     trip_recon.write_trips_csv(
         kept,
@@ -178,13 +182,13 @@ def cmd_sanitize(args) -> int:
         points = [geo_privacy.perturb(loc, eps, rng) for loc in locs]
         return replace(snap, lats=[lat for lat, _ in points], lons=[lon for _, lon in points])
 
-    feed_ingest.write_archive(
+    n = feed_ingest.write_archive(
         (perturbed(s) for s in snaps),
         args.output,
         meta=_meta("sanitize", seed=args.seed, epsilon=eps, radius_km=args.radius_km,
                    ratio=args.ratio),
     )
-    print(f"sanitized {len(snaps)} snapshots at epsilon={eps:.4f}")
+    print(f"sanitized {n} snapshots at epsilon={eps:.4f}")
     return 0
 
 
@@ -197,7 +201,8 @@ def cmd_evaluate(args) -> int:
     dump_eps = None
     if args.dump_geojson and args.dump_radius_km != 0:
         dump_eps = _epsilon("--dump-radius-km", args.dump_radius_km, args.ratio)
-    snaps = _read_one_provider(args)
+    # the one command that needs random access to the snapshots
+    snaps = list(_read_one_provider(args))
     if not snaps:
         raise StoreError(f"no snapshots in {args.store}")
     if not -len(snaps) <= args.snapshot_index < len(snaps):

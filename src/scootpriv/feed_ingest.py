@@ -15,10 +15,9 @@ import math
 import os
 import sys
 import time
-from collections import deque
 from collections.abc import Sequence
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import compress
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
@@ -28,8 +27,6 @@ import numpy as np
 log = logging.getLogger(__name__)
 
 RETRY_ATTEMPTS = 3
-# fetch and parse error messages a PollSummary keeps
-MAX_ERRORS_KEPT = 100
 # longest poll interval, one day: time.sleep overflows on far longer ones
 MAX_INTERVAL_S = 86_400.0
 
@@ -334,16 +331,19 @@ def atomic_path(path: str | Path) -> Iterator[Path]:
 
 def write_archive(
     snapshots: Iterable[Snapshot], path: str | Path, meta: dict | None = None
-) -> None:
+) -> int:
     """Write a fresh archive atomically (see atomic_path): one ``_meta``
-    line if meta is given, then one line per snapshot."""
+    line if meta is given, then one line per snapshot. Returns the
+    number of snapshots written."""
+    n = 0
     with atomic_path(path) as tmp:
         tmp.write_text("")
         store = SnapshotStore(tmp)
         if meta:
             store.write_meta(meta)
-        for snap in snapshots:
+        for n, snap in enumerate(snapshots, start=1):
             store.append(snap)
+    return n
 
 
 def write_csv(path: str | Path, columns: list[str], rows: Iterable, meta: dict | None) -> None:
@@ -375,40 +375,38 @@ def points_geojson(points: Iterable[tuple[float, float, dict]]) -> dict:
     return {"type": "FeatureCollection", "features": features}
 
 
-def read_snapshots(store: SnapshotStore, provider: str | None = None) -> list[Snapshot]:
-    """Snapshots ascending by captured_at (stable).
+def read_snapshots(store: SnapshotStore, provider: str | None = None) -> Iterator[Snapshot]:
+    """The archive's snapshots as a stream, in file order.
 
-    ``provider=None`` keeps every provider. Of several snapshots with the
-    same (provider, captured_at), as a restarted scraper can append, only
-    the first in the file is kept.
+    ``provider=None`` keeps every provider. Each provider's snapshots
+    strictly ascend in captured_at, the rule poll_feed writes by: a
+    snapshot not newer than the last one kept of its provider (a line a
+    restarted scraper appended again, or an older line out of place) is
+    dropped with a warning. Nothing is held but that last time per
+    provider, so an archive of any length streams through.
     """
-    out, seen = [], set()
+    last: dict[str, int] = {}
     for s in store.iter_all():
-        key = (s.provider, s.captured_at)
-        if key in seen or (provider is not None and s.provider != provider):
+        if provider is not None and s.provider != provider:
             continue
-        seen.add(key)
-        out.append(s)
-    out.sort(key=lambda s: s.captured_at)
-    return out
+        prev = last.get(s.provider)
+        if prev is not None and s.captured_at <= prev:
+            log.warning("%s: dropped %r snapshot at %d, not after %d",
+                        store.path, s.provider, s.captured_at, prev)
+            continue
+        last[s.provider] = s.captured_at
+        yield s
 
 
 @dataclass
 class PollSummary:
-    """Counters of one poll_feed run. ``errors`` keeps only the last
-    MAX_ERRORS_KEPT messages, so a long-dead endpoint cannot grow it
-    without bound; ``error_count`` counts them all."""
+    """Counters of one poll_feed run; every failure's message is logged."""
 
     snapshots_written: int = 0
     fetch_failures: int = 0
+    parse_errors: int = 0
     # snapshots not newer than the last one stored, as a stale cached copy is
     skipped_unchanged: int = 0
-    errors: deque[str] = field(default_factory=lambda: deque(maxlen=MAX_ERRORS_KEPT))
-    error_count: int = 0
-
-    def record_error(self, message: str) -> None:
-        self.errors.append(message)
-        self.error_count += 1
 
 
 def _fetch_with_retry(
@@ -427,7 +425,6 @@ def _fetch_with_retry(
                 return resp.read()
         except (OSError, http.client.HTTPException) as exc:
             summary.fetch_failures += 1
-            summary.record_error(str(exc))
             log.warning("fetch attempt %d failed: %s", attempt + 1, exc)
             if attempt < RETRY_ATTEMPTS - 1:
                 time.sleep(backoff)
@@ -464,7 +461,7 @@ def poll_feed(
             try:
                 snap = parse_free_bike_status(raw, provider)
             except FeedParseError as exc:
-                summary.record_error(f"parse: {exc}")
+                summary.parse_errors += 1
                 log.warning("parse failure: %s", exc)
             else:
                 if last_captured is not None and snap.captured_at <= last_captured:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -117,45 +118,43 @@ class TripFilter:
 
 
 def reconstruct_trips(
-    snapshots: list[Snapshot],
+    snapshots: Iterable[Snapshot],
     min_move_m: float = DEFAULT_MIN_MOVE_M,
 ) -> list[Trip]:
     """Diff consecutive snapshots of one provider into unfiltered trips,
     in snapshot order, then observation order.
 
-    A scooter absent for intermediate snapshots and reappearing elsewhere
-    yields a single trip spanning the gap; one that disappears for good
-    yields nothing. Raises on unsorted input, mixed providers or a
-    min_move_m that is negative or NaN.
+    The snapshots are read once, in order, so a stream such as
+    read_snapshots' is consumed as it is read. A scooter absent for
+    intermediate snapshots and reappearing elsewhere yields a single
+    trip spanning the gap; one that disappears for good yields nothing.
+    Raises on unsorted input, mixed providers or a min_move_m that is
+    negative or NaN.
 
-    A parked stay keeps its first fix: a move of at most min_move_m is
-    invisible, and the next trip starts from that earlier fix, not from
-    where the scooter last stood.
+    Each scooter's state is its last observation: a move of at most
+    min_move_m is jitter, not a trip, and the next trip starts from where
+    the scooter last stood.
 
     Each snapshot is one join on ids: a dict gives every id a dense
-    index into arrays of its parked fix and last-seen time, and one
+    index into arrays of its last fix and last-seen time, and one
     great-circle call over the snapshot's known ids decides the moves.
     """
     if not min_move_m >= 0:
         raise ValueError(f"min_move_m must be >= 0, got {min_move_m}")
-    if not snapshots:
-        return []
-    provider = snapshots[0].provider
     index: dict[str, int] = {}
-    # per dense index: parked fix and last-seen time, grown by doubling
+    # per dense index: last fix and last-seen time, grown by doubling
     park_lat, park_lon = np.empty(0), np.empty(0)
     seen = np.empty(0, dtype=np.int64)
     trips: list[Trip] = []
-    prev_ts = None
+    provider = prev_ts = None
     for snap in snapshots:
-        if snap.provider != provider:
-            raise ValueError(
-                f"mixed providers: {provider!r} and {snap.provider!r}"
-            )
         t = snap.captured_at
-        if prev_ts is not None and t <= prev_ts:
-            raise ValueError("snapshots not strictly ascending in time")
-        prev_ts = t
+        if prev_ts is not None:
+            if snap.provider != provider:
+                raise ValueError(f"mixed providers: {provider!r} and {snap.provider!r}")
+            if t <= prev_ts:
+                raise ValueError("snapshots not strictly ascending in time")
+        provider, prev_ts = snap.provider, t
         idx = np.fromiter(map(index.get, snap.ids, repeat(-1)), dtype=np.intp, count=len(snap.ids))
         new = idx < 0
         for p in np.flatnonzero(new).tolist():
@@ -187,13 +186,7 @@ def reconstruct_trips(
             trips.append(
                 Trip(snap.ids[p], (start_lat, start_lon), (end_lat, end_lon), start_time, t)
             )
-        # a new id, a fresh history or a move parks the scooter here; a
-        # scooter still parked keeps its original fix
-        repark = new.copy()
-        repark[old] = fresh | moved
-        park_lat[idx[repark]] = lats[repark]
-        park_lon[idx[repark]] = lons[repark]
-        seen[idx] = t
+        park_lat[idx], park_lon[idx], seen[idx] = lats, lons, t
     return trips
 
 

@@ -1,11 +1,13 @@
 import argparse
 import builtins
 import errno
+import gc
 import json
 import math
 import subprocess
 import sys
 import threading
+import tracemalloc
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -13,13 +15,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from scootpriv import cli, feed_ingest, geo_privacy, trip_recon
+from scootpriv import cli, feed_ingest, geo_privacy, synth_fleet, trip_recon
 from scootpriv.cli import MAX_GRID_POINTS, UsageError, build_parser, main, parse_r_grid
 from scootpriv.feed_ingest import SnapshotStore, write_archive
 from scootpriv.geo_privacy import analytic_cdf
 from scootpriv.trip_recon import haversine_distance, read_trips_csv
 
-from conftest import make_feed_doc, make_snapshot
+from conftest import make_feed_doc, make_snapshot, square_region
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -686,6 +688,42 @@ class TestMultiProviderArchive:
     @pytest.mark.parametrize("argv", ["reconstruct_argv", "evaluate_argv"])
     def test_with_provider_exits_0(self, tmp_path, two_provider_archive, argv):
         assert main(getattr(self, argv)(tmp_path, two_provider_archive) + ["--provider", "lime"]) == 0
+
+
+class TestStreamingCommands:
+    """reconstruct and sanitize read the archive as a stream, so neither
+    holds as much as the archive's snapshots loaded as a list."""
+
+    @pytest.fixture(scope="class")
+    def long_archive(self, tmp_path_factory):
+        config = synth_fleet.FleetConfig(
+            n_scooters=300, area=square_region(lat0=33.9, lon0=-118.5, side_deg=0.2), seed=5,
+            trip_rate=0.3, duration_h=2.0,
+        )
+        snapshots, _ = synth_fleet.generate(config)
+        assert len(snapshots) >= 100
+        path = tmp_path_factory.mktemp("long") / "a.jsonl"
+        write_archive(snapshots, path)
+        return path
+
+    @pytest.mark.parametrize("command", [["reconstruct"], ["sanitize", "--radius-km", "0.25"]])
+    def test_peak_below_the_archive_held_as_a_list(self, tmp_path, long_archive, command):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            snaps = list(feed_ingest.read_snapshots(SnapshotStore(long_archive)))
+            held = tracemalloc.get_traced_memory()[0] - base
+            del snaps
+            gc.collect()
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            rc = main([*command, "--store", str(long_archive), "--output", str(tmp_path / "out")])
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert peak < held
 
 
 def test_import_leaves_http_stack_unloaded():

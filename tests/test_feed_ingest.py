@@ -1,16 +1,18 @@
 import gc
+import io
 import json
 import threading
 import tracemalloc
+from contextlib import redirect_stderr
 from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from scootpriv import feed_ingest, synth_fleet
+from scootpriv import cli, feed_ingest, synth_fleet
 from scootpriv.feed_ingest import (
-    MAX_ERRORS_KEPT,
     FeedParseError,
     Snapshot,
     SnapshotStore,
@@ -278,22 +280,26 @@ class TestReadSnapshots:
         return store
 
     def test_full_range(self, filled_store):
-        snaps = read_snapshots(filled_store, "test")
+        snaps = list(read_snapshots(filled_store, "test"))
         assert len(snaps) == 5
         assert [s.captured_at for s in snaps] == [100, 110, 120, 130, 140]
 
     def test_other_provider_excluded(self, filled_store):
-        assert read_snapshots(filled_store, "other") == []
+        assert list(read_snapshots(filled_store, "other")) == []
 
     def test_strictly_ordered_no_duplicates(self, filled_store):
-        snaps = read_snapshots(filled_store, "test")
+        snaps = list(read_snapshots(filled_store, "test"))
         ts = [s.captured_at for s in snaps]
         assert ts == sorted(set(ts))
 
-    def test_repeated_line_dropped(self, filled_store):
+    def test_repeated_line_dropped(self, filled_store, caplog):
         lines = filled_store.path.read_text().splitlines(keepends=True)
         filled_store.path.write_text("".join(lines + [lines[2]]))
-        assert [s.captured_at for s in read_snapshots(filled_store)] == [100, 110, 120, 130, 140]
+        snaps = read_snapshots(filled_store)
+        assert [s.captured_at for s in snaps] == [100, 110, 120, 130, 140]
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{filled_store.path}: dropped 'test' snapshot at 120, not after 140"
+        ]
 
     def test_all_providers_keep_equal_timestamps(self, tmp_path):
         store = SnapshotStore(tmp_path / "a.jsonl")
@@ -301,6 +307,97 @@ class TestReadSnapshots:
             store.append(make_snapshot([("a", 0, 0)], captured_at=100, provider=provider))
         snaps = read_snapshots(store, provider=None)
         assert [(s.provider, s.captured_at) for s in snaps] == [("bird", 100), ("lime", 100)]
+
+    def test_providers_keep_file_order(self, tmp_path):
+        store = SnapshotStore(tmp_path / "a.jsonl")
+        for provider, t in (("lime", 200), ("bird", 100), ("lime", 260), ("bird", 160)):
+            store.append(make_snapshot([("a", 0, 0)], captured_at=t, provider=provider))
+        assert [(s.provider, s.captured_at) for s in read_snapshots(store)] == [
+            ("lime", 200), ("bird", 100), ("lime", 260), ("bird", 160)
+        ]
+
+    def test_first_snapshot_read_before_a_corrupt_third_line(self, tmp_path):
+        path = tmp_path / "a.jsonl"
+        snaps = [make_snapshot([("a", 34.0, -118.2)], captured_at=t) for t in (1, 2, 3)]
+        write_archive(snaps, path)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:2]) + "{not json\n")
+        stream = read_snapshots(SnapshotStore(path))
+        assert next(stream) == snaps[0]
+        assert next(stream) == snaps[1]
+        with pytest.raises(StoreError, match="corrupt line 3"):
+            next(stream)
+
+
+def _archive_line(snap):
+    return json.dumps(snapshot_to_record(snap), separators=(",", ":")) + "\n"
+
+
+@st.composite
+def mutated_archives(draw):
+    """A clean archive of providers "a" and "b", interleaved at random,
+    each ascending in captured_at, as its lines; then the same lines with
+    an older "a" line moved after a newer one (or none moved), and with
+    copies of some lines inserted after their originals. Returns (clean
+    snapshots, the moved snapshot or None, mutated lines, and None or the
+    length to cut the last line to, which drops at least its closing brace)."""
+    clean_by = {}
+    for provider in ("a", "b"):
+        steps = draw(st.lists(st.integers(1, 120), min_size=1 if provider == "a" else 0,
+                              max_size=6))
+        times = np.cumsum(steps).tolist()
+        clean_by[provider] = [
+            make_snapshot([("s", 34.0 + t * 1e-4, -118.2)], captured_at=t, provider=provider)
+            for t in times
+        ]
+    order = draw(st.permutations(["a"] * len(clean_by["a"]) + ["b"] * len(clean_by["b"])))
+    pending = {p: iter(snaps) for p, snaps in clean_by.items()}
+    clean = [next(pending[p]) for p in order]
+    lines = list(clean)
+    moved = None
+    a_positions = [i for i, s in enumerate(lines) if s.provider == "a"]
+    if len(a_positions) > 1 and draw(st.booleans()):
+        k = draw(st.integers(0, len(a_positions) - 2))
+        moved = lines.pop(a_positions[k])
+        # after the next "a" line or later, so a newer "a" precedes it
+        at = draw(st.integers(a_positions[k + 1], len(lines)))
+        lines.insert(at, moved)
+    for _ in range(draw(st.integers(0, 4))):
+        src = draw(st.integers(0, len(lines) - 1))
+        lines.insert(draw(st.integers(src + 1, len(lines))), lines[src])
+    lines = [_archive_line(s) for s in lines]
+    cut = draw(st.none() | st.integers(1, len(lines[-1]) - 2))
+    return clean, moved, lines, cut
+
+
+class TestMutatedArchives:
+    """The reader keeps exactly what poll_feed would have written."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(mutated_archives())
+    def test_read_as_the_poller_wrote(self, tmp_path_factory, case):
+        clean, moved, lines, cut = case
+        path = tmp_path_factory.mktemp("mutated") / "a.jsonl"
+        if cut is not None:
+            # a line cut short, as a scraper killed mid-append leaves it
+            lines[-1] = lines[-1][:cut]
+            path.write_text("".join(lines))
+            with pytest.raises(StoreError, match=f"corrupt line {len(lines)}:"):
+                list(read_snapshots(SnapshotStore(path)))
+            with redirect_stderr(io.StringIO()) as err:
+                rc = cli.main(["reconstruct", "--store", str(path), "--provider", "a",
+                               "--output", str(path.with_suffix(".csv"))])
+            assert rc == 1 and f"corrupt line {len(lines)}" in err.getvalue()
+            return
+        path.write_text("".join(lines))
+        store = SnapshotStore(path)
+        # duplicates read as the clean archive; the moved older line is dropped
+        expected = [s for s in clean if s is not moved]
+        assert list(read_snapshots(store)) == expected
+        for provider in ("a", "b"):
+            times = [s.captured_at for s in read_snapshots(store, provider)]
+            assert times == [s.captured_at for s in expected if s.provider == provider]
+            assert all(t0 < t1 for t0, t1 in zip(times, times[1:]))
 
 
 class _FeedHandler(BaseHTTPRequestHandler):
@@ -369,7 +466,9 @@ class TestPoller:
         assert summary.skipped_unchanged == 1
         assert [s.captured_at for s in store.iter_all()] == [100, 110]
 
-    def test_unparsable_document_counted_and_polling_continues(self, tmp_path, monkeypatch):
+    def test_unparsable_document_counted_and_polling_continues(
+        self, tmp_path, monkeypatch, caplog
+    ):
         bad = json.loads(make_feed_doc([("a", 1, 1)]))
         bad["last_updated"] = float("inf")
         docs = iter([make_feed_doc([("a", 1, 1)], last_updated=100), json.dumps(bad).encode(),
@@ -377,7 +476,10 @@ class TestPoller:
         monkeypatch.setattr(feed_ingest, "_fetch_with_retry", lambda *args: next(docs))
         store = SnapshotStore(tmp_path / "a.jsonl")
         summary = self._run(None, "http://feed.invalid/", store, n_polls=3)
-        assert summary.error_count == 1 and summary.errors[0].startswith("parse:")
+        assert summary.parse_errors == 1 and summary.fetch_failures == 0
+        assert [r.getMessage() for r in caplog.records] == [
+            "parse failure: missing or bad required field: inf is not an integer"
+        ]
         assert summary.snapshots_written == 2
         assert [s.captured_at for s in store.iter_all()] == [100, 110]
 
@@ -401,7 +503,7 @@ class TestPoller:
         assert summary.snapshots_written == 10
         assert summary.fetch_failures == 0
 
-    def test_unreachable_endpoint_never_fatal(self, tmp_path):
+    def test_unreachable_endpoint_never_fatal(self, tmp_path, caplog):
         store = SnapshotStore(tmp_path / "a.jsonl")
         polls = {"n": 0}
 
@@ -415,10 +517,14 @@ class TestPoller:
             "http://127.0.0.1:1/nope", store, "p", 60, stop, sleep=sleep, timeout=0.2
         )
         assert summary.snapshots_written == 0
-        assert summary.fetch_failures >= 1
-        assert summary.errors
+        # one poll of RETRY_ATTEMPTS attempts, each failure logged
+        assert summary.fetch_failures == 3 and summary.parse_errors == 0
+        messages = [r.getMessage() for r in caplog.records]
+        assert [m.split(":")[0] for m in messages] == [
+            f"fetch attempt {i} failed" for i in (1, 2, 3)
+        ]
 
-    def test_dead_endpoint_keeps_last_errors_and_counts_all(self, tmp_path, monkeypatch):
+    def test_dead_endpoint_logs_and_counts_every_failure(self, tmp_path, monkeypatch, caplog):
         import urllib.request
 
         attempts = 0
@@ -434,9 +540,9 @@ class TestPoller:
         store = SnapshotStore(tmp_path / "a.jsonl")
         summary = self._run(None, "http://dead.invalid/", store, polls)
         total = polls * 3  # every poll makes RETRY_ATTEMPTS attempts
-        assert summary.fetch_failures == summary.error_count == total
-        assert list(summary.errors) == [
-            f"refused {i}" for i in range(total - MAX_ERRORS_KEPT + 1, total + 1)
+        assert summary.fetch_failures == total and summary.parse_errors == 0
+        assert [r.getMessage() for r in caplog.records] == [
+            f"fetch attempt {(i - 1) % 3 + 1} failed: refused {i}" for i in range(1, total + 1)
         ]
 
     def test_nonpositive_interval_rejected(self, tmp_path):
@@ -482,7 +588,7 @@ class TestColumnarMemory:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            snaps = read_snapshots(store)
+            snaps = list(read_snapshots(store))
             gc.collect()
             held = tracemalloc.get_traced_memory()[0] - base
         finally:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from scootpriv.clustering import kmeans
 from scootpriv.feed_ingest import SnapshotStore, parse_free_bike_status, snapshot_to_record
@@ -16,7 +16,6 @@ from scootpriv.synth_fleet import (
     write_ground_truth_csv,
 )
 from scootpriv.trip_recon import (
-    DEFAULT_MIN_MOVE_M,
     TripFilter,
     filter_trips,
     haversine_distance,
@@ -166,7 +165,7 @@ hotspots_in_area = st.lists(
         Hotspot,
         center=st.tuples(st.floats(33.92, 34.08), st.floats(-118.48, -118.32)),
         weight=st.floats(0.1, 5.0),
-        spread_m=st.floats(20.0, 300.0),
+        spread_m=st.floats(0.0, 300.0),
     ),
     max_size=3,
 ).map(tuple)
@@ -194,9 +193,8 @@ class TestOracleOnSmallFleets:
     @given(small_configs())
     def test_reconstruction_recovers_exactly_the_recoverable_trips(self, config):
         snapshots, truth = generate(config)
-        # a hotspot trip can end within min_move_m of its start; the attack
-        # cannot see such a move, and the stay keeps its first fix
-        assume(all(t.distance_m > DEFAULT_MIN_MOVE_M for t in truth.trips))
+        # a hotspot trip can end within min_move_m of its start: the attack
+        # does not see it, and the next trip starts from where it ended
         kept = filter_trips(reconstruct_trips(snapshots), TripFilter())
         assert {trip_key(t) for t in kept} == expected_recoverable(truth)
         by_key = {trip_key(t): t for t in truth.trips}

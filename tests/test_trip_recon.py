@@ -130,6 +130,19 @@ class TestReconstructTrips:
         track = [(0, {"a": (0.0, 0.0)}), (60, {"a": (0.0, 0.00002)})]
         assert reconstruct_trips(snapshots_for_track(track)) == []
 
+    def test_trip_after_a_small_move_starts_where_the_scooter_last_stood(self):
+        nudged, far = (0.0, 0.00002), (0.0, 0.00539)
+        track = [(0, {"a": (0.0, 0.0)}), (60, {"a": nudged}), (120, {"a": far})]
+        [trip] = reconstruct_trips(snapshots_for_track(track))
+        assert (trip.start_loc, trip.end_loc, trip.start_time) == (nudged, far, 60)
+
+    def test_one_shot_iterator_accepted(self):
+        l1, l2 = (0.0, 0.0), (0.01, 0.01)
+        snaps = snapshots_for_track([(0, {"a": l1, "b": l2}), (60, {"a": l2}), (120, {"b": l1})])
+        trips = reconstruct_trips(snaps)
+        assert len(trips) == 2
+        assert reconstruct_trips(iter(snaps)) == trips
+
     def test_id_reuse_after_long_gap_not_a_trip(self):
         track = [
             (0, {"a": (0.0, 0.0)}),
@@ -169,25 +182,22 @@ def scalar_haversine(a, b):
 
 def scalar_reconstruct(snapshots, min_move_m):
     """The scalar diff loop, one great-circle call per observation, that
-    the per-snapshot join replaced: the reference for its results."""
+    the per-snapshot join replaced: the reference for its results. Each
+    scooter's state is its last observation."""
     state = {}
     trips = []
     for snap in snapshots:
         for scooter_id, lat, lon, _, _ in snap.observations:
             loc = (lat, lon)
             known = state.get(scooter_id)
+            state[scooter_id] = (loc, snap.captured_at)
             if known is None:
-                state[scooter_id] = (loc, snap.captured_at)
                 continue
             old_loc, last_seen = known
             if snap.captured_at - last_seen > ID_REUSE_GAP_S:
-                state[scooter_id] = (loc, snap.captured_at)
                 continue
             if scalar_haversine(old_loc, loc) > min_move_m:
                 trips.append(Trip(scooter_id, old_loc, loc, last_seen, snap.captured_at))
-                state[scooter_id] = (loc, snap.captured_at)
-            else:
-                state[scooter_id] = (old_loc, snap.captured_at)
     return trips
 
 
