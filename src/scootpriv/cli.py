@@ -11,10 +11,12 @@ Exit codes: 0 success, 1 runtime/I-O failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
 import time
+from collections import deque
 from collections.abc import Iterator
 from dataclasses import replace
 
@@ -192,6 +194,24 @@ def cmd_sanitize(args) -> int:
     return 0
 
 
+def _pick_snapshot(args) -> Snapshot:
+    """Snapshot --snapshot-index of the stream, indexed as a Python list
+    is. Reading stops after snapshot k >= 0; a negative k reads to the
+    end but holds only the last |k| snapshots."""
+    k = args.snapshot_index
+    stream = _read_one_provider(args)
+    if k >= 0:
+        stream = itertools.islice(stream, k + 1)
+    # (running count, snapshot) pairs: the last count is the number read
+    held = deque(enumerate(stream, 1), maxlen=1 if k >= 0 else -k)
+    count = held[-1][0] if held else 0
+    if not count:
+        raise StoreError(f"no snapshots in {args.store}")
+    if count < (k + 1 if k >= 0 else -k):
+        raise UsageError(f"--snapshot-index {k} out of range for {count} snapshots")
+    return held[0][1]
+
+
 def cmd_evaluate(args) -> int:
     if args.trials < 1:
         raise UsageError("--trials must be >= 1")
@@ -201,15 +221,7 @@ def cmd_evaluate(args) -> int:
     dump_eps = None
     if args.dump_geojson and args.dump_radius_km != 0:
         dump_eps = _epsilon("--dump-radius-km", args.dump_radius_km, args.ratio)
-    # the one command that needs random access to the snapshots
-    snaps = list(_read_one_provider(args))
-    if not snaps:
-        raise StoreError(f"no snapshots in {args.store}")
-    if not -len(snaps) <= args.snapshot_index < len(snaps):
-        raise UsageError(
-            f"--snapshot-index {args.snapshot_index} out of range for {len(snaps)} snapshots"
-        )
-    snapshot = snaps[args.snapshot_index]
+    snapshot = _pick_snapshot(args)
     boundary, *rest = utility_eval.load_regions_geojson(args.boundary)
     if rest:
         raise UsageError(f"--boundary {args.boundary} holds {1 + len(rest)} features, want one: "

@@ -74,20 +74,23 @@ def sample_polar_laplace(
 def displace(lat, lon, theta, r_km):
     """Destination r_km along initial bearing theta (radians, 0 = due
     north) from (lat, lon) in degrees, on a sphere of radius 6378.1 km.
-    Element-wise over scalars or arrays, broadcast as numpy does; returns
+    Element-wise, broadcast as numpy does: (n,) coordinates against
+    (trials, n) draws give each row what a call per row gives. Returns
     (lat, lon) in degrees, the longitude in [-180, 180)."""
-    if np.any(r_km < 0):
+    # written as all(...) so that a NaN radius fails too
+    if not np.all(r_km >= 0):
         raise ValueError("negative displacement radius")
-    if np.any(r_km > MAX_RADIUS_KM):
+    if not np.all(r_km <= MAX_RADIUS_KM):
         raise ValueError(f"displacement beyond {MAX_RADIUS_KM} km rejected as misuse")
     lat1 = np.radians(lat)
     lon1 = np.radians(lon)
     delta = r_km / EARTH_RADIUS_KM  # angular distance
-    sin_lat2 = np.sin(lat1) * np.cos(delta) + np.cos(lat1) * np.sin(delta) * np.cos(theta)
+    sin_lat1, cos_lat1 = np.sin(lat1), np.cos(lat1)
+    sin_delta, cos_delta = np.sin(delta), np.cos(delta)
+    sin_lat2 = sin_lat1 * cos_delta + cos_lat1 * sin_delta * np.cos(theta)
     lat2 = np.arcsin(np.clip(sin_lat2, -1.0, 1.0))
     lon2 = lon1 + np.arctan2(
-        np.sin(theta) * np.sin(delta) * np.cos(lat1),
-        np.cos(delta) - np.sin(lat1) * sin_lat2,
+        np.sin(theta) * sin_delta * cos_lat1, cos_delta - sin_lat1 * sin_lat2
     )
     # normalize longitude to [-180, 180)
     lon2_deg = (np.degrees(lon2) + 180.0) % 360.0 - 180.0

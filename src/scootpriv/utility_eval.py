@@ -272,6 +272,11 @@ def neighborhood_loss_experiment(
     substream g * trials + t of master_seed, so results do not depend on
     execution order. Every epsilon is built, and so checked, before any
     draw, so an R too large fails for every seed.
+
+    Each R draws trial t's noise into row t of two (trials, n) float
+    arrays, bearings and radii, and makes one geo_privacy.displace call
+    that broadcasts the (n,) true coordinates against them; those draws
+    and the two noisy coordinate arrays are the memory one R holds.
     """
     if not regions.regions:
         raise ValueError("empty region set")
@@ -290,11 +295,12 @@ def neighborhood_loss_experiment(
         if r_km == 0:
             rows.append(UtilityRow(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
             continue
-        nlat = np.empty((trials, len(lats)))
-        nlon = np.empty((trials, len(lats)))
+        theta = np.empty((trials, len(lats)))
+        r = np.empty((trials, len(lats)))
         for t in range(trials):
             rng = geo_privacy.substream(master_seed, g * trials + t)
-            nlat[t], nlon[t] = geo_privacy.perturb_many(lats, lons, eps, rng)
+            theta[t], r[t] = geo_privacy.sample_polar_laplace(eps, rng, len(lats))
+        nlat, nlon = geo_privacy.displace(lats, lons, theta, r)
         # every trial's points in one assignment, one row per trial
         noisy = _assign_regions(nlat.ravel(), nlon.ravel(), regions).reshape(nlat.shape)
         escaped = (true_assignment >= 0) & (noisy != true_assignment)

@@ -523,7 +523,21 @@ class TestEvaluateCommand:
              "--snapshot-index", index, "--output", str(tmp_path / "r.csv")]
         )
         assert rc == 2
-        assert capsys.readouterr().err.startswith("error:")
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "out of range for 181 snapshots" in err
+
+    def test_first_snapshot_evaluated_before_a_corrupt_third_line(self, tmp_path):
+        path = tmp_path / "a.jsonl"
+        snaps = [make_snapshot([("a", 34.0, -118.4)], captured_at=t) for t in (1, 2, 3)]
+        write_archive(snaps, path)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:2]) + "{not json\n")
+        boundary = tmp_path / "boundary.geojson"
+        write_boundary_geojson(boundary)
+        argv = ["evaluate", "--store", str(path), "--boundary", str(boundary),
+                "--r-grid", "0:0.1:0.05", "--trials", "2", "--output", str(tmp_path / "r.csv")]
+        assert main([*argv, "--snapshot-index", "0"]) == 0
+        assert main([*argv, "--snapshot-index", "-1"]) == 1
 
     @pytest.mark.parametrize("trials", ["0", "-1"])
     def test_trials_below_one_exits_2(self, tmp_path, synth_archive, capsys, trials):
@@ -691,8 +705,8 @@ class TestMultiProviderArchive:
 
 
 class TestStreamingCommands:
-    """reconstruct and sanitize read the archive as a stream, so neither
-    holds as much as the archive's snapshots loaded as a list."""
+    """reconstruct, sanitize and evaluate read the archive as a stream, so
+    none holds as much as the archive's snapshots loaded as a list."""
 
     @pytest.fixture(scope="class")
     def long_archive(self, tmp_path_factory):
@@ -706,8 +720,17 @@ class TestStreamingCommands:
         write_archive(snapshots, path)
         return path
 
-    @pytest.mark.parametrize("command", [["reconstruct"], ["sanitize", "--radius-km", "0.25"]])
+    @pytest.mark.parametrize("command", [
+        ["reconstruct"],
+        ["sanitize", "--radius-km", "0.25"],
+        ["evaluate", "--r-grid", "0:0.1:0.05", "--trials", "2"],
+        ["evaluate", "--r-grid", "0:0.1:0.05", "--trials", "2", "--snapshot-index", "0"],
+        ["evaluate", "--r-grid", "0:0.1:0.05", "--trials", "2", "--snapshot-index", "-3"],
+    ])
     def test_peak_below_the_archive_held_as_a_list(self, tmp_path, long_archive, command):
+        if command[0] == "evaluate":
+            write_boundary_geojson(tmp_path / "boundary.geojson")
+            command = [*command, "--boundary", str(tmp_path / "boundary.geojson")]
         gc.collect()
         tracemalloc.start()
         try:
@@ -783,6 +806,7 @@ class TestScrapeCommand:
             assert snaps[0].captured_at == 500
         finally:
             server.shutdown()
+            server.server_close()
 
 
 class TestEvaluateGeojsonDump:

@@ -431,6 +431,7 @@ def stub_server():
     url = f"http://127.0.0.1:{server.server_port}/free_bike_status.json"
     yield Handler, url
     server.shutdown()
+    server.server_close()
 
 
 class TestPoller:

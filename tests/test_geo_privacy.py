@@ -125,6 +125,27 @@ class TestDisplace:
         with pytest.raises(ValueError):
             displace(0, 0, 0.0, 101.0)
 
+    def test_nan_radius_rejected(self):
+        with pytest.raises(ValueError, match="negative displacement radius"):
+            displace(34.0, -118.0, 0.5, float("nan"))
+        with pytest.raises(ValueError, match="negative displacement radius"):
+            displace(np.zeros(3), np.zeros(3), np.zeros(3), np.array([0.1, np.nan, 0.2]))
+
+    def test_batch_equals_row_by_row(self):
+        # (n,) coordinates against (trials, n) draws, as the Monte Carlo
+        # loop calls it: every float must match a call per row
+        rng = np.random.default_rng(11)
+        lats = np.concatenate([[89.9999, -89.9999, 90.0, -90.0, 0.0, 60.0, -33.0],
+                               rng.uniform(-90, 90, 93)])
+        lons = np.concatenate([[179.9999, -179.9999, 180.0, -180.0, 179.99, -179.99, 0.0],
+                               rng.uniform(-180, 180, 93)])
+        theta = rng.uniform(0, 2 * math.pi, (25, len(lats)))
+        r = rng.gamma(2.0, 5.0, (25, len(lats)))
+        lat_b, lon_b = displace(lats, lons, theta, r)
+        for t in range(len(theta)):
+            lat_t, lon_t = displace(lats, lons, theta[t], r[t])
+            assert np.array_equal(lat_b[t], lat_t) and np.array_equal(lon_b[t], lon_t)
+
 
 class TestPerturb:
     def test_median_displacement(self):
