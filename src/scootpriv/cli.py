@@ -199,15 +199,18 @@ def _pick_snapshot(args) -> Snapshot:
     is. Reading stops after snapshot k >= 0; a negative k reads to the
     end but holds only the last |k| snapshots."""
     k = args.snapshot_index
+    need = k + 1 if k >= 0 else -k  # snapshots the index needs
+    # islice and deque take C sizes; no archive holds sys.maxsize snapshots
+    bound = min(need, sys.maxsize)
     stream = _read_one_provider(args)
     if k >= 0:
-        stream = itertools.islice(stream, k + 1)
+        stream = itertools.islice(stream, bound)
     # (running count, snapshot) pairs: the last count is the number read
-    held = deque(enumerate(stream, 1), maxlen=1 if k >= 0 else -k)
+    held = deque(enumerate(stream, 1), maxlen=1 if k >= 0 else bound)
     count = held[-1][0] if held else 0
     if not count:
         raise StoreError(f"no snapshots in {args.store}")
-    if count < (k + 1 if k >= 0 else -k):
+    if count < need:
         raise UsageError(f"--snapshot-index {k} out of range for {count} snapshots")
     return held[0][1]
 

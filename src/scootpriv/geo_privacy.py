@@ -76,7 +76,12 @@ def displace(lat, lon, theta, r_km):
     north) from (lat, lon) in degrees, on a sphere of radius 6378.1 km.
     Element-wise, broadcast as numpy does: (n,) coordinates against
     (trials, n) draws give each row what a call per row gives. Returns
-    (lat, lon) in degrees, the longitude in [-180, 180)."""
+    (lat, lon) in degrees, the longitude in [-180, 180).
+
+    Every term built from the draws has their (trials, n) shape: delta,
+    its sin and cos, the sin and cos of theta, the products, sin_lat2 and
+    its clip, lat2 and lon2. At most eight such float arrays, the two
+    results included, are alive at once (tracemalloc peak)."""
     # written as all(...) so that a NaN radius fails too
     if not np.all(r_km >= 0):
         raise ValueError("negative displacement radius")

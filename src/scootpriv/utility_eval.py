@@ -275,8 +275,12 @@ def neighborhood_loss_experiment(
 
     Each R draws trial t's noise into row t of two (trials, n) float
     arrays, bearings and radii, and makes one geo_privacy.displace call
-    that broadcasts the (n,) true coordinates against them; those draws
-    and the two noisy coordinate arrays are the memory one R holds.
+    that broadcasts the (n,) true coordinates against them. Beside the
+    two draw arrays, that call peaks at eight (trials, n) float arrays,
+    its two results included (see displace): ten in all, 80 * trials * n
+    bytes, about 1.9 MB at 25 trials of 940 scooters and 80 MB at 100
+    trials of 10,000. Region assignment then runs once on all trials * n
+    points.
     """
     if not regions.regions:
         raise ValueError("empty region set")

@@ -514,7 +514,9 @@ class TestEvaluateCommand:
         first = rows[1].split(",")
         assert float(first[0]) == 0.0 and float(first[2]) == 0.0
 
-    @pytest.mark.parametrize("index", ["181", "9999", "-182"])
+    @pytest.mark.parametrize(
+        "index", ["181", "9999", "-182", str(sys.maxsize), str(-sys.maxsize - 2)]
+    )
     def test_snapshot_index_out_of_range_exits_2(self, tmp_path, synth_archive, capsys, index):
         boundary = tmp_path / "boundary.geojson"
         write_boundary_geojson(boundary)

@@ -493,8 +493,12 @@ class TestNeighborhoodExperiment:
     def test_epsilon_below_guard_rejected_before_any_draw(self, halves, monkeypatch, experiment):
         # R = 15 km at ratio 6 gives eps = 0.119/km; drawn, it exceeds the
         # 100 km displacement guard only for some seeds
+        # every draw path (perturb, perturb_many, the batched loop) samples here
         draws = []
-        monkeypatch.setattr(geo_privacy, "perturb_many", lambda *a: draws.append(a))
+        sample = geo_privacy.sample_polar_laplace
+        monkeypatch.setattr(
+            geo_privacy, "sample_polar_laplace", lambda *a: draws.append(a) or sample(*a)
+        )
         points = np.random.default_rng(0).uniform(0, 1, (100, 2))
         snap = make_snapshot([(f"s{i}", float(p[0]), float(p[1])) for i, p in enumerate(points)])
         for seed in range(20):
