@@ -237,7 +237,7 @@ def cmd_evaluate(args) -> int:
             regions=tuple(utility_eval.load_regions_geojson(args.neighborhoods))
         )
         neighborhood_rows = utility_eval.neighborhood_loss_experiment(
-            snapshot, regions, grid, args.trials, args.ratio, args.seed + 1
+            snapshot, regions, grid, args.trials, args.ratio, args.seed
         )
         rows = utility_eval.merge_rows(boundary_rows, neighborhood_rows)
     else:

@@ -12,13 +12,13 @@ import csv
 import json
 import logging
 import math
+import mmap
 import os
 import sys
 import time
 from collections.abc import Sequence
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
-from itertools import compress
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
@@ -127,14 +127,6 @@ class Snapshot:
         """The observations as a read-only sequence, built on demand."""
         return _ObservationView(self)
 
-    def select(self, mask) -> Snapshot:
-        """This snapshot with only the observations where mask is true."""
-        mask = np.asarray(mask, dtype=bool)
-        return replace(
-            self, ids=tuple(compress(self.ids, mask)),
-            **{c: getattr(self, c)[mask] for c, _ in _ARRAY_COLUMNS},
-        )
-
 
 _ARRAY_COLUMNS = (
     ("lats", np.float64), ("lons", np.float64), ("reserved", bool), ("disabled", bool),
@@ -165,10 +157,11 @@ def json_int(value) -> int:
     raise ValueError(f"{value!r} is not an integer")
 
 
-def _feed_id(value) -> str:
-    """A feed bike_id: a JSON string, as GBFS defines it."""
+def json_str(value) -> str:
+    """A name or id read from JSON, as a feed bike_id is in GBFS: a
+    string, never a number or null; anything else is a ValueError."""
     if type(value) is not str:
-        raise ValueError(f"bike_id {value!r} is not a string")
+        raise ValueError(f"{value!r} is not a string")
     return value
 
 
@@ -181,7 +174,7 @@ def _feed_flag(value) -> bool:
 
 # (feed key, conversion) per Snapshot column, in column order
 _FEED_FIELDS = (
-    ("bike_id", _feed_id), ("lat", json_number), ("lon", json_number),
+    ("bike_id", json_str), ("lat", json_number), ("lon", json_number),
     ("is_reserved", _feed_flag), ("is_disabled", _feed_flag),
 )
 # (record key, JSON types) per Snapshot array column, in column order;
@@ -268,11 +261,37 @@ class SnapshotStore:
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        # last captured_at appended per provider, for the monotonicity check
-        self._last_written: dict[str, int] = {}
+        # last captured_at per provider, for the monotonicity check
+        self._last_written: dict[str, int | None] = {}
+
+    def last_captured(self, provider: str) -> int | None:
+        """captured_at of the provider's newest snapshot in the archive, or
+        None. The first call per provider decodes lines from the file's end
+        back to the provider's last one, its newest (append keeps each
+        provider ascending), so a restarted writer resumes after it."""
+        if provider not in self._last_written:
+            self._last_written[provider] = self._tail_captured(provider)
+        return self._last_written[provider]
+
+    def _tail_captured(self, provider: str) -> int | None:
+        if not self.path.exists() or not self.path.stat().st_size:
+            return None  # mmap rejects an empty file
+        with open(self.path, "rb") as f, mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ) as mm:
+            end = len(mm)
+            while end:
+                start = mm.rfind(b"\n", 0, end - 1) + 1
+                line, end = mm[start:end], start
+                try:
+                    # neither a _meta line nor a blank one has a provider
+                    rec = json.loads(line) if line.strip() else {}
+                    if rec.get("provider") == provider:
+                        return json_int(rec["captured_at"])
+                except (AttributeError, KeyError, ValueError) as exc:
+                    raise StoreError(f"{self.path}: corrupt line at byte {start}: {exc}") from exc
+        return None
 
     def append(self, snap: Snapshot) -> None:
-        last = self._last_written.get(snap.provider)
+        last = self.last_captured(snap.provider)
         if last is not None and snap.captured_at <= last:
             raise StoreError(
                 f"captured_at {snap.captured_at} not after previous {last} "
@@ -444,7 +463,8 @@ def poll_feed(
     """Poll a free_bike_status endpoint, appending changed snapshots.
 
     A snapshot whose captured_at is not newer than the last one stored
-    (the same document again, or a stale cached copy) is skipped.
+    (the same document again, or a stale cached copy) is skipped; the
+    last one stored by an earlier run counts (SnapshotStore.last_captured).
     Transient fetch or parse errors are logged and retried with bounded
     backoff; they never abort polling. Returns when stop() is true.
     """
@@ -453,7 +473,6 @@ def poll_feed(
             f"interval must be positive and finite, at most {MAX_INTERVAL_S:g} s, got {interval_s}"
         )
     summary = PollSummary()
-    last_captured: int | None = None
     effective_interval = interval_s
     while not stop():
         raw = _fetch_with_retry(endpoint, effective_interval, summary, timeout)
@@ -464,12 +483,12 @@ def poll_feed(
                 summary.parse_errors += 1
                 log.warning("parse failure: %s", exc)
             else:
-                if last_captured is not None and snap.captured_at <= last_captured:
+                last = store.last_captured(provider)
+                if last is not None and snap.captured_at <= last:
                     summary.skipped_unchanged += 1
                 else:
                     store.append(snap)
                     summary.snapshots_written += 1
-                    last_captured = snap.captured_at
                 # never poll slower than the feed refreshes
                 effective_interval = min(interval_s, snap.ttl_s)
         if stop():

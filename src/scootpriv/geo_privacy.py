@@ -56,10 +56,11 @@ def epsilon_from(radius_km: float, ratio_bound: float) -> float:
 
 
 def sample_polar_laplace(
-    epsilon: float, rng: np.random.Generator, size: int
+    epsilon: float, rng: np.random.Generator, size: int | tuple[int, ...]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Draw size (theta, r) pairs as two arrays: bearing uniform on
-    [0, 2pi), radius Gamma(2, 1/eps).
+    """Draw (theta, r) pairs as two arrays of shape size, an int or a
+    shape as numpy takes it: bearing uniform on [0, 2pi), radius
+    Gamma(2, 1/eps). All bearings are drawn before any radius.
 
     The Gamma shape-2 radial marginal is exactly eps^2 * r * exp(-eps*r).
     """

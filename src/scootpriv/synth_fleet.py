@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import geo_privacy
-from .feed_ingest import Snapshot, write_csv
+from .feed_ingest import Snapshot, json_int, json_number, json_str, write_csv
 # re-exported: cli and perfbench/tracing.py reach synth's archive writer by this name
 from .feed_ingest import write_archive  # noqa: F401
 from .trip_recon import TRIP_CSV_COLUMNS, Trip, trip_row
@@ -92,32 +92,42 @@ class FleetConfig:
 def config_from_json(doc: dict) -> FleetConfig:
     """FleetConfig from a parsed JSON fleet config. ``n_scooters``,
     ``seed`` and ``area_rings`` ([lat, lon] vertices) are required;
-    absent optional keys take FleetConfig's and Hotspot's defaults."""
+    absent optional keys take FleetConfig's and Hotspot's defaults. Each
+    value is read by the JSON value rule of its field's type (feed_ingest's
+    json_int, json_number, json_str); a hotspot center starts with two numbers."""
     if not isinstance(doc, dict):
         raise TypeError("a fleet config must be a JSON object")
     area = Region(
-        name=doc.get("area_name", "area"),
-        rings=tuple(
-            tuple((float(lat), float(lon)) for lat, lon in ring) for ring in doc["area_rings"]
-        ),
+        name=json_str(doc.get("area_name", "area")),
+        rings=tuple(tuple(_pair(v) for v in ring) for ring in doc["area_rings"]),
     )
     hotspots = tuple(
         Hotspot(
-            center=(float(h["center"][0]), float(h["center"][1])),
-            **{k: float(h[k]) for k in ("weight", "spread_m") if k in h},
+            center=_pair(h["center"][:2]),
+            **{k: json_number(h[k]) for k in ("weight", "spread_m") if k in h},
         )
         for h in doc.get("hotspots", [])
     )
-    # every other key present is an optional field, cast to its default's type
+    # every other key present is an optional field, read by its default's type
     optional = {
-        f.name: type(f.default)(doc[f.name])
+        f.name: _JSON_VALUES[type(f.default)](doc[f.name])
         for f in fields(FleetConfig)
         if f.name in doc and f.default is not MISSING and f.name != "hotspots"
     }
     return FleetConfig(
-        n_scooters=int(doc["n_scooters"]), area=area, seed=int(doc["seed"]),
+        n_scooters=json_int(doc["n_scooters"]), area=area, seed=json_int(doc["seed"]),
         hotspots=hotspots, **optional,
     )
+
+
+def _pair(value) -> tuple[float, float]:
+    """Two JSON numbers: a [lat, lon] vertex or center, or a [min, max] range."""
+    a, b = value
+    return json_number(a), json_number(b)
+
+
+# reader of a JSON value per FleetConfig field type
+_JSON_VALUES = {int: json_int, float: json_number, str: json_str, tuple: _pair}
 
 
 @dataclass

@@ -243,12 +243,13 @@ def boundary_loss_experiment(
     """Mean scooters escaping the boundary per trial, for each R.
 
     The neighborhood experiment with the boundary as its one region, over
-    the scooters initially inside it: for those, escaping the region and
-    landing outside the boundary are the same event.
+    every scooter: a scooter initially inside escapes the region exactly
+    when it lands outside the boundary, and one outside never counts.
+    With the same seed it draws the noise the neighborhood experiment
+    draws for the same snapshot.
     """
-    kept = snapshot.select(points_in_region(snapshot.lats, snapshot.lons, boundary))
     rows = neighborhood_loss_experiment(
-        kept, RegionSet((boundary,)), r_grid, trials, ratio, master_seed
+        snapshot, RegionSet((boundary,)), r_grid, trials, ratio, master_seed
     )
     return [
         UtilityRow(r.R_km, r.epsilon, r.mean_escapes, r.stderr_escapes, 0.0, 0.0, 0.0)
@@ -268,14 +269,14 @@ def neighborhood_loss_experiment(
     a neighborhood whose noisy location falls outside it) and absolute
     count error, both averaged over trials and neighborhoods.
 
-    R = 0 means no perturbation. Trial t at grid index g draws from
-    substream g * trials + t of master_seed, so results do not depend on
-    execution order. Every epsilon is built, and so checked, before any
-    draw, so an R too large fails for every seed.
+    R = 0 means no perturbation. Grid index g draws every trial's noise
+    from substream g of master_seed, in one sample_polar_laplace call of
+    shape (trials, n): row t is trial t. So results depend only on the
+    seed and g, not on execution order. Every epsilon is built, and so
+    checked, before any draw, so an R too large fails for every seed.
 
-    Each R draws trial t's noise into row t of two (trials, n) float
-    arrays, bearings and radii, and makes one geo_privacy.displace call
-    that broadcasts the (n,) true coordinates against them. Beside the
+    Each R makes one geo_privacy.displace call that broadcasts the (n,)
+    true coordinates against the (trials, n) bearings and radii. Beside the
     two draw arrays, that call peaks at eight (trials, n) float arrays,
     its two results included (see displace): ten in all, 80 * trials * n
     bytes, about 1.9 MB at 25 trials of 940 scooters and 80 MB at 100
@@ -299,11 +300,8 @@ def neighborhood_loss_experiment(
         if r_km == 0:
             rows.append(UtilityRow(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
             continue
-        theta = np.empty((trials, len(lats)))
-        r = np.empty((trials, len(lats)))
-        for t in range(trials):
-            rng = geo_privacy.substream(master_seed, g * trials + t)
-            theta[t], r[t] = geo_privacy.sample_polar_laplace(eps, rng, len(lats))
+        rng = geo_privacy.substream(master_seed, g)
+        theta, r = geo_privacy.sample_polar_laplace(eps, rng, (trials, len(lats)))
         nlat, nlon = geo_privacy.displace(lats, lons, theta, r)
         # every trial's points in one assignment, one row per trial
         noisy = _assign_regions(nlat.ravel(), nlon.ravel(), regions).reshape(nlat.shape)

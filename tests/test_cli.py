@@ -238,6 +238,32 @@ class TestSynthCommand:
             err = capsys.readouterr().err
             assert err.startswith("error: invalid fleet config") and "Traceback" not in err, doc
 
+    @pytest.mark.parametrize("change", [
+        {"n_scooters": 5.7},
+        {"n_scooters": "5"},
+        {"seed": 1.9},
+        {"snapshot_interval_s": 60.5},
+        {"snapshot_interval_s": 0.5},
+        {"area_rings": [[[33.9, -118.5], [33.9, "-118.3"], [34.1, -118.3], [33.9, -118.5]]]},
+        {"trip_rate": True},
+        {"trip_distance_m": [100, "200"]},
+        {"provider": [1]},
+        {"area_name": {"name": "la"}},
+        {"hotspots": [{"center": [34.0]}]},
+        {"hotspots": [{"center": "34"}]},
+        {"hotspots": [{"center": [34.0, -118.4], "weight": "2"}]},
+    ], ids=repr)
+    def test_config_value_outside_the_json_value_rule_exits_2(
+        self, tmp_path, synth_config, capsys, change
+    ):
+        # integers are integral numbers, numbers are never strings or
+        # booleans, names are strings, and a center starts with two numbers
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**json.loads(synth_config.read_text()), **change}))
+        assert main(["synth", "--config", str(bad), "--output", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid fleet config") and "Traceback" not in err
+
     def test_rerun_byte_identical(self, tmp_path, synth_config):
         out1, out2 = tmp_path / "a1.jsonl", tmp_path / "a2.jsonl"
         main(["synth", "--config", str(synth_config), "--output", str(out1)])

@@ -212,6 +212,29 @@ class TestStore:
         with pytest.raises(StoreError):
             store.append(make_snapshot([("a", 0, 0)], captured_at=100))
 
+    def test_last_captured_read_from_the_archive_tail(self, tmp_path):
+        path = tmp_path / "a.jsonl"
+        snaps = [make_snapshot([("a", 0, 0)], captured_at=t, provider=p)
+                 for p, t in (("lime", 100), ("bird", 50), ("lime", 160))]
+        write_archive(snaps, path, meta={"command": "test"})
+        with open(path, "a") as f:
+            f.write("\n")  # blank lines are skipped
+        store = SnapshotStore(path)
+        assert [store.last_captured(p) for p in ("lime", "bird", "other")] == [160, 50, None]
+        # a second writer on the archive keeps each provider ascending
+        with pytest.raises(StoreError, match="not after previous 50"):
+            SnapshotStore(path).append(make_snapshot([("a", 0, 0)], 50, provider="bird"))
+        SnapshotStore(path).append(make_snapshot([("a", 0, 0)], 170, provider="lime"))
+        assert [s.captured_at for s in read_snapshots(SnapshotStore(path))] == [100, 50, 160, 170]
+
+    def test_last_captured_of_a_cut_line_is_a_store_error(self, tmp_path):
+        path = tmp_path / "a.jsonl"
+        write_archive([make_snapshot([("a", 0, 0)], captured_at=1)], path)
+        with open(path, "a") as f:
+            f.write('{"provider": "test", "captured_at": 2, "bi')
+        with pytest.raises(StoreError, match="corrupt line"):
+            SnapshotStore(path).last_captured("test")
+
     def test_corrupt_line_reported_with_number(self, tmp_path):
         path = tmp_path / "a.jsonl"
         store = SnapshotStore(path)
@@ -456,6 +479,17 @@ class TestPoller:
         assert summary.snapshots_written == 2
         assert summary.skipped_unchanged == 1
         assert [s.captured_at for s in store.iter_all()] == [1000, 1060]
+
+    def test_restart_on_the_archive_appends_no_duplicate(self, tmp_path, monkeypatch):
+        # a restarted scrape served the document the last run stored
+        doc = make_feed_doc([("a", 1, 1)], last_updated=100)
+        monkeypatch.setattr(feed_ingest, "_fetch_with_retry", lambda *args: doc)
+        path = tmp_path / "a.jsonl"
+        first = self._run(None, "http://feed.invalid/", SnapshotStore(path), n_polls=1)
+        second = self._run(None, "http://feed.invalid/", SnapshotStore(path), n_polls=1)
+        assert (first.snapshots_written, first.skipped_unchanged) == (1, 0)
+        assert (second.snapshots_written, second.skipped_unchanged) == (0, 1)
+        assert len(path.read_text().splitlines()) == 1
 
     def test_stale_snapshot_skipped(self, tmp_path, monkeypatch):
         # a cached copy can serve an older document after a newer one

@@ -306,7 +306,7 @@ class TestConfigFromJson:
         )
 
     def test_given_keys_converted(self):
-        doc = {"n_scooters": "3", "seed": 8, "area_rings": RINGS, "area_name": "la",
+        doc = {"n_scooters": 3, "seed": 8, "area_rings": RINGS, "area_name": "la",
                "trip_rate": 1, "trip_distance_m": [100, 200], "snapshot_interval_s": 30.0,
                "provider": "bird"}
         config = config_from_json(doc)

@@ -388,7 +388,7 @@ class TestBoundaryExperiment:
         assert rows[0].mean_outside == 0.0
 
     def test_outside_scooters_excluded(self, city):
-        # the second snapshot has no scooter inside: R > 0 runs on an empty fleet
+        # the second snapshot has no scooter inside: R > 0 moves only the outside one
         for bikes in ([("in", 0.5, 0.5), ("out", 9.0, 9.0)], [("out", 9.0, 9.0)]):
             rows = boundary_loss_experiment(
                 make_snapshot(bikes), city, [0.0, 0.25], trials=2, ratio=6, master_seed=0
@@ -403,8 +403,8 @@ class TestBoundaryExperiment:
         )
         assert rows == [
             UtilityRow(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
-            UtilityRow(0.25, 7.16703787691222, 0.5, 0.18496087779795345, 0.0, 0.0, 0.0),
-            UtilityRow(0.5, 3.58351893845611, 1.15, 0.16662280124501821, 0.0, 0.0, 0.0),
+            UtilityRow(0.25, 7.16703787691222, 0.95, 0.19834844406538177, 0.0, 0.0, 0.0),
+            UtilityRow(0.5, 3.58351893845611, 1.15, 0.23254880642226708, 0.0, 0.0, 0.0),
         ]
 
     def test_half_plane_escape_matches_quadrature(self, city):
@@ -454,12 +454,40 @@ class TestNeighborhoodExperiment:
     def test_single_covering_region_reduces_to_boundary(self):
         city = square_region("all", side_deg=1.0)
         regions = RegionSet(regions=(city,))
-        snap = make_snapshot([(f"s{i}", 0.5, 1.0 - 0.25 / KM_PER_DEG) for i in range(5)])
+        # the last scooter starts outside: neither experiment counts it
+        snap = make_snapshot(
+            [(f"s{i}", 0.5, 1.0 - 0.25 / KM_PER_DEG) for i in range(5)]
+            + [("out", 0.5, 1.0 + 0.1 / KM_PER_DEG)]
+        )
         kw = dict(trials=50, ratio=6, master_seed=7)
-        n_rows = neighborhood_loss_experiment(snap, regions, [0.25], **kw)
-        b_rows = boundary_loss_experiment(snap, city, [0.25], **kw)
-        # same substreams, same single region: escape counts must agree
-        assert n_rows[0].mean_escapes == pytest.approx(b_rows[0].mean_outside)
+        n_rows = neighborhood_loss_experiment(snap, regions, [0.0, 0.25, 0.5], **kw)
+        b_rows = boundary_loss_experiment(snap, city, [0.0, 0.25, 0.5], **kw)
+        # same points, same seed, same single region: the same noise, so equal rows
+        assert [(r.mean_escapes, r.stderr_escapes) for r in n_rows] == [
+            (r.mean_outside, r.stderr_outside) for r in b_rows
+        ]
+        assert b_rows[1].mean_outside > 0
+
+    @pytest.mark.parametrize("experiment", ["neighborhood", "boundary"])
+    def test_one_substream_and_one_draw_per_positive_r(self, halves, monkeypatch, experiment):
+        calls = []
+        for name in ("substream", "sample_polar_laplace"):
+            real = getattr(geo_privacy, name)
+            monkeypatch.setattr(
+                geo_privacy, name,
+                lambda *a, name=name, real=real: calls.append((name, a[-1])) or real(*a),
+            )
+        snap = make_snapshot([("a", 0.5, 0.25), ("b", 0.5, 0.75), ("out", 2.0, 2.0)])
+        grid = [0.0, 0.1, 0.25, 0.5]
+        if experiment == "neighborhood":
+            neighborhood_loss_experiment(snap, halves, grid, 7, 6, 3)
+        else:
+            boundary_loss_experiment(snap, square_region("city"), grid, 7, 6, 3)
+        # grid index g draws all 7 trials of all 3 scooters from substream g
+        assert calls == [
+            call for g in (1, 2, 3)
+            for call in (("substream", g), ("sample_polar_laplace", (7, 3)))
+        ]
 
     def test_adjacent_halves_match_quadrature(self, halves):
         eps = epsilon_from(0.25, 6)
@@ -521,8 +549,8 @@ class TestNeighborhoodExperiment:
         rows = neighborhood_loss_experiment(snap, halves, [0.0, 0.25, 0.5], 20, 6, 11)
         assert rows == [
             UtilityRow(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
-            UtilityRow(0.25, 7.16703787691222, 0.0, 0.0, 0.4, 0.25, 0.06786208925382961),
-            UtilityRow(0.5, 3.58351893845611, 0.0, 0.0, 0.55, 0.525, 0.0991742220326909),
+            UtilityRow(0.25, 7.16703787691222, 0.0, 0.0, 0.65, 0.475, 0.0767343332201228),
+            UtilityRow(0.5, 3.58351893845611, 0.0, 0.0, 0.6, 0.6, 0.11239029738980327),
         ]
 
 
