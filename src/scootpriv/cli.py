@@ -15,7 +15,6 @@ import itertools
 import json
 import math
 import sys
-import time
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import replace
@@ -74,14 +73,12 @@ def cmd_scrape(args) -> int:
         raise UsageError(f"--interval must be positive, at most {feed_ingest.MAX_INTERVAL_S:g} s")
     if args.duration < 0:
         raise UsageError("--duration must be >= 0")
-    store = SnapshotStore(args.store)
-    deadline = time.monotonic() + args.duration
     summary = poll_feed(
         endpoint=args.url,
-        store=store,
+        store=SnapshotStore(args.store),
         provider=args.provider,
         interval_s=args.interval,
-        stop=lambda: time.monotonic() >= deadline,
+        duration_s=args.duration,
     )
     print(
         f"stored {summary.snapshots_written} snapshots, "
@@ -224,18 +221,19 @@ def cmd_evaluate(args) -> int:
     dump_eps = None
     if args.dump_geojson and args.dump_radius_km != 0:
         dump_eps = _epsilon("--dump-radius-km", args.dump_radius_km, args.ratio)
-    snapshot = _pick_snapshot(args)
     boundary, *rest = utility_eval.load_regions_geojson(args.boundary)
     if rest:
         raise UsageError(f"--boundary {args.boundary} holds {1 + len(rest)} features, want one: "
                          "a city in parts is one MultiPolygon feature")
-    boundary_rows = utility_eval.boundary_loss_experiment(
-        snapshot, boundary, grid, args.trials, args.ratio, args.seed
-    )
     if args.neighborhoods:
         regions = utility_eval.RegionSet(
             regions=tuple(utility_eval.load_regions_geojson(args.neighborhoods))
         )
+    snapshot = _pick_snapshot(args)
+    boundary_rows = utility_eval.boundary_loss_experiment(
+        snapshot, boundary, grid, args.trials, args.ratio, args.seed
+    )
+    if args.neighborhoods:
         neighborhood_rows = utility_eval.neighborhood_loss_experiment(
             snapshot, regions, grid, args.trials, args.ratio, args.seed
         )
@@ -355,7 +353,7 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, utility_eval.RegionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

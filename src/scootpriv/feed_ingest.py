@@ -16,17 +16,18 @@ import mmap
 import os
 import sys
 import time
-from collections.abc import Sequence
-from contextlib import contextmanager
+from collections.abc import Callable, Sequence
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
 log = logging.getLogger(__name__)
 
 RETRY_ATTEMPTS = 3
+FETCH_TIMEOUT_S = 10.0
 # longest poll interval, one day: time.sleep overflows on far longer ones
 MAX_INTERVAL_S = 86_400.0
 
@@ -429,25 +430,23 @@ class PollSummary:
 
 
 def _fetch_with_retry(
-    endpoint: str, interval_s: float, summary: PollSummary, timeout: float
+    endpoint: str, interval_s: float, summary: PollSummary, nap: Callable[[float], None]
 ) -> bytes | None:
     """3 attempts with exponential backoff capped at interval/2."""
     # imported here: only scrape fetches, so no other command loads the HTTP stack
     import http.client
     import urllib.request
 
-    backoff = min(1.0, interval_s / 2)
     for attempt in range(RETRY_ATTEMPTS):
         try:
             # urlopen raises HTTPError, an OSError, on any non-2xx status
-            with urllib.request.urlopen(endpoint, timeout=timeout) as resp:
+            with urllib.request.urlopen(endpoint, timeout=FETCH_TIMEOUT_S) as resp:
                 return resp.read()
         except (OSError, http.client.HTTPException) as exc:
             summary.fetch_failures += 1
             log.warning("fetch attempt %d failed: %s", attempt + 1, exc)
             if attempt < RETRY_ATTEMPTS - 1:
-                time.sleep(backoff)
-                backoff = min(backoff * 2, interval_s / 2)
+                nap(min(2.0**attempt, interval_s / 2))
     return None
 
 
@@ -456,42 +455,47 @@ def poll_feed(
     store: SnapshotStore,
     provider: str,
     interval_s: float,
-    stop: Callable[[], bool],
-    sleep: Callable[[float], None] = time.sleep,
-    timeout: float = 10.0,
+    duration_s: float,
+    clock=time,
 ) -> PollSummary:
-    """Poll a free_bike_status endpoint, appending changed snapshots.
+    """Poll a free_bike_status endpoint for duration_s seconds; store each new snapshot.
 
     A snapshot whose captured_at is not newer than the last one stored
     (the same document again, or a stale cached copy) is skipped; the
     last one stored by an earlier run counts (SnapshotStore.last_captured).
     Transient fetch or parse errors are logged and retried with bounded
-    backoff; they never abort polling. Returns when stop() is true.
+    backoff; they never abort polling. Every wait, interval or backoff,
+    ends by the deadline on ``clock``: anything with monotonic() and sleep().
+    Ctrl-C (KeyboardInterrupt) ends the run early, with the summary so far.
     """
     if not 0 < interval_s <= MAX_INTERVAL_S:
         raise ValueError(
             f"interval must be positive and finite, at most {MAX_INTERVAL_S:g} s, got {interval_s}"
         )
     summary = PollSummary()
+    deadline = clock.monotonic() + duration_s
+
+    def nap(seconds: float) -> None:
+        clock.sleep(max(0.0, min(seconds, deadline - clock.monotonic())))
+
     effective_interval = interval_s
-    while not stop():
-        raw = _fetch_with_retry(endpoint, effective_interval, summary, timeout)
-        if raw is not None:
-            try:
-                snap = parse_free_bike_status(raw, provider)
-            except FeedParseError as exc:
-                summary.parse_errors += 1
-                log.warning("parse failure: %s", exc)
-            else:
-                last = store.last_captured(provider)
-                if last is not None and snap.captured_at <= last:
-                    summary.skipped_unchanged += 1
+    with suppress(KeyboardInterrupt):
+        while clock.monotonic() < deadline:
+            raw = _fetch_with_retry(endpoint, effective_interval, summary, nap)
+            if raw is not None:
+                try:
+                    snap = parse_free_bike_status(raw, provider)
+                except FeedParseError as exc:
+                    summary.parse_errors += 1
+                    log.warning("parse failure: %s", exc)
                 else:
-                    store.append(snap)
-                    summary.snapshots_written += 1
-                # never poll slower than the feed refreshes
-                effective_interval = min(interval_s, snap.ttl_s)
-        if stop():
-            break
-        sleep(effective_interval)
+                    last = store.last_captured(provider)
+                    if last is not None and snap.captured_at <= last:
+                        summary.skipped_unchanged += 1
+                    else:
+                        store.append(snap)
+                        summary.snapshots_written += 1
+                    # never poll slower than the feed refreshes
+                    effective_interval = min(interval_s, snap.ttl_s)
+            nap(effective_interval)
     return summary

@@ -25,10 +25,11 @@ MAX_TAIL_PROBABILITY = 1e-12
 
 
 def substream(master_seed: int, index: int) -> np.random.Generator:
-    """Independent, reproducible RNG substream for a (trial, worker) index.
+    """Independent, reproducible RNG substream number index of master_seed.
 
-    Derivation depends only on (master_seed, index), not on spawn order,
-    so parallel Monte Carlo results are schedule-independent.
+    Derivation depends only on (master_seed, index), not on spawn order or
+    on other draws. The evaluate Monte Carlo loop draws grid point g's noise
+    from index g; sanitize uses 0 and the evaluate GeoJSON dump 10**6.
     """
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(index,)))
 

@@ -94,29 +94,40 @@ def config_from_json(doc: dict) -> FleetConfig:
     ``seed`` and ``area_rings`` ([lat, lon] vertices) are required;
     absent optional keys take FleetConfig's and Hotspot's defaults. Each
     value is read by the JSON value rule of its field's type (feed_ingest's
-    json_int, json_number, json_str); a hotspot center starts with two numbers."""
+    json_int, json_number, json_str); a hotspot center starts with two numbers.
+    A value error names its key."""
     if not isinstance(doc, dict):
         raise TypeError("a fleet config must be a JSON object")
     area = Region(
-        name=json_str(doc.get("area_name", "area")),
-        rings=tuple(tuple(_pair(v) for v in ring) for ring in doc["area_rings"]),
+        name=_read("area_name", json_str, doc.get("area_name", "area")),
+        rings=_read("area_rings", lambda rings: tuple(tuple(map(_pair, r)) for r in rings),
+                    doc["area_rings"]),
     )
-    hotspots = tuple(
-        Hotspot(
-            center=_pair(h["center"][:2]),
-            **{k: json_number(h[k]) for k in ("weight", "spread_m") if k in h},
-        )
-        for h in doc.get("hotspots", [])
-    )
+    hotspots = _read("hotspots", lambda hs: tuple(map(_hotspot, hs)), doc.get("hotspots", []))
     # every other key present is an optional field, read by its default's type
     optional = {
-        f.name: _JSON_VALUES[type(f.default)](doc[f.name])
+        f.name: _read(f.name, _JSON_VALUES[type(f.default)], doc[f.name])
         for f in fields(FleetConfig)
         if f.name in doc and f.default is not MISSING and f.name != "hotspots"
     }
     return FleetConfig(
-        n_scooters=json_int(doc["n_scooters"]), area=area, seed=json_int(doc["seed"]),
-        hotspots=hotspots, **optional,
+        n_scooters=_read("n_scooters", json_int, doc["n_scooters"]), area=area,
+        seed=_read("seed", json_int, doc["seed"]), hotspots=hotspots, **optional,
+    )
+
+
+def _read(key: str, read, value):
+    """read(value), whose ValueError, TypeError or OverflowError names the key."""
+    try:
+        return read(value)
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise ValueError(f"{key}: {exc}") from exc
+
+
+def _hotspot(h: dict) -> Hotspot:
+    return Hotspot(
+        center=_pair(h["center"][:2]),
+        **{k: json_number(h[k]) for k in ("weight", "spread_m") if k in h},
     )
 
 

@@ -141,8 +141,9 @@ def load_regions_geojson(path: str | Path) -> list[Region]:
     GeoJSON positions are [lon, lat], then an altitude that is dropped;
     rings are stored as (lat, lon). A region is named by its feature's
     ``name`` property, else ``region_<i>``. Anything but a non-empty array
-    of feature objects, with object geometry and properties and rings of
-    positions that start with two numbers, raises RegionError.
+    of feature objects, with object geometry and properties and valid rings
+    (Region) of positions that start with two numbers, raises RegionError;
+    its message starts with the path.
     """
     with open(path, encoding="utf-8") as f:
         doc = json.load(f)
@@ -166,9 +167,11 @@ def load_regions_geojson(path: str | Path) -> list[Region]:
         try:
             polys = [geom["coordinates"]] if gtype == "Polygon" else geom["coordinates"]
             rings = tuple(tuple(_position(p) for p in ring) for poly in polys for ring in poly)
+            regions.append(Region(name=name, rings=rings))
+        except RegionError as exc:
+            raise RegionError(f"{path}: {exc}") from exc
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise RegionError(f"{path}: feature {name!r}: malformed coordinates ({exc!r})") from exc
-        regions.append(Region(name=name, rings=rings))
     return regions
 
 

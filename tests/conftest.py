@@ -42,6 +42,26 @@ def make_snapshot(bikes, captured_at=1_700_000_000, ttl_s=60, provider="test"):
     )
 
 
+class FakeClock:
+    """A clock for poll_feed in virtual time: sleep() advances
+    monotonic() at once and records its argument. With interrupt_at=n,
+    the nth sleep raises KeyboardInterrupt instead, as Ctrl-C would."""
+
+    def __init__(self, interrupt_at=None):
+        self.now = 0.0
+        self.sleeps = []
+        self.interrupt_at = interrupt_at
+
+    def monotonic(self):
+        return self.now
+
+    def sleep(self, seconds):
+        if len(self.sleeps) + 1 == self.interrupt_at:
+            raise KeyboardInterrupt
+        self.sleeps.append(seconds)
+        self.now += seconds
+
+
 def planar_density(epsilon, center, at):
     """Planar Laplace output density (1/km^2) at a point, for planar
     (x, y) km coordinates: the oracle of the indistinguishability bound."""

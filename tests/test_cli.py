@@ -1,7 +1,9 @@
 import argparse
 import builtins
 import errno
+import functools
 import gc
+import itertools
 import json
 import math
 import subprocess
@@ -21,7 +23,7 @@ from scootpriv.feed_ingest import SnapshotStore, write_archive
 from scootpriv.geo_privacy import analytic_cdf
 from scootpriv.trip_recon import haversine_distance, read_trips_csv
 
-from conftest import make_feed_doc, make_snapshot, square_region
+from conftest import FakeClock, make_feed_doc, make_snapshot, square_region
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -193,18 +195,20 @@ def test_scrape_interval_over_a_day_exits_2_before_polling(tmp_path, capsys, mon
     assert list(tmp_path.iterdir()) == []
 
 
-def test_scrape_duration_inf_runs_until_interrupted(tmp_path, monkeypatch):
-    stops = []
-
-    def poll(**kwargs):
-        stops.append(kwargs["stop"]())
-        return feed_ingest.PollSummary()
-
-    monkeypatch.setattr(cli, "poll_feed", poll)
+def test_scrape_duration_inf_runs_until_interrupted(tmp_path, monkeypatch, capsys):
+    # Ctrl-C in the third interval's sleep ends the run after three polls
+    docs = (make_feed_doc([("a", 1, 1)], last_updated=t) for t in itertools.count(100, 60))
+    monkeypatch.setattr(feed_ingest, "_fetch_with_retry", lambda *args: next(docs))
+    clock = FakeClock(interrupt_at=3)
+    monkeypatch.setattr(cli, "poll_feed", functools.partial(feed_ingest.poll_feed, clock=clock))
     argv = ["scrape", "--url", "http://feed.invalid/", "--provider", "p",
             "--store", str(tmp_path / "a.jsonl"), "--duration", "inf"]
-    assert main(argv) == 0
-    assert stops == [False]
+    try:
+        assert main(argv) == 0
+    except KeyboardInterrupt:  # escaped, it would end the whole test session
+        pytest.fail("scrape let the interrupt escape")
+    assert capsys.readouterr().out.startswith("stored 3 snapshots, 0 fetch failures")
+    assert clock.sleeps == [60.0, 60.0]
 
 
 class TestSynthCommand:
@@ -262,7 +266,9 @@ class TestSynthCommand:
         bad.write_text(json.dumps({**json.loads(synth_config.read_text()), **change}))
         assert main(["synth", "--config", str(bad), "--output", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: invalid fleet config") and "Traceback" not in err
+        # the message names the key, a hotspot's center under hotspots
+        assert err.startswith(f"error: invalid fleet config: {next(iter(change))}: ")
+        assert "Traceback" not in err
 
     def test_rerun_byte_identical(self, tmp_path, synth_config):
         out1, out2 = tmp_path / "a1.jsonl", tmp_path / "a2.jsonl"
@@ -624,26 +630,45 @@ class TestEvaluateCommand:
                                        "coordinates": [[[0, 0], [1, 0], [1, v], [0, 1],
                                                         [0, 0]]]}}]})
               for v in (float("nan"), float("inf"))),
+            ("--neighborhoods", {"type": "FeatureCollection",
+                                 "features": [{"type": "Feature", "geometry": {
+                                     "type": "Polygon",
+                                     "coordinates": [[[0, 0], [1, 0], [0, 0]]]}}]}),
         ],
         ids=["boundary not an object", "boundary without features",
              "boundary without coordinates", "boundary with malformed coordinates",
              "neighborhoods without features", "feature not an object",
              "features not an array", "properties not an object", "geometry not an object",
              "position with one number", "positions of digit strings", "position with a bool",
-             "position NaN", "position Infinity"],
+             "position NaN", "position Infinity", "ring of three vertices"],
     )
-    def test_bad_region_file_exits_2(self, tmp_path, synth_archive, capsys, flag, doc):
+    def test_bad_region_file_exits_2(self, tmp_path, capsys, flag, doc):
         boundary = tmp_path / "boundary.geojson"
         write_boundary_geojson(boundary)
         bad = tmp_path / "bad.geojson"
         bad.write_text(json.dumps(doc))
         regions = {"--boundary": boundary, flag: bad}
-        argv = ["evaluate", "--store", str(synth_archive), "--trials", "2",
+        # the region files are checked before the archive, which is missing
+        argv = ["evaluate", "--store", str(tmp_path / "missing.jsonl"), "--trials", "2",
                 "--output", str(tmp_path / "r.csv")]
         for name, path in regions.items():
             argv += [name, str(path)]
         assert main(argv) == 2
-        assert capsys.readouterr().err.startswith("error:")
+        assert capsys.readouterr().err.startswith(f"error: {bad}")
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_out_of_memory_exits_1(self, tmp_path, synth_archive, capsys, monkeypatch):
+        # as numpy fails when --trials asks for more noise than memory holds
+        def exhausted(*args):
+            raise MemoryError("Unable to allocate 702. GiB")
+
+        monkeypatch.setattr(geo_privacy, "sample_polar_laplace", exhausted)
+        boundary = tmp_path / "boundary.geojson"
+        write_boundary_geojson(boundary)
+        argv = ["evaluate", "--store", str(synth_archive), "--boundary", str(boundary),
+                "--r-grid", "0:0.1:0.05", "--output", str(tmp_path / "r.csv")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: Unable to allocate 702. GiB\n"
         assert not (tmp_path / "r.csv").exists()
 
     def test_boundary_of_two_features_exits_2(self, tmp_path, synth_archive, capsys):
@@ -820,7 +845,7 @@ class TestScrapeCommand:
 
     def test_stub_server_yields_snapshot(self, tmp_path):
         server = ThreadingHTTPServer(("127.0.0.1", 0), _OneShotHandler)
-        threading.Thread(target=server.serve_forever, daemon=True).start()
+        threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True).start()
         try:
             arch = tmp_path / "a.jsonl"
             rc = main(

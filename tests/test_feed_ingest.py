@@ -25,7 +25,7 @@ from scootpriv.feed_ingest import (
     write_archive,
 )
 
-from conftest import make_feed_doc, make_snapshot, square_region
+from conftest import FakeClock, make_feed_doc, make_snapshot, square_region
 
 
 class TestParse:
@@ -449,7 +449,8 @@ def stub_server():
         calls = 0
 
     server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # shutdown() waits out one poll_interval of serve_forever (0.5 s by default)
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
     thread.start()
     url = f"http://127.0.0.1:{server.server_port}/free_bike_status.json"
     yield Handler, url
@@ -458,16 +459,10 @@ def stub_server():
 
 
 class TestPoller:
-    def _run(self, handler, url, store, n_polls, interval=60):
-        polls = {"n": 0}
-
-        def stop():
-            return polls["n"] >= n_polls
-
-        def sleep(_):
-            polls["n"] += 1
-
-        return poll_feed(url, store, "p", interval, stop, sleep=sleep)
+    def _run(self, url, store, n_polls, interval=60, clock=None):
+        # a poll here waits less than an interval in backoff, so a run of
+        # n intervals makes n polls; the clock is virtual
+        return poll_feed(url, store, "p", interval, n_polls * interval, clock=clock or FakeClock())
 
     def test_unchanged_feed_deduplicated(self, stub_server, tmp_path):
         handler, url = stub_server
@@ -475,7 +470,7 @@ class TestPoller:
         doc3 = make_feed_doc([("a", 2, 2)], last_updated=1060)
         handler.script = [(200, doc1), (200, doc1), (200, doc3)]
         store = SnapshotStore(tmp_path / "a.jsonl")
-        summary = self._run(handler, url, store, n_polls=3)
+        summary = self._run(url, store, n_polls=3)
         assert summary.snapshots_written == 2
         assert summary.skipped_unchanged == 1
         assert [s.captured_at for s in store.iter_all()] == [1000, 1060]
@@ -485,8 +480,8 @@ class TestPoller:
         doc = make_feed_doc([("a", 1, 1)], last_updated=100)
         monkeypatch.setattr(feed_ingest, "_fetch_with_retry", lambda *args: doc)
         path = tmp_path / "a.jsonl"
-        first = self._run(None, "http://feed.invalid/", SnapshotStore(path), n_polls=1)
-        second = self._run(None, "http://feed.invalid/", SnapshotStore(path), n_polls=1)
+        first = self._run("http://feed.invalid/", SnapshotStore(path), n_polls=1)
+        second = self._run("http://feed.invalid/", SnapshotStore(path), n_polls=1)
         assert (first.snapshots_written, first.skipped_unchanged) == (1, 0)
         assert (second.snapshots_written, second.skipped_unchanged) == (0, 1)
         assert len(path.read_text().splitlines()) == 1
@@ -496,7 +491,7 @@ class TestPoller:
         docs = iter(make_feed_doc([("a", 1, 1)], last_updated=t) for t in (100, 90, 110))
         monkeypatch.setattr(feed_ingest, "_fetch_with_retry", lambda *args: next(docs))
         store = SnapshotStore(tmp_path / "a.jsonl")
-        summary = self._run(None, "http://feed.invalid/", store, n_polls=3)
+        summary = self._run("http://feed.invalid/", store, n_polls=3)
         assert summary.snapshots_written == 2
         assert summary.skipped_unchanged == 1
         assert [s.captured_at for s in store.iter_all()] == [100, 110]
@@ -510,7 +505,7 @@ class TestPoller:
                      make_feed_doc([("a", 2, 2)], last_updated=110)])
         monkeypatch.setattr(feed_ingest, "_fetch_with_retry", lambda *args: next(docs))
         store = SnapshotStore(tmp_path / "a.jsonl")
-        summary = self._run(None, "http://feed.invalid/", store, n_polls=3)
+        summary = self._run("http://feed.invalid/", store, n_polls=3)
         assert summary.parse_errors == 1 and summary.fetch_failures == 0
         assert [r.getMessage() for r in caplog.records] == [
             "parse failure: missing or bad required field: inf is not an integer"
@@ -522,10 +517,12 @@ class TestPoller:
         handler, url = stub_server
         doc = make_feed_doc([("a", 1, 1)], last_updated=1000)
         handler.script = [(500, b""), (200, doc)]
-        store = SnapshotStore(tmp_path / "a.jsonl")
-        summary = self._run(handler, url, store, n_polls=1)
+        store, clock = SnapshotStore(tmp_path / "a.jsonl"), FakeClock()
+        summary = self._run(url, store, n_polls=1, clock=clock)
         assert summary.fetch_failures == 1
         assert summary.snapshots_written == 1
+        # a 1 s backoff, then the interval's rest up to the deadline
+        assert clock.sleeps == [1.0, 59.0]
 
     def test_changing_feed_stores_every_snapshot(self, stub_server, tmp_path):
         handler, url = stub_server
@@ -534,26 +531,18 @@ class TestPoller:
             for i in range(10)
         ]
         store = SnapshotStore(tmp_path / "a.jsonl")
-        summary = self._run(handler, url, store, n_polls=10)
+        summary = self._run(url, store, n_polls=10)
         assert summary.snapshots_written == 10
         assert summary.fetch_failures == 0
 
     def test_unreachable_endpoint_never_fatal(self, tmp_path, caplog):
-        store = SnapshotStore(tmp_path / "a.jsonl")
-        polls = {"n": 0}
-
-        def stop():
-            return polls["n"] >= 1
-
-        def sleep(_):
-            polls["n"] += 1
-
-        summary = poll_feed(
-            "http://127.0.0.1:1/nope", store, "p", 60, stop, sleep=sleep, timeout=0.2
-        )
+        store, clock = SnapshotStore(tmp_path / "a.jsonl"), FakeClock()
+        summary = self._run("http://127.0.0.1:1/nope", store, n_polls=1, clock=clock)
         assert summary.snapshots_written == 0
         # one poll of RETRY_ATTEMPTS attempts, each failure logged
         assert summary.fetch_failures == 3 and summary.parse_errors == 0
+        # backoff 1 s, then doubled, then the interval's rest up to the deadline
+        assert clock.sleeps == [1.0, 2.0, 57.0]
         messages = [r.getMessage() for r in caplog.records]
         assert [m.split(":")[0] for m in messages] == [
             f"fetch attempt {i} failed" for i in (1, 2, 3)
@@ -570,32 +559,42 @@ class TestPoller:
             raise OSError(f"refused {attempts}")
 
         monkeypatch.setattr(urllib.request, "urlopen", refuse)
-        monkeypatch.setattr("time.sleep", lambda s: None)
         polls = 200
         store = SnapshotStore(tmp_path / "a.jsonl")
-        summary = self._run(None, "http://dead.invalid/", store, polls)
+        # each poll waits 1 s and 2 s in backoff, then the 60 s interval
+        summary = poll_feed("http://dead.invalid/", store, "p", 60, polls * 63, clock=FakeClock())
         total = polls * 3  # every poll makes RETRY_ATTEMPTS attempts
         assert summary.fetch_failures == total and summary.parse_errors == 0
         assert [r.getMessage() for r in caplog.records] == [
             f"fetch attempt {(i - 1) % 3 + 1} failed: refused {i}" for i in range(1, total + 1)
         ]
 
+    @pytest.mark.parametrize("dead", [False, True], ids=["working", "dead"])
+    def test_duration_under_one_interval_bounds_every_sleep(self, stub_server, tmp_path, dead):
+        # a 4 s interval in a 0.5 s run: one poll, and no sleep past 0.5 s
+        handler, url = stub_server
+        handler.script = [(200, make_feed_doc([("a", 1, 1)]))]
+        clock = FakeClock()
+        summary = poll_feed("http://127.0.0.1:1/nope" if dead else url,
+                            SnapshotStore(tmp_path / "a.jsonl"), "p", 4, 0.5, clock=clock)
+        counts = (summary.snapshots_written, summary.fetch_failures)
+        assert counts == ((0, feed_ingest.RETRY_ATTEMPTS) if dead else (1, 0))
+        assert clock.sleeps == ([0.5, 0.0, 0.0] if dead else [0.5])
+
     def test_nonpositive_interval_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            poll_feed("http://x/", SnapshotStore(tmp_path / "a.jsonl"), "p", 0, lambda: True)
+            poll_feed("http://x/", SnapshotStore(tmp_path / "a.jsonl"), "p", 0, 0)
 
     def test_interval_over_a_day_rejected(self, tmp_path):
         # time.sleep overflows on an interval this long
         with pytest.raises(ValueError, match="at most 86400 s"):
-            poll_feed("http://x/", SnapshotStore(tmp_path / "a.jsonl"), "p", 1e300,
-                      lambda: True)
+            poll_feed("http://x/", SnapshotStore(tmp_path / "a.jsonl"), "p", 1e300, 0)
 
     @pytest.mark.parametrize("interval", [float("nan"), float("inf")])
     def test_non_finite_interval_rejected(self, tmp_path, interval):
         # either would end the first sleep in an error, after a fetch
         with pytest.raises(ValueError, match="finite"):
-            poll_feed("http://x/", SnapshotStore(tmp_path / "a.jsonl"), "p", interval,
-                      lambda: True)
+            poll_feed("http://x/", SnapshotStore(tmp_path / "a.jsonl"), "p", interval, 0)
 
 
 class TestColumnarMemory:
