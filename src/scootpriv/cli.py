@@ -140,11 +140,16 @@ def cmd_cluster(args) -> int:
     if args.max_size is not None and args.max_size < 1:
         raise UsageError("--max-size must be >= 1")
     trips = trip_recon.read_trips_csv(args.trips)
-    if args.k > len(trips):
-        raise UsageError(f"k={args.k} exceeds trip count {len(trips)}")
     points = [
         t.start_loc if args.endpoint == "start" else t.end_loc for t in trips
     ]
+    # k-means can fill at most one cluster per distinct point
+    distinct = len(set(points))
+    if args.k > distinct:
+        raise UsageError(
+            f"k={args.k} exceeds the {distinct} distinct {args.endpoint} points "
+            f"of {len(trips)} trips"
+        )
     clusters = clustering.kmeans(points, k=args.k, seed=args.seed)
     if args.max_size is not None:
         clusters = clustering.select_small_clusters(clusters, args.max_size)
@@ -226,9 +231,11 @@ def cmd_evaluate(args) -> int:
         raise UsageError(f"--boundary {args.boundary} holds {1 + len(rest)} features, want one: "
                          "a city in parts is one MultiPolygon feature")
     if args.neighborhoods:
-        regions = utility_eval.RegionSet(
-            regions=tuple(utility_eval.load_regions_geojson(args.neighborhoods))
-        )
+        hoods = utility_eval.load_regions_geojson(args.neighborhoods)
+        try:
+            regions = utility_eval.RegionSet(tuple(hoods))
+        except utility_eval.RegionError as exc:
+            raise UsageError(f"{args.neighborhoods}: {exc}") from exc
     snapshot = _pick_snapshot(args)
     boundary_rows = utility_eval.boundary_loss_experiment(
         snapshot, boundary, grid, args.trials, args.ratio, args.seed
@@ -258,7 +265,10 @@ def cmd_evaluate(args) -> int:
 
 def cmd_synth(args) -> int:
     with open(args.config, encoding="utf-8") as f:
-        doc = json.load(f)
+        try:
+            doc = json.load(f)
+        except ValueError as exc:  # not JSON, or not UTF-8 text
+            raise UsageError(f"{args.config}: not valid JSON: {exc}") from exc
     try:
         config = synth_fleet.config_from_json(doc)
         # an area with no samplable interior fails only when sampled

@@ -16,7 +16,7 @@ import mmap
 import os
 import sys
 import time
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from pathlib import Path
@@ -38,30 +38,6 @@ class FeedParseError(ValueError):
 
 class StoreError(OSError):
     """Raised when a snapshot archive cannot be read or written."""
-
-
-class _ObservationView(Sequence):
-    """A snapshot's observations as a read-only sequence: its length is
-    the snapshot's, and each item is an (id, lat, lon, reserved,
-    disabled) tuple of Python values, built when it is read."""
-
-    __slots__ = ("_snap",)
-
-    def __init__(self, snap: Snapshot):
-        self._snap = snap
-
-    def __len__(self) -> int:
-        return len(self._snap.ids)
-
-    def __getitem__(self, i: int) -> tuple[str, float, float, bool, bool]:
-        s = self._snap
-        return s.ids[i], s.lats.item(i), s.lons.item(i), s.reserved.item(i), s.disabled.item(i)
-
-    def __iter__(self) -> Iterator[tuple[str, float, float, bool, bool]]:
-        s = self._snap
-        return zip(
-            s.ids, s.lats.tolist(), s.lons.tolist(), s.reserved.tolist(), s.disabled.tolist()
-        )
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -123,10 +99,20 @@ class Snapshot:
             other.provider, other.captured_at, other.ttl_s, other.ids
         ) and all(np.array_equal(getattr(self, c), getattr(other, c)) for c, _ in _ARRAY_COLUMNS)
 
+    def rows(self) -> Iterator[tuple[str, float, float, bool, bool]]:
+        """The observations, one (id, lat, lon, reserved, disabled) tuple
+        of Python values each, built as they are read."""
+        return zip(
+            self.ids, self.lats.tolist(), self.lons.tolist(),
+            self.reserved.tolist(), self.disabled.tolist(),
+        )
+
     @property
-    def observations(self) -> _ObservationView:
-        """The observations as a read-only sequence, built on demand."""
-        return _ObservationView(self)
+    def observations(self) -> tuple[tuple[str, float, float, bool, bool], ...]:
+        """Every row (see rows), built on each access. Only tests and the
+        benchmark harness's observation count read it; once the harness
+        counts len(snap.ids), it goes."""
+        return tuple(self.rows())
 
 
 _ARRAY_COLUMNS = (
@@ -229,7 +215,7 @@ def snapshot_to_record(snap: Snapshot) -> dict:
         "ttl_s": snap.ttl_s,
         "bikes": [
             {"id": i, "lat": lat, "lon": lon, "reserved": reserved, "disabled": disabled}
-            for i, lat, lon, reserved, disabled in snap.observations
+            for i, lat, lon, reserved, disabled in snap.rows()
         ],
     }
 
@@ -326,7 +312,7 @@ class SnapshotStore:
                 except (
                     json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError
                 ) as exc:
-                    raise StoreError(f"corrupt line {lineno}: {exc}") from exc
+                    raise StoreError(f"{self.path}: corrupt line {lineno}: {exc}") from exc
 
 
 @contextmanager
@@ -337,15 +323,17 @@ def atomic_path(path: str | Path) -> Iterator[Path]:
     it is removed and ``path`` is left as it was, so no reader ever sees
     a partial output. Close the temporary file before the block ends.
     A symbolic link is followed: the file it names is replaced, the
-    link stays.
+    link stays. An OSError on the temporary file names ``path`` as given.
     """
-    path = Path(path).resolve()
+    given, path = path, Path(path).resolve()
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         yield tmp
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.filename in (tmp, str(tmp)):
+            raise OSError(exc.errno, exc.strerror, os.fspath(given)) from exc
         raise
 
 

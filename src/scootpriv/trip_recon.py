@@ -205,21 +205,42 @@ def write_trips_csv(trips: list[Trip], path: str | Path, meta: dict | None = Non
     write_csv(path, TRIP_CSV_COLUMNS, (trip_row(t) for t in trips), meta)
 
 
+def _coordinate(rec: dict, column: str, limit: float) -> float:
+    value = float(rec[column])
+    # NaN fails both comparisons, so it is out of range too
+    if not -limit <= value <= limit:
+        raise ValueError(f"{column} {rec[column]!r} out of range [-{limit:g}, {limit:g}]")
+    return value
+
+
 def read_trips_csv(path: str | Path) -> list[Trip]:
-    """Trips from a trips CSV; ValueError if a TRIP_CSV_COLUMNS column is
-    missing from its header."""
+    """Trips from a trips CSV, skipping ``#`` lines. ValueError if a
+    TRIP_CSV_COLUMNS column is missing from its header, or if a row does
+    not make a Trip of finite, in-range coordinates; a row's error names
+    the path and the row's line in the file."""
+    lineno = 0  # of the line last read, # lines counted
+
+    def data_lines(f):
+        nonlocal lineno
+        for lineno, line in enumerate(f, start=1):
+            if not line.startswith("#"):
+                yield line
+
     with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.DictReader(line for line in f if not line.startswith("#"))
+        reader = csv.DictReader(data_lines(f))
         missing = [c for c in TRIP_CSV_COLUMNS if c not in (reader.fieldnames or [])]
         if missing:
             raise ValueError(f"{path}: trips CSV lacks column(s) {', '.join(missing)}")
-        return [
-            Trip(
-                rec["scooter_id"],
-                (float(rec["start_lat"]), float(rec["start_lon"])),
-                (float(rec["end_lat"]), float(rec["end_lon"])),
-                int(rec["start_time"]),
-                int(rec["end_time"]),
-            )
-            for rec in reader
-        ]
+        trips = []
+        for rec in reader:
+            try:
+                trips.append(Trip(
+                    rec["scooter_id"],
+                    (_coordinate(rec, "start_lat", 90.0), _coordinate(rec, "start_lon", 180.0)),
+                    (_coordinate(rec, "end_lat", 90.0), _coordinate(rec, "end_lon", 180.0)),
+                    int(rec["start_time"]),
+                    int(rec["end_time"]),
+                ))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path}: line {lineno}: {exc}") from exc
+        return trips

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, fields
 from functools import cached_property
 from pathlib import Path
@@ -102,9 +103,9 @@ class RegionSet:
     regions: tuple[Region, ...]
 
     def __post_init__(self):
-        names = [r.name for r in self.regions]
-        if len(names) != len(set(names)):
-            raise RegionError("duplicate region names")
+        dups = sorted(n for n, c in Counter(r.name for r in self.regions).items() if c > 1)
+        if dups:
+            raise RegionError(f"duplicate region names: {', '.join(map(repr, dups))}")
 
 
 def points_in_region(lats: np.ndarray, lons: np.ndarray, region: Region) -> np.ndarray:
@@ -140,13 +141,16 @@ def load_regions_geojson(path: str | Path) -> list[Region]:
 
     GeoJSON positions are [lon, lat], then an altitude that is dropped;
     rings are stored as (lat, lon). A region is named by its feature's
-    ``name`` property, else ``region_<i>``. Anything but a non-empty array
-    of feature objects, with object geometry and properties and valid rings
-    (Region) of positions that start with two numbers, raises RegionError;
-    its message starts with the path.
+    ``name`` property, else ``region_<i>``. A file that is not JSON, or
+    anything but a non-empty array of feature objects, with object geometry
+    and properties and valid rings (Region) of positions that start with
+    two numbers, raises RegionError; its message starts with the path.
     """
     with open(path, encoding="utf-8") as f:
-        doc = json.load(f)
+        try:
+            doc = json.load(f)
+        except ValueError as exc:  # not JSON, or not UTF-8 text
+            raise RegionError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
         raise RegionError(f"{path}: not a FeatureCollection")
     features = doc.get("features")
@@ -309,17 +313,13 @@ def neighborhood_loss_experiment(
         # every trial's points in one assignment, one row per trial
         noisy = _assign_regions(nlat.ravel(), nlon.ravel(), regions).reshape(nlat.shape)
         escaped = (true_assignment >= 0) & (noisy != true_assignment)
-        escapes = _per_trial_counts((offsets + true_assignment)[escaped], trials, n_regions)
-        noisy_counts = _per_trial_counts((offsets + noisy)[noisy >= 0], trials, n_regions)
-        esc_m, esc_se = _mean_stderr(escapes.mean(axis=1))
+        noisy_counts = np.bincount(
+            (offsets + noisy)[noisy >= 0], minlength=trials * n_regions
+        ).reshape(trials, n_regions)
+        esc_m, esc_se = _mean_stderr(escaped.sum(axis=1) / n_regions)
         err_m, _ = _mean_stderr(np.abs(true_counts - noisy_counts).mean(axis=1))
         rows.append(UtilityRow(r_km, eps, 0.0, 0.0, err_m, esc_m, esc_se))
     return rows
-
-
-def _per_trial_counts(index: np.ndarray, trials: int, n_regions: int) -> np.ndarray:
-    """(trials, n_regions) counts of the offset indices t * n_regions + i."""
-    return np.bincount(index, minlength=trials * n_regions).reshape(trials, n_regions)
 
 
 def merge_rows(
@@ -359,5 +359,5 @@ def snapshot_to_geojson(snapshot: Snapshot) -> dict:
     """Point FeatureCollection of one snapshot, for map rendering."""
     return points_geojson(
         (lat, lon, {"scooter_id": i, "reserved": reserved, "disabled": disabled})
-        for i, lat, lon, reserved, disabled in snapshot.observations
+        for i, lat, lon, reserved, disabled in snapshot.rows()
     )

@@ -270,6 +270,15 @@ class TestSynthCommand:
         assert err.startswith(f"error: invalid fleet config: {next(iter(change))}: ")
         assert "Traceback" not in err
 
+    def test_config_not_json_exits_2_naming_it(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{not")
+        assert main(["synth", "--config", str(bad), "--output", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {bad}: not valid JSON: Expecting property name"
+        )
+        assert not (tmp_path / "o").exists()
+
     def test_rerun_byte_identical(self, tmp_path, synth_config):
         out1, out2 = tmp_path / "a1.jsonl", tmp_path / "a2.jsonl"
         main(["synth", "--config", str(synth_config), "--output", str(out1)])
@@ -351,7 +360,7 @@ class TestReconstructCommand:
         bad.write_text("".join(lines[:3] + [json.dumps(rec) + "\n"] + lines[4:]))
         rc = main(["reconstruct", "--store", str(bad), "--output", str(tmp_path / "t.csv")])
         assert rc == 1
-        assert "corrupt line 4" in capsys.readouterr().err
+        assert f"error: {bad}: corrupt line 4: " in capsys.readouterr().err
 
     def test_repeated_snapshot_line_ignored(self, tmp_path, synth_archive):
         # a restarted scrape can append a snapshot the archive already holds
@@ -403,6 +412,67 @@ class TestClusterCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert all(c in err for c in trip_recon.TRIP_CSV_COLUMNS)
+
+    @staticmethod
+    def write_trips(path, starts, meta=None):
+        """One trip from each start point 1 km north, 10 minutes long."""
+        trips = [trip_recon.Trip(f"s{i}", (lat, lon), (lat + 0.009, lon), 0, 600)
+                 for i, (lat, lon) in enumerate(starts)]
+        trip_recon.write_trips_csv(trips, path, meta)
+
+    @pytest.mark.parametrize("column,value,message", [
+        ("start_lat", "nan", "start_lat 'nan' out of range [-90, 90]"),
+        ("start_lon", "inf", "start_lon 'inf' out of range [-180, 180]"),
+        ("end_lat", "90.5", "end_lat '90.5' out of range [-90, 90]"),
+        ("end_lon", "-181", "end_lon '-181' out of range [-180, 180]"),
+        ("start_lat", "north", "could not convert string to float: 'north'"),
+        ("start_time", "abc", "invalid literal for int() with base 10: 'abc'"),
+        ("end_time", "-5", "end_time -5 must be after start_time 0"),
+    ])
+    def test_bad_trip_row_exits_1_naming_its_line(self, tmp_path, capsys, column, value, message):
+        path = tmp_path / "trips.csv"
+        self.write_trips(path, [(34.0, -118.2)] * 3, meta={"command": "reconstruct", "seed": 1})
+        lines = path.read_text().splitlines(keepends=True)
+        # two # lines, the header, then the rows: the second row is line 5
+        cells = lines[4].rstrip("\n").split(",")
+        cells[trip_recon.TRIP_CSV_COLUMNS.index(column)] = value
+        lines[4] = ",".join(cells) + "\n"
+        path.write_text("".join(lines))
+        out = tmp_path / "c.csv"
+        assert main(["cluster", "--trips", str(path), "--k", "1", "--output", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: line 5: {message}\n"
+        assert not out.exists()
+
+    def test_k_above_distinct_endpoints_exits_2(self, tmp_path, capsys):
+        # 30 trips from 10 start points: at most 10 clusters have members
+        path = tmp_path / "trips.csv"
+        self.write_trips(path, [(34.0 + 0.01 * (i % 10), -118.0) for i in range(30)])
+        out = tmp_path / "c.csv"
+        argv = ["cluster", "--trips", str(path), "--output", str(out), "--k"]
+        assert main([*argv, "12"]) == 2
+        assert capsys.readouterr().err == (
+            "error: k=12 exceeds the 10 distinct start points of 30 trips\n"
+        )
+        assert not out.exists()
+        assert main([*argv, "10"]) == 0
+        rows = [l for l in out.read_text().splitlines() if not l.startswith("#")][1:]
+        assert sorted(int(r.split(",")[-1]) for r in rows) == [3] * 10
+
+    def test_max_size_keeps_small_clusters_sorted(self, tmp_path):
+        # 6 trips from one point and 2 from another; k=2 splits them so
+        path = tmp_path / "trips.csv"
+        self.write_trips(path, [(34.0, -118.0)] * 6 + [(34.05, -118.0)] * 2)
+        out = tmp_path / "c.csv"
+        argv = ["cluster", "--trips", str(path), "--k", "2", "--output", str(out)]
+        assert main([*argv, "--max-size", "2"]) == 0
+        lines = out.read_text().splitlines()
+        assert "# max_size=2" in lines
+        rows = [l.split(",") for l in lines if not l.startswith("#")]
+        assert rows[0] == ["cluster_id", "centroid_lat", "centroid_lon", "size"]
+        assert [r[1:] for r in rows[1:]] == [["34.050000", "-118.000000", "2"]]
+        assert main([*argv, "--max-size", "6"]) == 0
+        sizes = [l.split(",")[-1] for l in out.read_text().splitlines()[-2:]]
+        assert sizes == ["2", "6"]
 
     def test_same_seed_byte_identical(self, tmp_path, trips_csv):
         path, n = trips_csv
@@ -634,19 +704,26 @@ class TestEvaluateCommand:
                                  "features": [{"type": "Feature", "geometry": {
                                      "type": "Polygon",
                                      "coordinates": [[[0, 0], [1, 0], [0, 0]]]}}]}),
+            # a str is the file's text, not a JSON document
+            ("--boundary", "{not"),
+            ("--neighborhoods", "{not"),
+            ("--neighborhoods", {"type": "FeatureCollection",
+                                 "features": [{"type": "Feature", "properties": {"name": "a"},
+                                               "geometry": SQUARE}] * 2}),
         ],
         ids=["boundary not an object", "boundary without features",
              "boundary without coordinates", "boundary with malformed coordinates",
              "neighborhoods without features", "feature not an object",
              "features not an array", "properties not an object", "geometry not an object",
              "position with one number", "positions of digit strings", "position with a bool",
-             "position NaN", "position Infinity", "ring of three vertices"],
+             "position NaN", "position Infinity", "ring of three vertices",
+             "boundary not JSON", "neighborhoods not JSON", "neighborhoods with a name twice"],
     )
     def test_bad_region_file_exits_2(self, tmp_path, capsys, flag, doc):
         boundary = tmp_path / "boundary.geojson"
         write_boundary_geojson(boundary)
         bad = tmp_path / "bad.geojson"
-        bad.write_text(json.dumps(doc))
+        bad.write_text(doc if isinstance(doc, str) else json.dumps(doc))
         regions = {"--boundary": boundary, flag: bad}
         # the region files are checked before the archive, which is missing
         argv = ["evaluate", "--store", str(tmp_path / "missing.jsonl"), "--trials", "2",
@@ -655,6 +732,30 @@ class TestEvaluateCommand:
             argv += [name, str(path)]
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith(f"error: {bad}")
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_duplicate_region_names_listed(self, tmp_path, synth_archive, capsys):
+        boundary = tmp_path / "boundary.geojson"
+        write_boundary_geojson(boundary)
+        feature = {"type": "Feature", "geometry": SQUARE}
+        named = [{**feature, "properties": {"name": n}} for n in ("b", "a", "b", "a", "c")]
+        hoods = tmp_path / "hoods.geojson"
+        hoods.write_text(json.dumps({"type": "FeatureCollection", "features": named}))
+        argv = ["evaluate", "--store", str(synth_archive), "--trials", "2",
+                "--output", str(tmp_path / "r.csv")]
+        assert main([*argv, "--boundary", str(boundary), "--neighborhoods", str(hoods)]) == 2
+        assert capsys.readouterr().err == f"error: {hoods}: duplicate region names: 'a', 'b'\n"
+
+    def test_archive_of_only_meta_exits_1(self, tmp_path, synth_archive, capsys):
+        path = tmp_path / "meta_only.jsonl"
+        path.write_text(synth_archive.read_text().splitlines(keepends=True)[0])
+        assert '"_meta"' in path.read_text()
+        boundary = tmp_path / "boundary.geojson"
+        write_boundary_geojson(boundary)
+        rc = main(["evaluate", "--store", str(path), "--boundary", str(boundary),
+                   "--trials", "2", "--output", str(tmp_path / "r.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: no snapshots in {path}\n"
         assert not (tmp_path / "r.csv").exists()
 
     def test_out_of_memory_exits_1(self, tmp_path, synth_archive, capsys, monkeypatch):
@@ -948,3 +1049,16 @@ class TestAtomicOutputs:
         assert main(argv) == 1
         assert out.read_text() == "old\n"
         assert list(tmp_path.glob(".*.tmp")) == []
+
+    @pytest.mark.parametrize("writer", [
+        "trip_recon", "clustering.csv", "clustering.geojson", "synth_fleet",
+        "utility_eval.csv", "utility_eval.json", "cli",
+    ])
+    def test_missing_directory_names_the_output(self, tmp_path, inputs, capsys, writer):
+        # the error names the path given, not the temporary file beside it
+        out = tmp_path / "missing" / "out.txt"
+        argv = [str(out) if a == "{out}" else a for a in inputs[writer]]
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{out}'\n"
+        assert list(tmp_path.rglob(".*.tmp")) == []

@@ -147,6 +147,18 @@ def test_inertia_increase_raises(monkeypatch):
         kmeans_planar(xy, k=3, seed=0)
 
 
+def test_empty_cluster_reseeded_at_farthest_point(monkeypatch):
+    # a seed centroid far from every point owns none of them; it moves to
+    # the point farthest from its own centroid, which then owns it
+    xy = np.array([[0.0, 0.0], [0.1, 0.0], [1.0, 0.0], [1.1, 0.0], [5.0, 0.0]])
+    seeds = np.array([[0.0, 0.0], [1.0, 0.0], [100.0, 100.0]])
+    monkeypatch.setattr(clustering, "_kmeans_pp_init", lambda xy, k, rng: seeds.copy())
+    labels, centroids, inertia = kmeans_planar(xy, k=3, seed=0)
+    assert labels.tolist() == [0, 0, 1, 1, 2]
+    assert centroids[2].tolist() == [5.0, 0.0]
+    assert inertia == pytest.approx(4 * 0.05**2)
+
+
 class TestHistogramAndSelection:
     def make_cluster(self, cid, size):
         return Cluster(id=cid, centroid=(34.0, -118.2), member_indices=tuple(range(size)))

@@ -606,7 +606,6 @@ class TestColumnarMemory:
         snapshots, _ = synth_fleet.generate(config)
         store = SnapshotStore(tmp_path / "a.jsonl")
         write_archive(snapshots, store.path)
-        view = type(snapshots[0].observations)
         built = 0
 
         def counting(method):
@@ -616,18 +615,23 @@ class TestColumnarMemory:
                 return method(*args)
             return wrapper
 
-        for name in ("__iter__", "__getitem__"):
-            monkeypatch.setattr(view, name, counting(getattr(view, name)))
         gc.collect()
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            snaps = list(read_snapshots(store))
-            gc.collect()
-            held = tracemalloc.get_traced_memory()[0] - base
-        finally:
-            tracemalloc.stop()
-        n_obs = sum(len(s.observations) for s in snaps)
+        with monkeypatch.context() as m:
+            # every row is built through rows() or observations
+            m.setattr(Snapshot, "rows", counting(Snapshot.rows))
+            m.setattr(Snapshot, "observations", property(counting(Snapshot.observations.fget)))
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                snaps = list(read_snapshots(store))
+                gc.collect()
+                held = tracemalloc.get_traced_memory()[0] - base
+            finally:
+                tracemalloc.stop()
+            assert built == 0
+            # the writer builds its rows through the counted generator
+            snapshot_to_record(snaps[0])
+            assert built == 1
+        n_obs = sum(len(s.ids) for s in snaps)
         assert n_obs == sum(len(s.ids) for s in snapshots) > 10_000
         assert held / n_obs < 40
-        assert built == 0
