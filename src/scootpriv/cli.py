@@ -267,14 +267,14 @@ def cmd_synth(args) -> int:
     with open(args.config, encoding="utf-8") as f:
         try:
             doc = json.load(f)
-        except ValueError as exc:  # not JSON, or not UTF-8 text
+        except feed_ingest.MALFORMED_INPUT as exc:  # not JSON, not UTF-8, or nested too deeply
             raise UsageError(f"{args.config}: not valid JSON: {exc}") from exc
     try:
         config = synth_fleet.config_from_json(doc)
         # an area with no samplable interior fails only when sampled
         snapshots, truth = synth_fleet.generate(config)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise UsageError(f"invalid fleet config: {exc}") from exc
+    except feed_ingest.MALFORMED_INPUT as exc:
+        raise UsageError(f"invalid fleet config: {feed_ingest.malformed_message(exc)}") from exc
     synth_fleet.write_archive(
         snapshots, args.output, meta=_meta("synth", seed=config.seed, config=doc)
     )
@@ -305,8 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("reconstruct", help="diff an archive into filtered trips")
     s.add_argument("--store", required=True)
     s.add_argument("--provider", default=None)
-    s.add_argument("--min-distance-m", type=float, default=100.0)
-    s.add_argument("--max-duration-s", type=int, default=3600)
+    s.add_argument("--min-distance-m", type=float, default=trip_recon.TripFilter.min_distance_m)
+    s.add_argument("--max-duration-s", type=int, default=trip_recon.TripFilter.max_duration_s)
     s.add_argument("--min-move-m", type=float, default=trip_recon.DEFAULT_MIN_MOVE_M)
     s.add_argument("--output", required=True)
     s.set_defaults(func=cmd_reconstruct)
@@ -363,7 +363,8 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, utility_eval.RegionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, ValueError, MemoryError) as exc:
+    # a document deep enough to decode can still be too deep to encode again
+    except (OSError, ValueError, MemoryError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -124,6 +124,17 @@ _ARRAY_COLUMNS = (
 _NUMBER_TYPES = frozenset((int, float))
 
 
+# what reading a malformed document from outside raises; a ValueError includes
+# JSON and UTF-8 decode errors, a RecursionError nesting deeper than json decodes,
+# and a csv.Error a field over the csv module's limit
+MALFORMED_INPUT = (KeyError, TypeError, ValueError, OverflowError, RecursionError, csv.Error)
+
+
+def malformed_message(exc: Exception) -> str:
+    """The message of a MALFORMED_INPUT error; a KeyError's names the key as missing."""
+    return f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+
+
 def json_number(value) -> float:
     """A coordinate read from JSON, as a float: a finite number, never a
     bool or a string (Python's json reads NaN and Infinity as numbers).
@@ -176,34 +187,26 @@ def parse_free_bike_status(raw: bytes, provider: str) -> Snapshot:
     """Parse a GBFS free_bike_status JSON document into a Snapshot.
 
     ``captured_at`` is the feed's ``last_updated`` timestamp. Unknown
-    extra fields are ignored; missing or malformed required fields (NaN
-    and Infinity included; a coordinate must be a JSON number, a flag a
+    extra fields are ignored; a malformed document (MALFORMED_INPUT: not
+    JSON, nested too deeply, or a required field missing or bad, NaN and
+    Infinity included; a coordinate must be a JSON number, a flag a
     boolean or 0 or 1, an id a string, last_updated and ttl integers),
     out-of-range coordinates, or duplicate bike ids raise FeedParseError.
+    The message of a bad bike starts with its index.
     """
+    where, columns = "document", [[] for _ in _FEED_FIELDS]
     try:
         doc = json.loads(raw)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise FeedParseError(f"not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise FeedParseError("document is not a JSON object")
-
-    try:
-        last_updated = json_int(doc["last_updated"])
-        ttl = json_int(doc["ttl"])
+        last_updated, ttl = json_int(doc["last_updated"]), json_int(doc["ttl"])
         bikes = doc["data"]["bikes"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise FeedParseError(f"missing or bad required field: {exc}") from exc
-    if not isinstance(bikes, list):
-        raise FeedParseError("data.bikes is not an array")
-
-    columns = [[] for _ in _FEED_FIELDS]
-    for i, bike in enumerate(bikes):
-        try:
+        if type(bikes) is not list:  # {} or "" would read as no bikes
+            raise TypeError("data.bikes is not an array")
+        for i, bike in enumerate(bikes):
+            where = f"bike #{i}"
             for column, (key, conv) in zip(columns, _FEED_FIELDS):
                 column.append(conv(bike[key]))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise FeedParseError(f"bike #{i}: {exc}") from exc
+    except MALFORMED_INPUT as exc:
+        raise FeedParseError(f"{where}: {malformed_message(exc)}") from exc
     return Snapshot(provider, last_updated, ttl, *columns)
 
 
@@ -271,10 +274,14 @@ class SnapshotStore:
                 try:
                     # neither a _meta line nor a blank one has a provider
                     rec = json.loads(line) if line.strip() else {}
+                    if type(rec) is not dict:
+                        raise TypeError("not a JSON object")
                     if rec.get("provider") == provider:
                         return json_int(rec["captured_at"])
-                except (AttributeError, KeyError, ValueError) as exc:
-                    raise StoreError(f"{self.path}: corrupt line at byte {start}: {exc}") from exc
+                except MALFORMED_INPUT as exc:
+                    raise StoreError(
+                        f"{self.path}: corrupt line at byte {start}: {malformed_message(exc)}"
+                    ) from exc
         return None
 
     def append(self, snap: Snapshot) -> None:
@@ -309,10 +316,10 @@ class SnapshotStore:
                     if "_meta" in rec:
                         continue
                     yield snapshot_from_record(rec)
-                except (
-                    json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError
-                ) as exc:
-                    raise StoreError(f"{self.path}: corrupt line {lineno}: {exc}") from exc
+                except MALFORMED_INPUT as exc:
+                    raise StoreError(
+                        f"{self.path}: corrupt line {lineno}: {malformed_message(exc)}"
+                    ) from exc
 
 
 @contextmanager

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import geo_privacy
+from . import feed_ingest, geo_privacy
 from .feed_ingest import Snapshot, json_int, json_number, json_str, write_csv
 # re-exported: cli and perfbench/tracing.py reach synth's archive writer by this name
 from .feed_ingest import write_archive  # noqa: F401
@@ -117,11 +117,11 @@ def config_from_json(doc: dict) -> FleetConfig:
 
 
 def _read(key: str, read, value):
-    """read(value), whose ValueError, TypeError or OverflowError names the key."""
+    """read(value), whose MALFORMED_INPUT error is a ValueError naming the key."""
     try:
         return read(value)
-    except (ValueError, TypeError, OverflowError) as exc:
-        raise ValueError(f"{key}: {exc}") from exc
+    except feed_ingest.MALFORMED_INPUT as exc:
+        raise ValueError(f"{key}: {feed_ingest.malformed_message(exc)}") from exc
 
 
 def _hotspot(h: dict) -> Hotspot:

@@ -20,7 +20,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .feed_ingest import Snapshot, write_csv
+from .feed_ingest import MALFORMED_INPUT, Snapshot, write_csv
 
 EARTH_RADIUS_KM = 6378.1
 EARTH_RADIUS_M = EARTH_RADIUS_KM * 1000.0
@@ -215,9 +215,10 @@ def _coordinate(rec: dict, column: str, limit: float) -> float:
 
 def read_trips_csv(path: str | Path) -> list[Trip]:
     """Trips from a trips CSV, skipping ``#`` lines. ValueError if a
-    TRIP_CSV_COLUMNS column is missing from its header, or if a row does
-    not make a Trip of finite, in-range coordinates; a row's error names
-    the path and the row's line in the file."""
+    TRIP_CSV_COLUMNS column is missing from its header, if a line is
+    malformed (MALFORMED_INPUT: a field over the csv module's limit, say),
+    or if a row does not make a Trip of finite, in-range coordinates; the
+    error names the path and the line last read, ``#`` lines counted."""
     lineno = 0  # of the line last read, # lines counted
 
     def data_lines(f):
@@ -227,13 +228,12 @@ def read_trips_csv(path: str | Path) -> list[Trip]:
                 yield line
 
     with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.DictReader(data_lines(f))
-        missing = [c for c in TRIP_CSV_COLUMNS if c not in (reader.fieldnames or [])]
-        if missing:
-            raise ValueError(f"{path}: trips CSV lacks column(s) {', '.join(missing)}")
-        trips = []
-        for rec in reader:
-            try:
+        reader, trips = csv.DictReader(data_lines(f)), []
+        try:
+            missing = [c for c in TRIP_CSV_COLUMNS if c not in (reader.fieldnames or [])]
+            if missing:
+                raise ValueError(f"trips CSV lacks column(s) {', '.join(missing)}")
+            for rec in reader:
                 trips.append(Trip(
                     rec["scooter_id"],
                     (_coordinate(rec, "start_lat", 90.0), _coordinate(rec, "start_lon", 180.0)),
@@ -241,6 +241,6 @@ def read_trips_csv(path: str | Path) -> list[Trip]:
                     int(rec["start_time"]),
                     int(rec["end_time"]),
                 ))
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from exc
+        except MALFORMED_INPUT as exc:
+            raise ValueError(f"{path}: line {lineno}: {exc}") from exc
         return trips

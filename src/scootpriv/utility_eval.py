@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .feed_ingest import Snapshot, json_number, points_geojson, write_csv, write_json
-from . import geo_privacy
+from . import feed_ingest, geo_privacy
 
 # margin around a region's bounding box in the containment prefilter:
 # points_in_region interpolates each edge's crossing longitude, and the
@@ -149,7 +149,7 @@ def load_regions_geojson(path: str | Path) -> list[Region]:
     with open(path, encoding="utf-8") as f:
         try:
             doc = json.load(f)
-        except ValueError as exc:  # not JSON, or not UTF-8 text
+        except feed_ingest.MALFORMED_INPUT as exc:  # not JSON, not UTF-8, or nested too deeply
             raise RegionError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
         raise RegionError(f"{path}: not a FeatureCollection")
@@ -174,7 +174,7 @@ def load_regions_geojson(path: str | Path) -> list[Region]:
             regions.append(Region(name=name, rings=rings))
         except RegionError as exc:
             raise RegionError(f"{path}: {exc}") from exc
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except feed_ingest.MALFORMED_INPUT as exc:
             raise RegionError(f"{path}: feature {name!r}: malformed coordinates ({exc!r})") from exc
     return regions
 

@@ -6,6 +6,7 @@ import gc
 import itertools
 import json
 import math
+import os
 import subprocess
 import sys
 import threading
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from scootpriv import cli, feed_ingest, geo_privacy, synth_fleet, trip_recon
+from scootpriv import __version__, cli, feed_ingest, geo_privacy, synth_fleet, trip_recon
 from scootpriv.cli import MAX_GRID_POINTS, UsageError, build_parser, main, parse_r_grid
 from scootpriv.feed_ingest import SnapshotStore, write_archive
 from scootpriv.geo_privacy import analytic_cdf
@@ -129,20 +130,22 @@ class TestGridFlag:
         ["evaluate", "--ratio", "1"],
         ["evaluate", "--r-grid", "0:60:20"],
         ["evaluate", "--dump-radius-km", "-1", "--dump-geojson", "d.geojson"],
+        ["scrape", "--duration", "-1"],
     ],
     ids=lambda argv: " ".join(argv),
 )
-def test_flag_range_error_exits_2_before_reading_input(tmp_path, capsys, argv):
+def test_flag_range_error_exits_2_before_reading_input(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.setattr(cli, "poll_feed", lambda **kwargs: pytest.fail("scrape polled"))
     # the input does not exist, so reading it first would exit 1
-    missing = str(tmp_path / "missing")
+    missing, out = str(tmp_path / "missing"), tmp_path / "out"
     inputs = {
-        "reconstruct": ["--store", missing],
-        "cluster": ["--trips", missing],
-        "sanitize": ["--store", missing],
-        "evaluate": ["--store", missing, "--boundary", missing],
+        "reconstruct": ["--store", missing, "--output", str(out)],
+        "cluster": ["--trips", missing, "--output", str(out)],
+        "sanitize": ["--store", missing, "--output", str(out)],
+        "evaluate": ["--store", missing, "--boundary", missing, "--output", str(out)],
+        "scrape": ["--url", "http://feed.invalid/", "--provider", "p", "--store", str(out)],
     }
-    out = tmp_path / "out"
-    rc = main(argv[:1] + inputs[argv[0]] + ["--output", str(out)] + argv[1:])
+    rc = main(argv[:1] + inputs[argv[0]] + argv[1:])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error:")
     assert not out.exists()
@@ -234,6 +237,8 @@ class TestSynthCommand:
             {**good, "hotspots": [{**hotspot, "weight": 0}]},
             {**good, "hotspots": [{**hotspot, "spread_m": -5}]},
             {**good, "trip_rate": 50.0, "relocation_rate": 20.0},
+            {**good, "snapshot_interval_s": 0},
+            {**good, "trip_rate": -1},
         ]
         bad = tmp_path / "bad.json"
         for doc in bad_docs:
@@ -241,6 +246,44 @@ class TestSynthCommand:
             assert main(["synth", "--config", str(bad), "--output", str(tmp_path / "o")]) == 2, doc
             err = capsys.readouterr().err
             assert err.startswith("error: invalid fleet config") and "Traceback" not in err, doc
+        # a missing key is named as missing, a hotspot's under hotspots
+        missing = {
+            "missing key 'seed'": {k: v for k, v in good.items() if k != "seed"},
+            "missing key 'area_rings'": {k: v for k, v in good.items() if k != "area_rings"},
+            "hotspots: missing key 'center'": {**good, "hotspots": [{"weight": 2}]},
+        }
+        for message, doc in missing.items():
+            bad.write_text(json.dumps(doc))
+            assert main(["synth", "--config", str(bad), "--output", str(tmp_path / "o")]) == 2
+            assert capsys.readouterr().err == f"error: invalid fleet config: {message}\n"
+
+    def test_config_too_deep_to_encode_exits_1(self, tmp_path, synth_config, capsys):
+        # an unknown key nested just under json's limit decodes, but the
+        # archive's _meta line nests the config two levels deeper
+        good = synth_config.read_text()
+        bad, out = tmp_path / "bad.json", tmp_path / "o.jsonl"
+
+        def synth(depth):
+            bad.write_text(good[:-1] + ', "note": ' + "[" * depth + "]" * depth + "}")
+            rc = main(["synth", "--config", str(bad), "--output", str(out)])
+            return rc, capsys.readouterr().err
+
+        # bisect for the deepest key that decodes: any deeper is a usage error
+        lo, hi = 1, 100_000
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            lo, hi = (mid, hi) if synth(mid)[0] != 2 else (lo, mid - 1)
+        rc, err = synth(lo + 1)
+        assert rc == 2 and err.startswith(f"error: {bad}: not valid JSON: maximum recursion")
+        # from there down, every failure is exit 1 with one error line
+        errors = []
+        for depth in range(lo, 0, -1):
+            rc, err = synth(depth)
+            if rc == 0:
+                break
+            assert rc == 1 and err.startswith("error: ") and err.count("\n") == 1
+            errors.append(err)
+        assert "error: maximum recursion depth exceeded while encoding a JSON object\n" in errors
 
     @pytest.mark.parametrize("change", [
         {"n_scooters": 5.7},
@@ -704,6 +747,12 @@ class TestEvaluateCommand:
                                  "features": [{"type": "Feature", "geometry": {
                                      "type": "Polygon",
                                      "coordinates": [[[0, 0], [1, 0], [0, 0]]]}}]}),
+            ("--boundary", {"type": "FeatureCollection",
+                            "features": [{"type": "Feature", "geometry": {
+                                "type": "Polygon", "coordinates": []}}]}),
+            ("--boundary", {"type": "FeatureCollection",
+                            "features": [{"type": "Feature", "geometry": {
+                                "type": "Point", "coordinates": [-118.4, 34.0]}}]}),
             # a str is the file's text, not a JSON document
             ("--boundary", "{not"),
             ("--neighborhoods", "{not"),
@@ -717,6 +766,7 @@ class TestEvaluateCommand:
              "features not an array", "properties not an object", "geometry not an object",
              "position with one number", "positions of digit strings", "position with a bool",
              "position NaN", "position Infinity", "ring of three vertices",
+             "polygon without rings", "point feature",
              "boundary not JSON", "neighborhoods not JSON", "neighborhoods with a name twice"],
     )
     def test_bad_region_file_exits_2(self, tmp_path, capsys, flag, doc):
@@ -912,6 +962,56 @@ def test_import_leaves_http_stack_unloaded():
     proc = subprocess.run([sys.executable, "-c", code, str(SRC)], capture_output=True,
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_module_entry_point_runs():
+    # python -m scootpriv.cli runs main through the module's __main__ guard
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "scootpriv.cli", "--version"],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{__version__}\n"
+
+
+# nesting deeper than json decodes
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+# a trips CSV whose one row has a scooter_id over the csv module's field limit
+BIG_FIELD_CSV = (",".join(trip_recon.TRIP_CSV_COLUMNS) + "\n"
+                 + "x" * 200_000 + ",0,600,34.0,-118.4,34.01,-118.4,1112.0,600\n")
+
+
+@pytest.mark.parametrize("argv,content,rc", [
+    (["synth", "--config", "{bad}", "--output", "{out}"], DEEP_JSON, 2),
+    (["evaluate", "--boundary", "{bad}", "--store", "{out}", "--output", "{out}"], DEEP_JSON, 2),
+    (["evaluate", "--boundary", "{boundary}", "--neighborhoods", "{bad}", "--store", "{out}",
+      "--output", "{out}"], DEEP_JSON, 2),
+    (["evaluate", "--boundary", "{boundary}", "--store", "{bad}", "--output", "{out}"],
+     DEEP_JSON, 1),
+    (["reconstruct", "--store", "{bad}", "--output", "{out}"], DEEP_JSON, 1),
+    (["sanitize", "--store", "{bad}", "--radius-km", "0.25", "--output", "{out}"], DEEP_JSON, 1),
+    # the archive's tail, read before the first append
+    (["scrape", "--url", "http://feed.invalid/", "--provider", "p", "--store", "{bad}",
+      "--duration", "60"], DEEP_JSON, 1),
+    (["cluster", "--trips", "{bad}", "--k", "1", "--output", "{out}"], BIG_FIELD_CSV, 1),
+], ids=["synth config", "evaluate boundary", "evaluate neighborhoods", "evaluate archive",
+        "reconstruct archive", "sanitize archive", "scrape archive tail", "cluster trips"])
+def test_malformed_input_exits_with_one_error_line_naming_the_file(
+    tmp_path, capsys, monkeypatch, argv, content, rc
+):
+    # each file kind's exit code: 2 for a config or region file, 1 for data
+    bad, out, boundary = tmp_path / "bad", tmp_path / "out", tmp_path / "boundary.geojson"
+    bad.write_text(content)
+    write_boundary_geojson(boundary)
+    monkeypatch.setattr(feed_ingest, "_fetch_with_retry",
+                        lambda *args: make_feed_doc([("a", 34.0, -118.4)]))
+    monkeypatch.setattr(cli, "poll_feed", functools.partial(feed_ingest.poll_feed,
+                                                            clock=FakeClock()))
+    paths = {"{bad}": str(bad), "{out}": str(out), "{boundary}": str(boundary)}
+    assert main([paths.get(a, a) for a in argv]) == rc
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
+    assert not out.exists() and bad.read_text() == content
 
 
 class _OneShotHandler(BaseHTTPRequestHandler):

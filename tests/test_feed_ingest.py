@@ -73,6 +73,22 @@ class TestParse:
         with pytest.raises(FeedParseError, match="bike #1"):
             parse_free_bike_status(json.dumps(doc).encode(), "p")
 
+    @pytest.mark.parametrize("raw", [
+        b"[" * 100_000 + b"]" * 100_000, b"[]", b'"feed"', b"\xff",
+        *(json.dumps({"last_updated": 1, "ttl": 60, "data": {"bikes": b}}).encode()
+          for b in ({}, "", None)),
+    ], ids=["nested too deep", "an array", "a string", "not UTF-8",
+            "bikes an object", "bikes a string", "bikes null"])
+    def test_malformed_document(self, raw):
+        with pytest.raises(FeedParseError, match="^document: "):
+            parse_free_bike_status(raw, "p")
+
+    def test_missing_bike_field_named_as_missing(self):
+        doc = json.loads(make_feed_doc([("a", 0, 0), ("b", 1, 1)]))
+        del doc["data"]["bikes"][1]["lat"]
+        with pytest.raises(FeedParseError, match="^bike #1: missing key 'lat'$"):
+            parse_free_bike_status(json.dumps(doc).encode(), "p")
+
     def test_gbfs_1_integer_flags_load(self):
         raw = make_feed_doc([("a", 34, -118, 1, 0), ("b", 34.5, -118.5, 0, 1)])
         snap = parse_free_bike_status(raw, "p")
@@ -234,6 +250,22 @@ class TestStore:
             f.write('{"provider": "test", "captured_at": 2, "bi')
         with pytest.raises(StoreError, match="corrupt line"):
             SnapshotStore(path).last_captured("test")
+
+    @pytest.mark.parametrize("tail", ["[" * 100_000 + "]" * 100_000, "[1]", "5", '"test"'],
+                             ids=["nested too deep", "an array", "a number", "a string"])
+    def test_last_captured_of_a_line_not_an_object_is_a_store_error(self, tmp_path, tail):
+        path = tmp_path / "a.jsonl"
+        write_archive([make_snapshot([("a", 0, 0)], captured_at=1)], path)
+        start = path.stat().st_size
+        with open(path, "a") as f:
+            f.write(tail + "\n")
+        with pytest.raises(StoreError, match=f"corrupt line at byte {start}: "):
+            SnapshotStore(path).last_captured("test")
+
+    def test_append_failure_is_a_store_error(self, tmp_path):
+        path = tmp_path / "missing" / "a.jsonl"
+        with pytest.raises(StoreError, match=f"cannot append to {path}: "):
+            SnapshotStore(path).append(make_snapshot([("a", 0, 0)]))
 
     def test_corrupt_line_reported_with_number(self, tmp_path):
         path = tmp_path / "a.jsonl"
@@ -508,9 +540,25 @@ class TestPoller:
         summary = self._run("http://feed.invalid/", store, n_polls=3)
         assert summary.parse_errors == 1 and summary.fetch_failures == 0
         assert [r.getMessage() for r in caplog.records] == [
-            "parse failure: missing or bad required field: inf is not an integer"
+            "parse failure: document: inf is not an integer"
         ]
         assert summary.snapshots_written == 2
+        assert [s.captured_at for s in store.iter_all()] == [100, 110]
+
+    def test_document_nested_too_deep_counted_and_polling_continues(
+        self, tmp_path, monkeypatch, caplog
+    ):
+        deep = b"[" * 100_000 + b"]" * 100_000
+        docs = iter([make_feed_doc([("a", 1, 1)], last_updated=100), deep,
+                     make_feed_doc([("a", 2, 2)], last_updated=110)])
+        monkeypatch.setattr(feed_ingest, "_fetch_with_retry", lambda *args: next(docs))
+        store = SnapshotStore(tmp_path / "a.jsonl")
+        summary = self._run("http://feed.invalid/", store, n_polls=3)
+        assert summary.parse_errors == 1 and summary.snapshots_written == 2
+        assert [r.getMessage() for r in caplog.records] == [
+            "parse failure: document: maximum recursion depth exceeded"
+            " while decoding a JSON array from a unicode string"
+        ]
         assert [s.captured_at for s in store.iter_all()] == [100, 110]
 
     def test_http_failure_retried_then_stored(self, stub_server, tmp_path):
