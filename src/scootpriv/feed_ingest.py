@@ -223,6 +223,19 @@ def snapshot_to_record(snap: Snapshot) -> dict:
     }
 
 
+def archive_record(line: bytes) -> dict | None:
+    """The record of one raw archive line, or None for a blank line or a
+    provenance header, which starts ``{"_meta":`` as write_meta writes it
+    and is never decoded. Any other line must be UTF-8, with no byte-order
+    mark, and JSON of an object; else it is a MALFORMED_INPUT error."""
+    if line.isspace() or line.startswith(b'{"_meta":'):
+        return None
+    rec = json.loads(line.decode("utf-8"))
+    if type(rec) is not dict:
+        raise TypeError("not a JSON object")
+    return rec
+
+
 def snapshot_from_record(rec: dict) -> Snapshot:
     """The Snapshot of one archive record; a missing key or a value of
     the wrong type is an error of the record. Types are checked a column
@@ -245,8 +258,7 @@ class SnapshotStore:
     """Append-only JSON-lines snapshot archive.
 
     Single writer per file; concurrent readers need no coordination.
-    Lines whose object carries a ``_meta`` key are provenance headers
-    written by the CLI and are skipped on read.
+    Both reads, forward and from the tail, read a line by archive_record.
     """
 
     def __init__(self, path: str | Path):
@@ -272,12 +284,9 @@ class SnapshotStore:
                 start = mm.rfind(b"\n", 0, end - 1) + 1
                 line, end = mm[start:end], start
                 try:
-                    # neither a _meta line nor a blank one has a provider
-                    rec = json.loads(line) if line.strip() else {}
-                    if type(rec) is not dict:
-                        raise TypeError("not a JSON object")
-                    if rec.get("provider") == provider:
-                        return json_int(rec["captured_at"])
+                    rec = archive_record(line)
+                    if rec is not None and rec["provider"] == provider:
+                        return snapshot_from_record(rec).captured_at
                 except MALFORMED_INPUT as exc:
                     raise StoreError(
                         f"{self.path}: corrupt line at byte {start}: {malformed_message(exc)}"
@@ -306,16 +315,12 @@ class SnapshotStore:
     def iter_all(self) -> Iterator[Snapshot]:
         if not self.path.exists():
             raise StoreError(f"no such archive: {self.path}")
-        with open(self.path, encoding="utf-8") as f:
+        with open(self.path, "rb") as f:
             for lineno, line in enumerate(f, start=1):
-                line = line.strip()
-                if not line:
-                    continue
                 try:
-                    rec = json.loads(line)
-                    if "_meta" in rec:
-                        continue
-                    yield snapshot_from_record(rec)
+                    rec = archive_record(line)
+                    if rec is not None:
+                        yield snapshot_from_record(rec)
                 except MALFORMED_INPUT as exc:
                     raise StoreError(
                         f"{self.path}: corrupt line {lineno}: {malformed_message(exc)}"

@@ -216,18 +216,20 @@ def _coordinate(rec: dict, column: str, limit: float) -> float:
 def read_trips_csv(path: str | Path) -> list[Trip]:
     """Trips from a trips CSV, skipping ``#`` lines. ValueError if a
     TRIP_CSV_COLUMNS column is missing from its header, if a line is
-    malformed (MALFORMED_INPUT: a field over the csv module's limit, say),
-    or if a row does not make a Trip of finite, in-range coordinates; the
-    error names the path and the line last read, ``#`` lines counted."""
+    malformed (MALFORMED_INPUT: not UTF-8, or a field over the csv module's
+    limit, say), or if a row does not make a Trip of finite, in-range
+    coordinates; the error names the path and the line last read, ``#``
+    lines counted. A line is decoded once it is numbered."""
     lineno = 0  # of the line last read, # lines counted
 
     def data_lines(f):
         nonlocal lineno
-        for lineno, line in enumerate(f, start=1):
+        for lineno, raw in enumerate(f, start=1):
+            line = raw.decode("utf-8")
             if not line.startswith("#"):
                 yield line
 
-    with open(path, newline="", encoding="utf-8") as f:
+    with open(path, "rb") as f:
         reader, trips = csv.DictReader(data_lines(f)), []
         try:
             missing = [c for c in TRIP_CSV_COLUMNS if c not in (reader.fieldnames or [])]

@@ -284,6 +284,9 @@ class TestSynthCommand:
             assert rc == 1 and err.startswith("error: ") and err.count("\n") == 1
             errors.append(err)
         assert "error: maximum recursion depth exceeded while encoding a JSON object\n" in errors
+        # the archive's own _meta line is never decoded, on write or on read
+        assert not [e for e in errors if ".tmp" in e]
+        assert main(["reconstruct", "--store", str(out), "--output", str(tmp_path / "t.csv")]) == 0
 
     @pytest.mark.parametrize("change", [
         {"n_scooters": 5.7},
@@ -485,6 +488,21 @@ class TestClusterCommand:
         assert main(["cluster", "--trips", str(path), "--k", "1", "--output", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {path}: line 5: {message}\n"
         assert not out.exists()
+
+    def test_byte_not_utf8_named_by_its_own_line(self, tmp_path, capsys):
+        path = tmp_path / "trips.csv"
+        self.write_trips(path, [(34.0, -118.2)] * 599, meta={"command": "reconstruct", "seed": 1})
+        lines = path.read_bytes().splitlines(keepends=True)
+        assert len(lines) == 602
+        # two # lines, the header, then the rows: line 401 holds trip s397
+        lines[400] = lines[400].replace(b"s397,", b"s\xff,")
+        path.write_bytes(b"".join(lines))
+        out = tmp_path / "c.csv"
+        assert main(["cluster", "--trips", str(path), "--k", "1", "--output", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: line 401: 'utf-8' codec can't decode byte 0xff in position 1: "
+            "invalid start byte\n"
+        )
 
     def test_k_above_distinct_endpoints_exits_2(self, tmp_path, capsys):
         # 30 trips from 10 start points: at most 10 clusters have members
@@ -975,10 +993,14 @@ def test_module_entry_point_runs():
 
 
 # nesting deeper than json decodes
-DEEP_JSON = "[" * 100_000 + "]" * 100_000
+DEEP_JSON = b"[" * 100_000 + b"]" * 100_000
 # a trips CSV whose one row has a scooter_id over the csv module's field limit
 BIG_FIELD_CSV = (",".join(trip_recon.TRIP_CSV_COLUMNS) + "\n"
-                 + "x" * 200_000 + ",0,600,34.0,-118.4,34.01,-118.4,1112.0,600\n")
+                 + "x" * 200_000 + ",0,600,34.0,-118.4,34.01,-118.4,1112.0,600\n").encode()
+# an archive whose one snapshot has a scooter id that is not UTF-8
+NOT_UTF8_ARCHIVE = (b'{"_meta":{"command":"synth"}}\n{"provider":"p","captured_at":1,"ttl_s":60,'
+                    b'"bikes":[{"id":"\xff","lat":34.0,"lon":-118.4,"reserved":false,'
+                    b'"disabled":false}]}\n')
 
 
 @pytest.mark.parametrize("argv,content,rc", [
@@ -989,19 +1011,21 @@ BIG_FIELD_CSV = (",".join(trip_recon.TRIP_CSV_COLUMNS) + "\n"
     (["evaluate", "--boundary", "{boundary}", "--store", "{bad}", "--output", "{out}"],
      DEEP_JSON, 1),
     (["reconstruct", "--store", "{bad}", "--output", "{out}"], DEEP_JSON, 1),
+    (["reconstruct", "--store", "{bad}", "--output", "{out}"], NOT_UTF8_ARCHIVE, 1),
     (["sanitize", "--store", "{bad}", "--radius-km", "0.25", "--output", "{out}"], DEEP_JSON, 1),
     # the archive's tail, read before the first append
     (["scrape", "--url", "http://feed.invalid/", "--provider", "p", "--store", "{bad}",
       "--duration", "60"], DEEP_JSON, 1),
     (["cluster", "--trips", "{bad}", "--k", "1", "--output", "{out}"], BIG_FIELD_CSV, 1),
 ], ids=["synth config", "evaluate boundary", "evaluate neighborhoods", "evaluate archive",
-        "reconstruct archive", "sanitize archive", "scrape archive tail", "cluster trips"])
+        "reconstruct archive", "reconstruct archive not UTF-8", "sanitize archive",
+        "scrape archive tail", "cluster trips"])
 def test_malformed_input_exits_with_one_error_line_naming_the_file(
     tmp_path, capsys, monkeypatch, argv, content, rc
 ):
     # each file kind's exit code: 2 for a config or region file, 1 for data
     bad, out, boundary = tmp_path / "bad", tmp_path / "out", tmp_path / "boundary.geojson"
-    bad.write_text(content)
+    bad.write_bytes(content)
     write_boundary_geojson(boundary)
     monkeypatch.setattr(feed_ingest, "_fetch_with_retry",
                         lambda *args: make_feed_doc([("a", 34.0, -118.4)]))
@@ -1011,7 +1035,7 @@ def test_malformed_input_exits_with_one_error_line_naming_the_file(
     assert main([paths.get(a, a) for a in argv]) == rc
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
-    assert not out.exists() and bad.read_text() == content
+    assert not out.exists() and bad.read_bytes() == content
 
 
 class _OneShotHandler(BaseHTTPRequestHandler):

@@ -28,6 +28,17 @@ from scootpriv.feed_ingest import (
 from conftest import FakeClock, make_feed_doc, make_snapshot, square_region
 
 
+def _archive_line(snap):
+    return json.dumps(snapshot_to_record(snap), separators=(",", ":")) + "\n"
+
+
+# one snapshot's archive line behind a UTF-8 byte-order mark, and with a
+# byte that is not UTF-8 in its scooter id
+_ONE_SNAPSHOT = _archive_line(make_snapshot([("a", 0, 0)], captured_at=2)).encode().rstrip()
+BOM_LINE = b"\xef\xbb\xbf" + _ONE_SNAPSHOT
+NOT_UTF8_LINE = _ONE_SNAPSHOT.replace(b'"id":"a"', b'"id":"\xff"')
+
+
 class TestParse:
     def test_two_bikes(self):
         raw = make_feed_doc([("a", 34.0, -118.2), ("b", 34.1, -118.3)])
@@ -251,14 +262,18 @@ class TestStore:
         with pytest.raises(StoreError, match="corrupt line"):
             SnapshotStore(path).last_captured("test")
 
-    @pytest.mark.parametrize("tail", ["[" * 100_000 + "]" * 100_000, "[1]", "5", '"test"'],
-                             ids=["nested too deep", "an array", "a number", "a string"])
+    @pytest.mark.parametrize(
+        "tail",
+        [b"[" * 100_000 + b"]" * 100_000, b"[1]", b"5", b'"test"', BOM_LINE, NOT_UTF8_LINE],
+        ids=["nested too deep", "an array", "a number", "a string", "a byte-order mark",
+             "a non-UTF-8 byte"],
+    )
     def test_last_captured_of_a_line_not_an_object_is_a_store_error(self, tmp_path, tail):
         path = tmp_path / "a.jsonl"
         write_archive([make_snapshot([("a", 0, 0)], captured_at=1)], path)
         start = path.stat().st_size
-        with open(path, "a") as f:
-            f.write(tail + "\n")
+        with open(path, "ab") as f:
+            f.write(tail + b"\n")
         with pytest.raises(StoreError, match=f"corrupt line at byte {start}: "):
             SnapshotStore(path).last_captured("test")
 
@@ -275,6 +290,31 @@ class TestStore:
             f.write("garbage\n")
         with pytest.raises(StoreError, match="line 2"):
             list(store.iter_all())
+
+    @pytest.mark.parametrize(
+        "line",
+        [b'"not a _meta header"', b'["_meta"]', NOT_UTF8_LINE, BOM_LINE],
+        ids=["a string holding _meta", "an array holding _meta", "a non-UTF-8 byte",
+             "a byte-order mark"],
+    )
+    def test_line_not_a_record_reported_with_number(self, tmp_path, line):
+        path = tmp_path / "a.jsonl"
+        store = SnapshotStore(path)
+        store.append(make_snapshot([("a", 0, 0)], captured_at=1))
+        with open(path, "ab") as f:
+            f.write(line + b"\n")
+        with pytest.raises(StoreError, match=f"^{path}: corrupt line 2: "):
+            list(store.iter_all())
+
+    def test_meta_header_never_decoded(self, tmp_path):
+        path = tmp_path / "a.jsonl"
+        snap = make_snapshot([("a", 0, 0)], captured_at=1)
+        path.write_bytes(b'{"_meta":' + b"[" * 100_000 + b"\xff\n" + _archive_line(snap).encode())
+        assert list(SnapshotStore(path).iter_all()) == [snap]
+        assert SnapshotStore(path).last_captured("test") == 1
+        path.write_bytes(path.read_bytes().split(b"\n", 1)[0])
+        assert list(SnapshotStore(path).iter_all()) == []
+        assert SnapshotStore(path).last_captured("test") is None
 
     @pytest.mark.parametrize(
         "corrupt",
@@ -384,18 +424,17 @@ class TestReadSnapshots:
             next(stream)
 
 
-def _archive_line(snap):
-    return json.dumps(snapshot_to_record(snap), separators=(",", ":")) + "\n"
-
-
 @st.composite
 def mutated_archives(draw):
     """A clean archive of providers "a" and "b", interleaved at random,
     each ascending in captured_at, as its lines; then the same lines with
     an older "a" line moved after a newer one (or none moved), and with
-    copies of some lines inserted after their originals. Returns (clean
-    snapshots, the moved snapshot or None, mutated lines, and None or the
-    length to cut the last line to, which drops at least its closing brace)."""
+    copies of some lines inserted after their originals, some records
+    carrying an extra _meta key after their provider, and _meta header
+    and blank lines inserted anywhere but after a cut last line. Returns
+    (clean snapshots, the moved snapshot or None, mutated lines, and None
+    or the length to cut the last line to, which drops at least its
+    closing brace)."""
     clean_by = {}
     for provider in ("a", "b"):
         steps = draw(st.lists(st.integers(1, 120), min_size=1 if provider == "a" else 0,
@@ -420,13 +459,24 @@ def mutated_archives(draw):
     for _ in range(draw(st.integers(0, 4))):
         src = draw(st.integers(0, len(lines) - 1))
         lines.insert(draw(st.integers(src + 1, len(lines))), lines[src])
-    lines = [_archive_line(s) for s in lines]
+    tagged = draw(st.sets(st.integers(0, len(lines) - 1)))
+    lines = [
+        _archive_line(s).replace(',"captured_at"', ',"_meta":{"x":1},"captured_at"')
+        if i in tagged else _archive_line(s)
+        for i, s in enumerate(lines)
+    ]
     cut = draw(st.none() | st.integers(1, len(lines[-1]) - 2))
+    # a header need not be JSON: it is recognised by its prefix alone
+    extras = st.sampled_from(['{"_meta":{"command":"synth"}}\n', '{"_meta":[[{\n',
+                              "\n", " \t\r\n"])
+    for extra in draw(st.lists(extras, max_size=4)):
+        lines.insert(draw(st.integers(0, len(lines) - (cut is not None))), extra)
     return clean, moved, lines, cut
 
 
 class TestMutatedArchives:
-    """The reader keeps exactly what poll_feed would have written."""
+    """The reader keeps exactly what poll_feed would have written, and the
+    tail read, where a restarted poll_feed resumes, agrees with it."""
 
     @settings(max_examples=150, deadline=None)
     @given(mutated_archives())
@@ -443,6 +493,8 @@ class TestMutatedArchives:
                 rc = cli.main(["reconstruct", "--store", str(path), "--provider", "a",
                                "--output", str(path.with_suffix(".csv"))])
             assert rc == 1 and f"corrupt line {len(lines)}" in err.getvalue()
+            with pytest.raises(StoreError, match="corrupt line at byte"):
+                SnapshotStore(path).last_captured("a")
             return
         path.write_text("".join(lines))
         store = SnapshotStore(path)
@@ -453,6 +505,8 @@ class TestMutatedArchives:
             times = [s.captured_at for s in read_snapshots(store, provider)]
             assert times == [s.captured_at for s in expected if s.provider == provider]
             assert all(t0 < t1 for t0, t1 in zip(times, times[1:]))
+            read = [s.captured_at for s in store.iter_all() if s.provider == provider]
+            assert SnapshotStore(path).last_captured(provider) == (read[-1] if read else None)
 
 
 class _FeedHandler(BaseHTTPRequestHandler):
