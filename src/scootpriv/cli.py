@@ -230,6 +230,7 @@ def cmd_evaluate(args) -> int:
     if rest:
         raise UsageError(f"--boundary {args.boundary} holds {1 + len(rest)} features, want one: "
                          "a city in parts is one MultiPolygon feature")
+    hoods = []
     if args.neighborhoods:
         hoods = utility_eval.load_regions_geojson(args.neighborhoods)
         try:
@@ -237,6 +238,15 @@ def cmd_evaluate(args) -> int:
         except utility_eval.RegionError as exc:
             raise UsageError(f"{args.neighborhoods}: {exc}") from exc
     snapshot = _pick_snapshot(args)
+    # regions that hold no scooter report no loss at any R: nothing was measured
+    for flag, path, held in (("--boundary", args.boundary, [boundary]),
+                             ("--neighborhoods", args.neighborhoods, hoods)):
+        if path and not any(
+            utility_eval.points_in_region(snapshot.lats, snapshot.lons, r).any() for r in held
+        ):
+            raise UsageError(
+                f"{flag} {path} holds none of the snapshot's {len(snapshot.ids)} scooters"
+            )
     boundary_rows = utility_eval.boundary_loss_experiment(
         snapshot, boundary, grid, args.trials, args.ratio, args.seed
     )

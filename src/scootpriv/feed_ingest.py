@@ -30,6 +30,9 @@ RETRY_ATTEMPTS = 3
 FETCH_TIMEOUT_S = 10.0
 # longest poll interval, one day: time.sleep overflows on far longer ones
 MAX_INTERVAL_S = 86_400.0
+# read buffer of the forward archive read: a snapshot line of 1,000 scooters
+# is about 100 KB, and lines longer than the buffer are joined from pieces
+ARCHIVE_READ_BUFFER = 128 * 1024
 
 
 class FeedParseError(ValueError):
@@ -49,7 +52,7 @@ class Snapshot:
     Any sequence is accepted for a column. It is stored as a tuple of
     interned strings (ids) or a read-only float64 or bool array, and the
     columns are validated as a whole: ids are non-empty, unique strings;
-    coordinates are in range, NaN rejected. Snapshots compare by value.
+    coordinates obey check_coordinates. Snapshots compare by value.
     """
 
     provider: str
@@ -86,11 +89,7 @@ class Snapshot:
             if col.shape != (len(ids),):
                 raise FeedParseError(f"{name} has shape {col.shape} for {len(ids)} ids")
             object.__setattr__(self, name, col)
-        for name, col, limit in (("latitude", self.lats, 90.0), ("longitude", self.lons, 180.0)):
-            # NaN fails both comparisons, so it is out of range too
-            bad = ~((col >= -limit) & (col <= limit))
-            if bad.any():
-                raise FeedParseError(f"{name} out of range: {col[bad][0]}")
+        check_coordinates(self.lats, self.lons)
 
     def __eq__(self, other):
         if not isinstance(other, Snapshot):
@@ -142,6 +141,20 @@ def json_number(value) -> float:
     if type(value) not in _NUMBER_TYPES or not math.isfinite(value):
         raise ValueError(f"{value!r} is not a finite number")
     return float(value)
+
+
+def check_coordinates(lats, lons, names=("latitude", "longitude")) -> None:
+    """The one coordinate rule: every latitude within [-90, 90] degrees and
+    every longitude within [-180, 180], NaN out of range. lats and lons are
+    arrays or scalars; the FeedParseError names the first value out of
+    range by its axis's entry in ``names``."""
+    for name, values, limit in zip(names, (lats, lons), (90.0, 180.0)):
+        values = np.asarray(values, dtype=float)
+        inside = np.abs(values) <= limit  # false for NaN
+        if np.count_nonzero(inside) < values.size:
+            raise FeedParseError(
+                f"{name} '{values[~inside][0].item()}' out of range [-{limit:g}, {limit:g}]"
+            )
 
 
 def json_int(value) -> int:
@@ -315,7 +328,7 @@ class SnapshotStore:
     def iter_all(self) -> Iterator[Snapshot]:
         if not self.path.exists():
             raise StoreError(f"no such archive: {self.path}")
-        with open(self.path, "rb") as f:
+        with open(self.path, "rb", buffering=ARCHIVE_READ_BUFFER) as f:
             for lineno, line in enumerate(f, start=1):
                 try:
                     rec = archive_record(line)

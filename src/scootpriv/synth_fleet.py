@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import feed_ingest, geo_privacy
-from .feed_ingest import Snapshot, json_int, json_number, json_str, write_csv
+from .feed_ingest import Snapshot, check_coordinates, json_int, json_number, json_str, write_csv
 # re-exported: cli and perfbench/tracing.py reach synth's archive writer by this name
 from .feed_ingest import write_archive  # noqa: F401
 from .trip_recon import TRIP_CSV_COLUMNS, Trip, trip_row
@@ -47,6 +47,7 @@ class Hotspot:
     spread_m: float = 50.0
 
     def __post_init__(self):
+        check_coordinates(*self.center)
         if not (math.isfinite(self.weight) and self.weight > 0):
             raise ValueError(f"hotspot weight must be positive and finite, got {self.weight}")
         if not (math.isfinite(self.spread_m) and self.spread_m >= 0):
@@ -95,13 +96,14 @@ def config_from_json(doc: dict) -> FleetConfig:
     absent optional keys take FleetConfig's and Hotspot's defaults. Each
     value is read by the JSON value rule of its field's type (feed_ingest's
     json_int, json_number, json_str); a hotspot center starts with two numbers.
+    Area vertices and hotspot centers obey feed_ingest.check_coordinates.
     A value error names its key."""
     if not isinstance(doc, dict):
         raise TypeError("a fleet config must be a JSON object")
-    area = Region(
-        name=_read("area_name", json_str, doc.get("area_name", "area")),
-        rings=_read("area_rings", lambda rings: tuple(tuple(map(_pair, r)) for r in rings),
-                    doc["area_rings"]),
+    name = _read("area_name", json_str, doc.get("area_name", "area"))
+    area = _read(
+        "area_rings", lambda rings: Region(name, tuple(tuple(map(_pair, r)) for r in rings)),
+        doc["area_rings"],
     )
     hotspots = _read("hotspots", lambda hs: tuple(map(_hotspot, hs)), doc.get("hotspots", []))
     # every other key present is an optional field, read by its default's type

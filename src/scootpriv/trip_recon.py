@@ -20,7 +20,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .feed_ingest import MALFORMED_INPUT, Snapshot, write_csv
+from .feed_ingest import MALFORMED_INPUT, Snapshot, check_coordinates, write_csv
 
 EARTH_RADIUS_KM = 6378.1
 EARTH_RADIUS_M = EARTH_RADIUS_KM * 1000.0
@@ -205,12 +205,13 @@ def write_trips_csv(trips: list[Trip], path: str | Path, meta: dict | None = Non
     write_csv(path, TRIP_CSV_COLUMNS, (trip_row(t) for t in trips), meta)
 
 
-def _coordinate(rec: dict, column: str, limit: float) -> float:
-    value = float(rec[column])
-    # NaN fails both comparisons, so it is out of range too
-    if not -limit <= value <= limit:
-        raise ValueError(f"{column} {rec[column]!r} out of range [-{limit:g}, {limit:g}]")
-    return value
+def _endpoint(rec: dict, end: str) -> tuple[float, float]:
+    """The (lat, lon) of a trip's start or end, under check_coordinates;
+    an error names the column."""
+    columns = (f"{end}_lat", f"{end}_lon")
+    lat, lon = (float(rec[c]) for c in columns)
+    check_coordinates(lat, lon, columns)
+    return lat, lon
 
 
 def read_trips_csv(path: str | Path) -> list[Trip]:
@@ -238,8 +239,8 @@ def read_trips_csv(path: str | Path) -> list[Trip]:
             for rec in reader:
                 trips.append(Trip(
                     rec["scooter_id"],
-                    (_coordinate(rec, "start_lat", 90.0), _coordinate(rec, "start_lon", 180.0)),
-                    (_coordinate(rec, "end_lat", 90.0), _coordinate(rec, "end_lon", 180.0)),
+                    _endpoint(rec, "start"),
+                    _endpoint(rec, "end"),
                     int(rec["start_time"]),
                     int(rec["end_time"]),
                 ))

@@ -34,7 +34,8 @@ class RegionError(ValueError):
 class Region:
     """Named polygon set: outer rings plus optional holes, even-odd rule.
 
-    Rings are closed (lat, lon) vertex lists, first == last.
+    Rings are closed (lat, lon) vertex lists, first == last, of
+    coordinates under feed_ingest.check_coordinates.
     """
 
     name: str
@@ -48,7 +49,12 @@ class Region:
                 raise RegionError(f"region {self.name!r}: ring with < 4 vertices")
             if ring[0] != ring[-1]:
                 raise RegionError(f"region {self.name!r}: ring not closed")
-            _check_simple(ring, self.name)
+            r = np.asarray(ring, float)
+            try:
+                feed_ingest.check_coordinates(r[:, 0], r[:, 1])
+            except feed_ingest.FeedParseError as exc:
+                raise RegionError(f"region {self.name!r}: {exc}") from exc
+            _check_simple(r, self.name)
 
     @cached_property
     def bbox(self) -> tuple[float, float, float, float]:

@@ -302,12 +302,15 @@ class TestSynthCommand:
         {"hotspots": [{"center": [34.0]}]},
         {"hotspots": [{"center": "34"}]},
         {"hotspots": [{"center": [34.0, -118.4], "weight": "2"}]},
+        {"area_rings": [[[95.0, -118.5], [95.0, -118.3], [34.1, -118.3], [95.0, -118.5]]]},
+        {"hotspots": [{"center": [95.0, -118.4]}]},
     ], ids=repr)
     def test_config_value_outside_the_json_value_rule_exits_2(
         self, tmp_path, synth_config, capsys, change
     ):
         # integers are integral numbers, numbers are never strings or
-        # booleans, names are strings, and a center starts with two numbers
+        # booleans, names are strings, a center starts with two numbers,
+        # and vertices and centers are in range (feed_ingest.check_coordinates)
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({**json.loads(synth_config.read_text()), **change}))
         assert main(["synth", "--config", str(bad), "--output", str(tmp_path / "o")]) == 2
@@ -470,7 +473,7 @@ class TestClusterCommand:
         ("start_lat", "nan", "start_lat 'nan' out of range [-90, 90]"),
         ("start_lon", "inf", "start_lon 'inf' out of range [-180, 180]"),
         ("end_lat", "90.5", "end_lat '90.5' out of range [-90, 90]"),
-        ("end_lon", "-181", "end_lon '-181' out of range [-180, 180]"),
+        ("end_lon", "-181", "end_lon '-181.0' out of range [-180, 180]"),
         ("start_lat", "north", "could not convert string to float: 'north'"),
         ("start_time", "abc", "invalid literal for int() with base 10: 'abc'"),
         ("end_time", "-5", "end_time -5 must be after start_time 0"),
@@ -655,7 +658,7 @@ class TestSanitizeCommand:
         )
         d_km = []
         for o_snap, n_snap in zip(snaps, SnapshotStore(out).iter_all()):
-            for o, n in zip(o_snap.observations, n_snap.observations):
+            for o, n in zip(o_snap.rows(), n_snap.rows()):
                 d_km.append(haversine_distance(o[1:3], n[1:3]) / 1000)
         ks = stats.kstest(np.array(d_km), lambda x: analytic_cdf(eps, x)).statistic
         assert ks < 0.01
@@ -777,6 +780,17 @@ class TestEvaluateCommand:
             ("--neighborhoods", {"type": "FeatureCollection",
                                  "features": [{"type": "Feature", "properties": {"name": "a"},
                                                "geometry": SQUARE}] * 2}),
+            # GeoJSON positions are [lon, lat]: the LA box written [lat, lon]
+            # has latitudes near -118
+            ("--boundary", {"type": "FeatureCollection",
+                            "features": [{"type": "Feature", "geometry": {
+                                "type": "Polygon",
+                                "coordinates": [[p[::-1] for p in SQUARE["coordinates"][0]]]}}]}),
+            ("--neighborhoods", {"type": "FeatureCollection",
+                                 "features": [{"type": "Feature", "geometry": {
+                                     "type": "Polygon",
+                                     "coordinates": [[[180, 0], [181, 0], [181, 1], [180, 1],
+                                                      [180, 0]]]}}]}),
         ],
         ids=["boundary not an object", "boundary without features",
              "boundary without coordinates", "boundary with malformed coordinates",
@@ -785,7 +799,8 @@ class TestEvaluateCommand:
              "position with one number", "positions of digit strings", "position with a bool",
              "position NaN", "position Infinity", "ring of three vertices",
              "polygon without rings", "point feature",
-             "boundary not JSON", "neighborhoods not JSON", "neighborhoods with a name twice"],
+             "boundary not JSON", "neighborhoods not JSON", "neighborhoods with a name twice",
+             "boundary written [lat, lon]", "neighborhoods at longitude 181"],
     )
     def test_bad_region_file_exits_2(self, tmp_path, capsys, flag, doc):
         boundary = tmp_path / "boundary.geojson"
@@ -800,6 +815,24 @@ class TestEvaluateCommand:
             argv += [name, str(path)]
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith(f"error: {bad}")
+        assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize("flag", ["--boundary", "--neighborhoods"])
+    def test_regions_holding_no_scooter_exit_2(self, tmp_path, synth_archive, capsys, flag):
+        # an in-range square over New York, where the LA fleet has no scooter
+        boundary, elsewhere = tmp_path / "boundary.geojson", tmp_path / "elsewhere.geojson"
+        write_boundary_geojson(boundary)
+        write_boundary_geojson(elsewhere, lat0=40.6, lon0=-74.1)
+        regions = {"--boundary": boundary, flag: elsewhere}
+        argv = ["evaluate", "--store", str(synth_archive), "--trials", "2",
+                "--output", str(tmp_path / "r.csv")]
+        for name, path in regions.items():
+            argv += [name, str(path)]
+        assert main(argv) == 2
+        n = len(list(SnapshotStore(synth_archive).iter_all())[-1].ids)
+        assert capsys.readouterr().err == (
+            f"error: {flag} {elsewhere} holds none of the snapshot's {n} scooters\n"
+        )
         assert not (tmp_path / "r.csv").exists()
 
     def test_duplicate_region_names_listed(self, tmp_path, synth_archive, capsys):
@@ -1100,7 +1133,7 @@ class TestEvaluateGeojsonDump:
         assert rc == 0
         doc = json.loads(dump.read_text())
         snaps = list(SnapshotStore(synth_archive).iter_all())
-        assert len(doc["features"]) == len(snaps[-1].observations)
+        assert len(doc["features"]) == len(snaps[-1].ids)
 
 
 class _FullDisk:

@@ -45,8 +45,8 @@ class TestParse:
         snap = parse_free_bike_status(raw, "bird")
         assert snap.provider == "bird"
         assert snap.captured_at == 1_700_000_000
-        assert len(snap.observations) == 2
-        assert snap.observations[0] == ("a", 34.0, -118.2, False, False)
+        assert len(snap.ids) == 2
+        assert next(snap.rows()) == ("a", 34.0, -118.2, False, False)
 
     @pytest.mark.parametrize("ttl", [60, 300, 60.0])
     def test_ttl_passthrough(self, ttl):
@@ -55,7 +55,7 @@ class TestParse:
 
     def test_extra_fields_ignored(self):
         raw = make_feed_doc([("a", 1.0, 2.0)], extra={"version": "2.3", "junk": [1]})
-        assert len(parse_free_bike_status(raw, "p").observations) == 1
+        assert len(parse_free_bike_status(raw, "p").ids) == 1
 
     def test_not_json(self):
         with pytest.raises(FeedParseError):
@@ -103,7 +103,7 @@ class TestParse:
     def test_gbfs_1_integer_flags_load(self):
         raw = make_feed_doc([("a", 34, -118, 1, 0), ("b", 34.5, -118.5, 0, 1)])
         snap = parse_free_bike_status(raw, "p")
-        assert list(snap.observations) == [
+        assert list(snap.rows()) == [
             ("a", 34.0, -118.0, True, False), ("b", 34.5, -118.5, False, True)
         ]
 
@@ -159,8 +159,9 @@ class TestCoords:
         s = make_snapshot([("a", 34.0, -118.2, True, False)], captured_at=5)
         moved = replace(s, lats=[33.5], lons=[-117.5])
         assert moved == make_snapshot([("a", 33.5, -117.5, True, False)], captured_at=5)
-        assert list(map(type, moved.observations[0])) == [str, float, float, bool, bool]
-        assert list(moved.observations) == [moved.observations[0]]
+        rows = list(moved.rows())
+        assert list(map(type, rows[0])) == [str, float, float, bool, bool]
+        assert rows == [rows[0]]
 
 
 class TestWriteArchive:
@@ -219,8 +220,9 @@ class TestRoundTrip:
         recs = [snapshot_to_record(make_snapshot([("s-1", 34.0, -118.2)], captured_at=t))
                 for t in (1, 2)]
         a, b = (snapshot_from_record(json.loads(json.dumps(r))) for r in recs)
-        assert a.observations[0][0] is b.observations[0][0]
-        assert not hasattr(a.observations[0], "__dict__")
+        row_a, row_b = next(a.rows()), next(b.rows())
+        assert row_a[0] is row_b[0]
+        assert not hasattr(row_a, "__dict__")
 
     def test_store_round_trip(self, tmp_path):
         store = SnapshotStore(tmp_path / "arch.jsonl")
@@ -599,6 +601,20 @@ class TestPoller:
         assert summary.snapshots_written == 2
         assert [s.captured_at for s in store.iter_all()] == [100, 110]
 
+    def test_bike_out_of_range_counted_and_polling_continues(
+        self, tmp_path, monkeypatch, caplog
+    ):
+        docs = iter([make_feed_doc([("a", 1, 1)], last_updated=100),
+                     make_feed_doc([("a", 95.0, -118.4)], last_updated=105),
+                     make_feed_doc([("a", 2, 2)], last_updated=110)])
+        monkeypatch.setattr(feed_ingest, "_fetch_with_retry", lambda *args: next(docs))
+        store = SnapshotStore(tmp_path / "a.jsonl")
+        summary = self._run("http://feed.invalid/", store, n_polls=3)
+        assert summary.parse_errors == 1 and summary.snapshots_written == 2
+        assert [r.getMessage() for r in caplog.records] == [
+            "parse failure: latitude '95.0' out of range [-90, 90]"
+        ]
+
     def test_document_nested_too_deep_counted_and_polling_continues(
         self, tmp_path, monkeypatch, caplog
     ):
@@ -719,9 +735,8 @@ class TestColumnarMemory:
 
         gc.collect()
         with monkeypatch.context() as m:
-            # every row is built through rows() or observations
+            # every row is built through rows()
             m.setattr(Snapshot, "rows", counting(Snapshot.rows))
-            m.setattr(Snapshot, "observations", property(counting(Snapshot.observations.fget)))
             tracemalloc.start()
             try:
                 base = tracemalloc.get_traced_memory()[0]

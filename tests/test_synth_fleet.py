@@ -50,9 +50,9 @@ class TestGenerate:
         )
         snapshots, truth = generate(config)
         assert not truth.trips and not truth.relocations
-        first = set(snapshots[0].observations)
+        first = set(snapshots[0].rows())
         for snap in snapshots:
-            assert set(snap.observations) == first
+            assert set(snap.rows()) == first
 
     def test_deterministic_given_seed(self):
         config = FleetConfig(n_scooters=10, area=AREA, seed=7, trip_rate=1.0, duration_h=2.0)
@@ -104,7 +104,7 @@ class TestGenerate:
             },
         }
         parsed = parse_free_bike_status(json.dumps(gbfs).encode(), rec["provider"])
-        assert tuple(parsed.observations) == tuple(snapshots[0].observations)
+        assert tuple(parsed.rows()) == tuple(snapshots[0].rows())
 
     def test_invalid_config(self):
         with pytest.raises(ValueError):
@@ -155,7 +155,7 @@ class TestAttackOracle:
 
     def test_parked_counts_reflect_riders(self, fleet_run):
         snapshots, _ = fleet_run
-        counts = [len(s.observations) for s in snapshots]
+        counts = [len(s.ids) for s in snapshots]
         assert all(c <= 100 for c in counts)
         assert counts[0] == 100  # everyone parked at the start
 

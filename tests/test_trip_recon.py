@@ -187,7 +187,7 @@ def scalar_reconstruct(snapshots, min_move_m):
     state = {}
     trips = []
     for snap in snapshots:
-        for scooter_id, lat, lon, _, _ in snap.observations:
+        for scooter_id, lat, lon, _, _ in snap.rows():
             loc = (lat, lon)
             known = state.get(scooter_id)
             state[scooter_id] = (loc, snap.captured_at)
