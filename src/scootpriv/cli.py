@@ -5,7 +5,9 @@ cluster, and scrape|synth -> sanitize -> evaluate. Every randomized
 command takes a seed and records it in the output's metadata header, so
 reruns with identical flags are byte-identical.
 
-Exit codes: 0 success, 1 runtime/I-O failure, 2 usage error.
+Exit codes: 0 success, 1 runtime/I-O failure, 2 usage error. A failure
+prints one `error:` line, argparse's usage errors included; a flag's own
+rule is its type, so it is checked before any input is read.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import itertools
 import json
 import math
 import sys
-from collections import deque
+from collections import Counter, deque
 from collections.abc import Iterator
 from dataclasses import replace
 
@@ -24,7 +26,7 @@ from . import (
 )
 # archives are read through feed_ingest.read_snapshots, looked up on the
 # module at call time, so wrappers set on that attribute see every read
-from .feed_ingest import Snapshot, SnapshotStore, StoreError, poll_feed, write_json
+from .feed_ingest import MAX_INTERVAL_S, Snapshot, SnapshotStore, StoreError, poll_feed, write_json
 
 
 # most points --r-grid may ask for; each one is a full Monte Carlo run
@@ -52,14 +54,29 @@ def parse_r_grid(spec: str) -> list[float]:
     return [round(start + i * step, 10) for i in range(math.floor(steps) + 1)]
 
 
-def _reject_non_finite(args) -> None:
-    """Every float flag must be finite, but --duration inf, which runs
-    scrape until it is interrupted."""
-    for name, value in vars(args).items():
-        if name == "duration" and value == math.inf:
-            continue
-        if isinstance(value, float) and not math.isfinite(value):
-            raise UsageError(f"--{name.replace('_', '-')} must be finite, got {value}")
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # argparse's errors are usage errors too
+        raise UsageError(message)
+
+
+def _flag(parse, rule: str, holds):
+    """An argparse type: parse(text), rejected unless holds(value), which
+    NaN fails for every float rule; argparse names the flag in the error."""
+    def convert(text: str):
+        if not holds(value := parse(text)):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+        return value
+    convert.__name__ = parse.__name__  # "invalid float value: 'abc'"
+    return convert
+
+
+_FINITE = _flag(float, "finite", math.isfinite)
+_NONNEG = _flag(float, "finite and >= 0", lambda v: 0 <= v < math.inf)
+_POS_INT = _flag(int, ">= 1", lambda v: v >= 1)
+_SEED = _flag(int, ">= 0", lambda v: v >= 0)
+_INTERVAL = _flag(float, f"in (0, {MAX_INTERVAL_S:g}] s", lambda v: 0 < v <= MAX_INTERVAL_S)
+_DURATION = _flag(float, ">= 0", lambda v: v >= 0)  # inf polls until interrupted
+_URL = _flag(str, "an http(s) URL", lambda v: v.startswith(("http://", "https://")))
 
 
 def _meta(command: str, **params) -> dict:
@@ -67,12 +84,6 @@ def _meta(command: str, **params) -> dict:
 
 
 def cmd_scrape(args) -> int:
-    if not args.url.startswith(("http://", "https://")):
-        raise UsageError(f"not an http(s) URL: {args.url!r}")
-    if not 0 < args.interval <= feed_ingest.MAX_INTERVAL_S:
-        raise UsageError(f"--interval must be positive, at most {feed_ingest.MAX_INTERVAL_S:g} s")
-    if args.duration < 0:
-        raise UsageError("--duration must be >= 0")
     summary = poll_feed(
         endpoint=args.url,
         store=SnapshotStore(args.store),
@@ -104,14 +115,9 @@ def _read_one_provider(args) -> Iterator[Snapshot]:
 
 
 def cmd_reconstruct(args) -> int:
-    try:
-        f = trip_recon.TripFilter(
-            min_distance_m=args.min_distance_m, max_duration_s=args.max_duration_s
-        )
-    except ValueError as exc:
-        raise UsageError(f"invalid trip filter: {exc}") from exc
-    if args.min_move_m < 0:
-        raise UsageError("--min-move-m must be >= 0")
+    f = trip_recon.TripFilter(
+        min_distance_m=args.min_distance_m, max_duration_s=args.max_duration_s
+    )
     trips = trip_recon.reconstruct_trips(_read_one_provider(args), min_move_m=args.min_move_m)
     kept = trip_recon.filter_trips(trips, f)
     trip_recon.write_trips_csv(
@@ -125,20 +131,15 @@ def cmd_reconstruct(args) -> int:
             min_move_m=args.min_move_m,
         ),
     )
-    # a trip that fails both filters counts under distance
-    too_short = sum(t.distance_m < f.min_distance_m for t in trips)
+    dropped = Counter(map(f.rejects, trips))
     print(
-        f"{len(kept)} trips kept of {len(trips)} reconstructed; {too_short} under "
-        f"--min-distance-m, {len(trips) - len(kept) - too_short} over --max-duration-s"
+        f"{len(kept)} trips kept of {len(trips)} reconstructed; {dropped['min_distance_m']} under "
+        f"--min-distance-m, {dropped['max_duration_s']} over --max-duration-s"
     )
     return 0
 
 
 def cmd_cluster(args) -> int:
-    if args.k < 1:
-        raise UsageError("k must be >= 1")
-    if args.max_size is not None and args.max_size < 1:
-        raise UsageError("--max-size must be >= 1")
     trips = trip_recon.read_trips_csv(args.trips)
     points = [
         t.start_loc if args.endpoint == "start" else t.end_loc for t in trips
@@ -218,8 +219,6 @@ def _pick_snapshot(args) -> Snapshot:
 
 
 def cmd_evaluate(args) -> int:
-    if args.trials < 1:
-        raise UsageError("--trials must be >= 1")
     grid = parse_r_grid(args.r_grid)
     if max(grid) > 0:
         _epsilon("--r-grid reaching", max(grid), args.ratio)
@@ -300,42 +299,42 @@ def cmd_synth(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="scootpriv")
+    p = _Parser(prog="scootpriv")
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("scrape", help="poll a free_bike_status endpoint into an archive")
-    s.add_argument("--url", required=True)
+    s.add_argument("--url", type=_URL, required=True)
     s.add_argument("--provider", required=True)
-    s.add_argument("--interval", type=float, default=60.0, help="poll interval seconds")
+    s.add_argument("--interval", type=_INTERVAL, default=60.0, help="poll interval seconds")
     s.add_argument("--store", required=True)
-    s.add_argument("--duration", type=float, required=True, help="total seconds to run")
+    s.add_argument("--duration", type=_DURATION, required=True, help="total seconds to run")
     s.set_defaults(func=cmd_scrape)
 
     s = sub.add_parser("reconstruct", help="diff an archive into filtered trips")
     s.add_argument("--store", required=True)
     s.add_argument("--provider", default=None)
-    s.add_argument("--min-distance-m", type=float, default=trip_recon.TripFilter.min_distance_m)
-    s.add_argument("--max-duration-s", type=int, default=trip_recon.TripFilter.max_duration_s)
-    s.add_argument("--min-move-m", type=float, default=trip_recon.DEFAULT_MIN_MOVE_M)
+    s.add_argument("--min-distance-m", type=_NONNEG, default=trip_recon.TripFilter.min_distance_m)
+    s.add_argument("--max-duration-s", type=_POS_INT, default=trip_recon.TripFilter.max_duration_s)
+    s.add_argument("--min-move-m", type=_NONNEG, default=trip_recon.DEFAULT_MIN_MOVE_M)
     s.add_argument("--output", required=True)
     s.set_defaults(func=cmd_reconstruct)
 
     s = sub.add_parser("cluster", help="k-means hotspots over trip endpoints")
     s.add_argument("--trips", required=True)
-    s.add_argument("--k", type=int, default=clustering.DEFAULT_K)
+    s.add_argument("--k", type=_POS_INT, default=clustering.DEFAULT_K)
     s.add_argument("--endpoint", choices=["start", "end"], default="start")
-    s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--max-size", type=int, default=None, help="keep only clusters this small")
+    s.add_argument("--seed", type=_SEED, default=0)
+    s.add_argument("--max-size", type=_POS_INT, default=None, help="keep only clusters this small")
     s.add_argument("--output", required=True)
     s.add_argument("--geojson", default=None)
     s.set_defaults(func=cmd_cluster)
 
     s = sub.add_parser("sanitize", help="perturb every archived coordinate")
     s.add_argument("--store", required=True)
-    s.add_argument("--radius-km", type=float, required=True, help="R; epsilon = ln(ratio)/R")
-    s.add_argument("--ratio", type=float, default=6.0)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--radius-km", type=_FINITE, required=True, help="R; epsilon = ln(ratio)/R")
+    s.add_argument("--ratio", type=_FINITE, default=6.0)
+    s.add_argument("--seed", type=_SEED, default=0)
     s.add_argument("--output", required=True)
     s.set_defaults(func=cmd_sanitize)
 
@@ -346,13 +345,13 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--boundary", required=True, help="GeoJSON city boundary")
     s.add_argument("--neighborhoods", default=None, help="GeoJSON neighborhood polygons")
     s.add_argument("--r-grid", default="0:1:0.05")
-    s.add_argument("--trials", type=int, default=100)
-    s.add_argument("--ratio", type=float, default=6.0)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--trials", type=_POS_INT, default=100)
+    s.add_argument("--ratio", type=_FINITE, default=6.0)
+    s.add_argument("--seed", type=_SEED, default=0)
     s.add_argument("--output", required=True)
     s.add_argument("--format", choices=["csv", "json"], default="csv")
     s.add_argument("--dump-geojson", default=None, help="write one (perturbed) snapshot as GeoJSON points")
-    s.add_argument("--dump-radius-km", type=float, default=0.25, help="R for the dumped snapshot; 0 dumps the true locations")
+    s.add_argument("--dump-radius-km", type=_FINITE, default=0.25, help="R for the dumped snapshot; 0 dumps the true locations")
     s.set_defaults(func=cmd_evaluate)
 
     s = sub.add_parser("synth", help="generate a synthetic fleet archive + ground truth")
@@ -365,10 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        _reject_non_finite(args)
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (UsageError, utility_eval.RegionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

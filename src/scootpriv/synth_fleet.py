@@ -71,6 +71,8 @@ class FleetConfig:
     def __post_init__(self):
         if self.n_scooters <= 0:
             raise ValueError("n_scooters must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.snapshot_interval_s <= 0:
             raise ValueError("snapshot_interval_s must be positive")
         if self.duration_h <= 0:

@@ -110,11 +110,17 @@ class TripFilter:
         if not self.max_duration_s > 0:
             raise ValueError(f"max_duration_s must be > 0, got {self.max_duration_s}")
 
+    def rejects(self, trip: Trip) -> str | None:
+        """The threshold trip fails, distance checked first: "min_distance_m"
+        or "max_duration_s"; None if the filter keeps it."""
+        if trip.distance_m < self.min_distance_m:
+            return "min_distance_m"
+        if trip.duration_s > self.max_duration_s:
+            return "max_duration_s"
+        return None
+
     def keeps(self, trip: Trip) -> bool:
-        return (
-            trip.distance_m >= self.min_distance_m
-            and trip.duration_s <= self.max_duration_s
-        )
+        return self.rejects(trip) is None
 
 
 def reconstruct_trips(
@@ -205,13 +211,20 @@ def write_trips_csv(trips: list[Trip], path: str | Path, meta: dict | None = Non
     write_csv(path, TRIP_CSV_COLUMNS, (trip_row(t) for t in trips), meta)
 
 
-def _endpoint(rec: dict, end: str) -> tuple[float, float]:
-    """The (lat, lon) of a trip's start or end, under check_coordinates;
-    an error names the column."""
-    columns = (f"{end}_lat", f"{end}_lon")
-    lat, lon = (float(rec[c]) for c in columns)
-    check_coordinates(lat, lon, columns)
-    return lat, lon
+def _check_trip_coordinates(path: str | Path, trips: list[Trip], linenos: list[int]) -> None:
+    """check_coordinates over each coordinate column of trips at once; where
+    a value is out of range, over each half in turn, so the ValueError names
+    the first bad trip's line, and its column."""
+    try:
+        for end in ("start", "end"):
+            lats, lons = np.array([getattr(t, f"{end}_loc") for t in trips]).reshape(-1, 2).T
+            check_coordinates(lats, lons, (f"{end}_lat", f"{end}_lon"))
+    except ValueError as exc:
+        if len(trips) == 1:
+            raise ValueError(f"{path}: line {linenos[0]}: {exc}") from exc
+        half = len(trips) // 2
+        _check_trip_coordinates(path, trips[:half], linenos[:half])
+        _check_trip_coordinates(path, trips[half:], linenos[half:])
 
 
 def read_trips_csv(path: str | Path) -> list[Trip]:
@@ -219,8 +232,9 @@ def read_trips_csv(path: str | Path) -> list[Trip]:
     TRIP_CSV_COLUMNS column is missing from its header, if a line is
     malformed (MALFORMED_INPUT: not UTF-8, or a field over the csv module's
     limit, say), or if a row does not make a Trip of finite, in-range
-    coordinates; the error names the path and the line last read, ``#``
-    lines counted. A line is decoded once it is numbered."""
+    coordinates; the error names the path and the first bad line, ``#``
+    lines counted. A line is decoded once it is numbered; the coordinates of
+    the lines before the first malformed one are range-checked by column."""
     lineno = 0  # of the line last read, # lines counted
 
     def data_lines(f):
@@ -230,8 +244,9 @@ def read_trips_csv(path: str | Path) -> list[Trip]:
             if not line.startswith("#"):
                 yield line
 
+    trips, linenos = [], []  # each trip read, and its line
     with open(path, "rb") as f:
-        reader, trips = csv.DictReader(data_lines(f)), []
+        reader = csv.DictReader(data_lines(f))
         try:
             missing = [c for c in TRIP_CSV_COLUMNS if c not in (reader.fieldnames or [])]
             if missing:
@@ -239,11 +254,15 @@ def read_trips_csv(path: str | Path) -> list[Trip]:
             for rec in reader:
                 trips.append(Trip(
                     rec["scooter_id"],
-                    _endpoint(rec, "start"),
-                    _endpoint(rec, "end"),
+                    (float(rec["start_lat"]), float(rec["start_lon"])),
+                    (float(rec["end_lat"]), float(rec["end_lon"])),
                     int(rec["start_time"]),
                     int(rec["end_time"]),
                 ))
+                linenos.append(lineno)
         except MALFORMED_INPUT as exc:
+            # a coordinate out of range on an earlier line comes first
+            _check_trip_coordinates(path, trips, linenos)
             raise ValueError(f"{path}: line {lineno}: {exc}") from exc
-        return trips
+    _check_trip_coordinates(path, trips, linenos)
+    return trips

@@ -115,53 +115,98 @@ class TestGridFlag:
                 parse_r_grid(bad)
 
 
+def misuse(argv, flag=None):
+    """A misuse case: argv and the flag its error line names, argv[1] unless given."""
+    return pytest.param(argv, flag or argv[1], id=" ".join(argv) or "no subcommand")
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv,flag",
     [
-        ["reconstruct", "--min-distance-m", "-1"],
-        ["reconstruct", "--max-duration-s", "0"],
-        ["reconstruct", "--min-move-m", "-1"],
-        ["cluster", "--max-size", "0"],
-        ["cluster", "--k", "0"],
-        ["sanitize", "--radius-km", "0"],
-        ["sanitize", "--radius-km", "0.25", "--ratio", "1"],
-        ["sanitize", "--radius-km", "18"],
-        ["sanitize", "--radius-km", "6"],
-        ["evaluate", "--ratio", "1"],
-        ["evaluate", "--r-grid", "0:60:20"],
-        ["evaluate", "--dump-radius-km", "-1", "--dump-geojson", "d.geojson"],
-        ["scrape", "--duration", "-1"],
+        misuse(["reconstruct", "--min-distance-m", "-1"]),
+        misuse(["reconstruct", "--max-duration-s", "0"]),
+        misuse(["reconstruct", "--min-move-m", "-1"]),
+        misuse(["cluster", "--max-size", "0"]),
+        misuse(["cluster", "--k", "0"]),
+        misuse(["sanitize", "--radius-km", "0"]),
+        misuse(["sanitize", "--radius-km", "0.25", "--ratio", "1"]),
+        misuse(["sanitize", "--radius-km", "18"]),
+        misuse(["sanitize", "--radius-km", "6"]),
+        misuse(["evaluate", "--ratio", "1"]),
+        misuse(["evaluate", "--r-grid", "0:60:20"]),
+        misuse(["evaluate", "--dump-radius-km", "-1", "--dump-geojson", "d.geojson"]),
+        misuse(["evaluate", "--trials", "0"]),
+        misuse(["scrape", "--duration", "-1"]),
+        misuse(["scrape", "--duration", "1", "--url", "ftp://feed.invalid/"], "--url"),
+        # argparse's own errors
+        misuse([], "command"),
+        misuse(["sanitize"], "--radius-km"),
+        misuse(["cluster", "--k", "abc"]),
+        misuse(["evaluate", "--format", "xml"]),
+        misuse(["sanitize", "--radius-km", "0.25", "--epsilon", "1"], "--epsilon"),
+        misuse(["cluster", "--seed", "-1"]),
+        misuse(["sanitize", "--radius-km", "0.25", "--seed", "-1"], "--seed"),
+        misuse(["evaluate", "--seed", "-1"]),
     ],
-    ids=lambda argv: " ".join(argv),
 )
-def test_flag_range_error_exits_2_before_reading_input(tmp_path, capsys, monkeypatch, argv):
+def test_flag_range_error_exits_2_before_reading_input(
+    tmp_path, capsys, monkeypatch, argv, flag
+):
     monkeypatch.setattr(cli, "poll_feed", lambda **kwargs: pytest.fail("scrape polled"))
     # the input does not exist, so reading it first would exit 1
-    missing, out = str(tmp_path / "missing"), tmp_path / "out"
+    missing, out = str(tmp_path / "missing"), str(tmp_path / "out")
     inputs = {
-        "reconstruct": ["--store", missing, "--output", str(out)],
-        "cluster": ["--trips", missing, "--output", str(out)],
-        "sanitize": ["--store", missing, "--output", str(out)],
-        "evaluate": ["--store", missing, "--boundary", missing, "--output", str(out)],
-        "scrape": ["--url", "http://feed.invalid/", "--provider", "p", "--store", str(out)],
+        "reconstruct": ["--store", missing, "--output", out],
+        "cluster": ["--trips", missing, "--output", out],
+        "sanitize": ["--store", missing, "--output", out],
+        "evaluate": ["--store", missing, "--boundary", missing, "--output", out],
+        "scrape": ["--url", "http://feed.invalid/", "--provider", "p", "--store", out],
     }
-    rc = main(argv[:1] + inputs[argv[0]] + argv[1:])
-    assert rc == 2
-    assert capsys.readouterr().err.startswith("error:")
-    assert not out.exists()
+    # main returns 2 for argparse's errors too: no SystemExit escapes it
+    assert main(argv[:1] + inputs[argv[0]] + argv[1:] if argv else []) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error, = captured.err.splitlines()
+    assert error.startswith("error: ") and flag in error
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["cluster", "--help"]])
+def test_help_and_version_exit_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out
 
 
 def float_flags() -> list[tuple[str, str]]:
-    """(subcommand, flag) for every type=float option of the parser."""
+    """(subcommand, flag) for every option of the parser whose type parses
+    "1.5" to a float."""
+    def parses_float(action) -> bool:
+        try:
+            return isinstance(action.type("1.5"), float)
+        except (TypeError, ValueError, argparse.ArgumentTypeError):  # None, int or str types
+            return False
+
     subparsers = next(
         a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
     )
-    return [
+    flags = [
         (command, action.option_strings[0])
         for command, parser in subparsers.choices.items()
         for action in parser._actions
-        if action.type is float
+        if parses_float(action)
     ]
+    assert len(flags) == 8, flags
+    return flags
+
+
+# the rule each float flag's error states
+RULES = {
+    "--interval": "in (0, 86400] s", "--duration": ">= 0",
+    "--min-distance-m": "finite and >= 0", "--min-move-m": "finite and >= 0",
+    "--radius-km": "finite", "--ratio": "finite", "--dump-radius-km": "finite",
+}
 
 
 @pytest.mark.parametrize(
@@ -184,7 +229,9 @@ def test_non_finite_float_flag_exits_2_before_reading_input(
         "evaluate": ["--store", missing, "--boundary", missing, "--output", out],
     }
     assert main([command, *required[command], flag, value]) == 2
-    assert capsys.readouterr().err.startswith(f"error: {flag} must be finite")
+    assert capsys.readouterr().err == (
+        f"error: argument {flag}: must be {RULES[flag]}, got '{value}'\n"
+    )
     assert list(tmp_path.iterdir()) == []
 
 
@@ -194,7 +241,9 @@ def test_scrape_interval_over_a_day_exits_2_before_polling(tmp_path, capsys, mon
     argv = ["scrape", "--url", "http://feed.invalid/", "--provider", "p",
             "--store", str(tmp_path / "a.jsonl"), "--duration", "1", "--interval", "1e300"]
     assert main(argv) == 2
-    assert capsys.readouterr().err.startswith("error: --interval")
+    assert capsys.readouterr().err == (
+        "error: argument --interval: must be in (0, 86400] s, got '1e300'\n"
+    )
     assert list(tmp_path.iterdir()) == []
 
 
@@ -246,13 +295,15 @@ class TestSynthCommand:
             assert main(["synth", "--config", str(bad), "--output", str(tmp_path / "o")]) == 2, doc
             err = capsys.readouterr().err
             assert err.startswith("error: invalid fleet config") and "Traceback" not in err, doc
-        # a missing key is named as missing, a hotspot's under hotspots
-        missing = {
+        # each error names its key: a missing key as missing, a hotspot's
+        # under hotspots, and the seed, which numpy would reject unnamed
+        named = {
             "missing key 'seed'": {k: v for k, v in good.items() if k != "seed"},
             "missing key 'area_rings'": {k: v for k, v in good.items() if k != "area_rings"},
             "hotspots: missing key 'center'": {**good, "hotspots": [{"weight": 2}]},
+            "seed must be >= 0, got -1": {**good, "seed": -1},
         }
-        for message, doc in missing.items():
+        for message, doc in named.items():
             bad.write_text(json.dumps(doc))
             assert main(["synth", "--config", str(bad), "--output", str(tmp_path / "o")]) == 2
             assert capsys.readouterr().err == f"error: invalid fleet config: {message}\n"
@@ -492,6 +543,26 @@ class TestClusterCommand:
         assert capsys.readouterr().err == f"error: {path}: line 5: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("lat_line,time_line", [(5, 8), (8, 5)])
+    def test_first_bad_line_named_whatever_its_fault(
+        self, tmp_path, capsys, lat_line, time_line
+    ):
+        # a latitude out of range on one line and an end before its start on
+        # another: the error is the earlier line's
+        path = tmp_path / "trips.csv"
+        self.write_trips(path, [(34.0, -118.2)] * 8, meta={"command": "reconstruct", "seed": 1})
+        lines = path.read_text().splitlines(keepends=True)
+        for lineno, column, value in ((lat_line, "start_lat", "95"), (time_line, "end_time", "-5")):
+            cells = lines[lineno - 1].split(",")
+            cells[trip_recon.TRIP_CSV_COLUMNS.index(column)] = value
+            lines[lineno - 1] = ",".join(cells)
+        path.write_text("".join(lines))
+        messages = {lat_line: "start_lat '95.0' out of range [-90, 90]",
+                    time_line: "end_time -5 must be after start_time 0"}
+        out = tmp_path / "c.csv"
+        assert main(["cluster", "--trips", str(path), "--k", "1", "--output", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: line 5: {messages[5]}\n"
+
     def test_byte_not_utf8_named_by_its_own_line(self, tmp_path, capsys):
         path = tmp_path / "trips.csv"
         self.write_trips(path, [(34.0, -118.2)] * 599, meta={"command": "reconstruct", "seed": 1})
@@ -558,11 +629,13 @@ class TestSanitizeCommand:
         # R and the ratio are the only way to set the noise
         out = str(tmp_path / "s.jsonl")
         argv = ["sanitize", "--store", str(synth_archive), "--output", out]
-        for extra in ([], ["--epsilon", "1.0"], ["--epsilon", "1.0", "--radius-km", "0.25"]):
-            with pytest.raises(SystemExit) as exc:
-                main(argv + extra)
-            assert exc.value.code == 2
-        assert "--radius-km" in capsys.readouterr().err
+        for extra, error in (
+            ([], "the following arguments are required: --radius-km"),
+            (["--epsilon", "1.0"], "the following arguments are required: --radius-km"),
+            (["--epsilon", "1.0", "--radius-km", "0.25"], "unrecognized arguments: --epsilon 1.0"),
+        ):
+            assert main(argv + extra) == 2
+            assert capsys.readouterr().err == f"error: {error}\n"
         assert not (tmp_path / "s.jsonl").exists()
 
     def test_radius_ratio_metadata_epsilon(self, tmp_path, synth_archive):

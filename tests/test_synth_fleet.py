@@ -113,6 +113,8 @@ class TestGenerate:
             FleetConfig(n_scooters=1, area=AREA, seed=1, trip_distance_m=(500, 100))
         with pytest.raises(ValueError):
             FleetConfig(n_scooters=1, area=AREA, seed=1, duration_h=0)
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            FleetConfig(n_scooters=1, area=AREA, seed=-1)
 
 
 @pytest.fixture(scope="module")

@@ -281,6 +281,18 @@ class TestFilterTrips:
         assert abs(at_dist.distance_m - 100) < 1e-6
         assert filter_trips([at_dist], f) == [at_dist]
 
+    def test_rejects_names_the_threshold_distance_first(self, default_filter):
+        cases = {
+            (150 / ONE_DEGREE_EQUATOR_M, 600): None,
+            (50 / ONE_DEGREE_EQUATOR_M, 600): "min_distance_m",
+            (0.01, 7200): "max_duration_s",
+            (50 / ONE_DEGREE_EQUATOR_M, 7200): "min_distance_m",
+        }
+        for args, reason in cases.items():
+            t = self.trip_of(*args)
+            assert default_filter.rejects(t) == reason
+            assert default_filter.keeps(t) is (reason is None)
+
     def test_subset_and_idempotent(self, default_filter):
         trips = [self.trip_of(0.01, 600), self.trip_of(0.0001, 600), self.trip_of(0.01, 9000)]
         once = filter_trips(trips, default_filter)
@@ -314,6 +326,26 @@ class TestTripCsv:
             assert rt.end_time == orig.end_time
             assert rt.start_loc == pytest.approx(orig.start_loc, abs=1e-6)
             assert rt.distance_m == pytest.approx(orig.distance_m, abs=1.0)
+
+    @pytest.mark.parametrize("bad_rows", [[0], [6], [3, 5], [1, 2, 6], list(range(7))])
+    def test_first_coordinate_out_of_range_named_by_line_and_column(self, tmp_path, bad_rows):
+        # the columns are checked whole; the error is still the first bad row's
+        trips = [Trip(f"s{i}", (34.0, -118.2), (34.01, -118.2), 0, 600) for i in range(7)]
+        path = tmp_path / "trips.csv"
+        write_trips_csv(trips, path)
+        lines = path.read_text().splitlines(keepends=True)  # the header, then row i on i + 2
+        for row in bad_rows:
+            cells = lines[row + 1].split(",")
+            column = ("start_lat", "end_lon")[row % 2]
+            cells[trip_recon.TRIP_CSV_COLUMNS.index(column)] = ("-95", "181")[row % 2]
+            lines[row + 1] = ",".join(cells)
+        path.write_text("".join(lines))
+        first = bad_rows[0]
+        message = ("start_lat '-95.0' out of range [-90, 90]",
+                   "end_lon '181.0' out of range [-180, 180]")[first % 2]
+        with pytest.raises(ValueError) as exc:
+            read_trips_csv(path)
+        assert str(exc.value) == f"{path}: line {first + 2}: {message}"
 
     def test_trip_row_formats(self):
         t = Trip("a", (34.0, -118.2), (34.01, -118.21), 100, 700)
