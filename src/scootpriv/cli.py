@@ -26,7 +26,8 @@ from . import (
 )
 # archives are read through feed_ingest.read_snapshots, looked up on the
 # module at call time, so wrappers set on that attribute see every read
-from .feed_ingest import MAX_INTERVAL_S, Snapshot, SnapshotStore, StoreError, poll_feed, write_json
+from .feed_ingest import MAX_INTERVAL_S, MIN_INTERVAL_S, Snapshot, SnapshotStore, StoreError
+from .feed_ingest import poll_feed, write_json
 
 
 # most points --r-grid may ask for; each one is a full Monte Carlo run
@@ -74,7 +75,8 @@ _FINITE = _flag(float, "finite", math.isfinite)
 _NONNEG = _flag(float, "finite and >= 0", lambda v: 0 <= v < math.inf)
 _POS_INT = _flag(int, ">= 1", lambda v: v >= 1)
 _SEED = _flag(int, ">= 0", lambda v: v >= 0)
-_INTERVAL = _flag(float, f"in (0, {MAX_INTERVAL_S:g}] s", lambda v: 0 < v <= MAX_INTERVAL_S)
+_INTERVAL = _flag(float, f"in [{MIN_INTERVAL_S:g}, {MAX_INTERVAL_S:g}] s",
+                  lambda v: MIN_INTERVAL_S <= v <= MAX_INTERVAL_S)
 _DURATION = _flag(float, ">= 0", lambda v: v >= 0)  # inf polls until interrupted
 _URL = _flag(str, "an http(s) URL", lambda v: v.startswith(("http://", "https://")))
 
@@ -223,7 +225,7 @@ def cmd_evaluate(args) -> int:
     if max(grid) > 0:
         _epsilon("--r-grid reaching", max(grid), args.ratio)
     dump_eps = None
-    if args.dump_geojson and args.dump_radius_km != 0:
+    if args.dump_radius_km != 0:
         dump_eps = _epsilon("--dump-radius-km", args.dump_radius_km, args.ratio)
     boundary, *rest = utility_eval.load_regions_geojson(args.boundary)
     if rest:

@@ -16,6 +16,7 @@ import mmap
 import os
 import sys
 import time
+from collections import Counter
 from collections.abc import Callable
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
@@ -28,8 +29,8 @@ log = logging.getLogger(__name__)
 
 RETRY_ATTEMPTS = 3
 FETCH_TIMEOUT_S = 10.0
-# longest poll interval, one day: time.sleep overflows on far longer ones
-MAX_INTERVAL_S = 86_400.0
+# poll interval bounds: a feed's ttl is whole seconds; time.sleep overflows far past a day
+MIN_INTERVAL_S, MAX_INTERVAL_S = 1.0, 86_400.0
 # read buffer of the forward archive read: a snapshot line of 1,000 scooters
 # is about 100 KB, and lines longer than the buffer are joined from pieces
 ARCHIVE_READ_BUFFER = 128 * 1024
@@ -78,10 +79,8 @@ class Snapshot:
         if "" in ids:
             raise FeedParseError("empty scooter_id")
         if len(ids) != len(set(ids)):
-            seen, dups = set(), set()
-            for i in ids:
-                (dups if i in seen else seen).add(i)
-            raise FeedParseError(f"duplicate scooter_id(s): {sorted(dups)}")
+            dups = sorted(i for i, n in Counter(ids).items() if n > 1)
+            raise FeedParseError(f"duplicate scooter_id(s): {dups}")
         object.__setattr__(self, "ids", ids)
         for name, dtype in _ARRAY_COLUMNS:
             col = np.array(getattr(self, name), dtype=dtype)
@@ -481,10 +480,9 @@ def poll_feed(
     ends by the deadline on ``clock``: anything with monotonic() and sleep().
     Ctrl-C (KeyboardInterrupt) ends the run early, with the summary so far.
     """
-    if not 0 < interval_s <= MAX_INTERVAL_S:
-        raise ValueError(
-            f"interval must be positive and finite, at most {MAX_INTERVAL_S:g} s, got {interval_s}"
-        )
+    if not MIN_INTERVAL_S <= interval_s <= MAX_INTERVAL_S:
+        raise ValueError(f"interval must be finite, at least {MIN_INTERVAL_S:g} s and at most "
+                         f"{MAX_INTERVAL_S:g} s, got {interval_s}")
     summary = PollSummary()
     deadline = clock.monotonic() + duration_s
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -119,39 +119,42 @@ class TripFilter:
             return "max_duration_s"
         return None
 
-    def keeps(self, trip: Trip) -> bool:
-        return self.rejects(trip) is None
 
-
-def reconstruct_trips(
+def stays(
     snapshots: Iterable[Snapshot],
     min_move_m: float = DEFAULT_MIN_MOVE_M,
-) -> list[Trip]:
-    """Diff consecutive snapshots of one provider into unfiltered trips,
-    in snapshot order, then observation order.
+) -> Iterator[tuple[Snapshot, np.ndarray, tuple[np.ndarray, ...]]]:
+    """Segment one provider's snapshots into parked stays: for each
+    snapshot, yield (snapshot, stay, moves).
 
-    The snapshots are read once, in order, so a stream such as
-    read_snapshots' is consumed as it is read. A scooter absent for
-    intermediate snapshots and reappearing elsewhere yields a single
-    trip spanning the gap; one that disappears for good yields nothing.
-    Raises on unsorted input, mixed providers or a min_move_m that is
-    negative or NaN.
+    A stay is the run of one scooter's observations at one parked place.
+    stay is an int64 array with each observation's stay number; stays are
+    numbered densely from 0, in snapshot order, then observation order. A
+    new stay starts at exactly three places: an id never seen before, an
+    id absent for more than ID_REUSE_GAP_S (likely a recycled id, not the
+    same physical scooter), and a move of more than min_move_m from the
+    scooter's last fix. A move of at most min_move_m is jitter: the stay
+    goes on, and its last fix is the newest.
 
-    Each scooter's state is its last observation: a move of at most
-    min_move_m is jitter, not a trip, and the next trip starts from where
-    the scooter last stood.
+    moves is (pos, lat, lon, since) for the moves alone: each one's
+    position in the snapshot, and the scooter's last fix and last-seen
+    time before it, the start of its trip.
+
+    The snapshots are read once, in order, and none is held. When
+    iterated, raises on unsorted input, mixed providers or a min_move_m
+    that is negative or NaN.
 
     Each snapshot is one join on ids: a dict gives every id a dense
-    index into arrays of its last fix and last-seen time, and one
+    index into arrays of its last fix, last-seen time and stay, and one
     great-circle call over the snapshot's known ids decides the moves.
     """
     if not min_move_m >= 0:
         raise ValueError(f"min_move_m must be >= 0, got {min_move_m}")
     index: dict[str, int] = {}
-    # per dense index: last fix and last-seen time, grown by doubling
+    # per dense index: last fix, last-seen time and stay, grown by doubling
     park_lat, park_lon = np.empty(0), np.empty(0)
-    seen = np.empty(0, dtype=np.int64)
-    trips: list[Trip] = []
+    seen, stay_of = np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    n_stays = 0
     provider = prev_ts = None
     for snap in snapshots:
         t = snap.captured_at
@@ -162,17 +165,17 @@ def reconstruct_trips(
                 raise ValueError("snapshots not strictly ascending in time")
         provider, prev_ts = snap.provider, t
         idx = np.fromiter(map(index.get, snap.ids, repeat(-1)), dtype=np.intp, count=len(snap.ids))
-        new = idx < 0
-        for p in np.flatnonzero(new).tolist():
+        starts = idx < 0
+        for p in np.flatnonzero(starts).tolist():
             idx[p] = index[snap.ids[p]] = len(index)
         if len(index) > len(seen):
             size = max(len(index), 2 * len(seen))
-            park_lat, park_lon, seen = (
+            park_lat, park_lon, seen, stay_of = (
                 np.concatenate([a, np.empty(size - len(a), a.dtype)])
-                for a in (park_lat, park_lon, seen)
+                for a in (park_lat, park_lon, seen, stay_of)
             )
         lats, lons = snap.lats, snap.lons
-        old = ~new
+        old = ~starts
         k = idx[old]
         start, end = (park_lat[k], park_lon[k]), (lats[old], lons[old])
         d = haversine_distance(start, end)
@@ -180,24 +183,43 @@ def reconstruct_trips(
         # each move is decided as the scalar loop decided it
         for j in np.flatnonzero(abs(d - min_move_m) < ARRAY_REL_TOL * min_move_m).tolist():
             d[j] = haversine_distance((start[0][j], start[1][j]), (end[0][j], end[1][j]))
-        # absent longer than the gap: likely a recycled id, not the same
-        # physical scooter, so a fresh history instead of a trip
         fresh = t - seen[k] > ID_REUSE_GAP_S
         moved = ~fresh & (d > min_move_m)
-        pos, km = np.flatnonzero(old)[moved], k[moved]
+        starts[old] = fresh | moved
+        km = k[moved]
+        moves = (np.flatnonzero(old)[moved], park_lat[km], park_lon[km], seen[km])
+        stay = stay_of[idx]
+        n_new = np.count_nonzero(starts)
+        stay[starts] = np.arange(n_stays, n_stays + n_new)
+        n_stays += n_new
+        park_lat[idx], park_lon[idx], seen[idx], stay_of[idx] = lats, lons, t, stay
+        yield snap, stay, moves
+
+
+def reconstruct_trips(
+    snapshots: Iterable[Snapshot],
+    min_move_m: float = DEFAULT_MIN_MOVE_M,
+) -> list[Trip]:
+    """Unfiltered trips, one per move that starts a stay (see stays), in
+    snapshot order, then observation order: from the scooter's last fix
+    and last-seen time to where and when the snapshot shows it. So a
+    scooter absent for intermediate snapshots yields one trip spanning the
+    gap, and one that disappears for good yields nothing."""
+    trips: list[Trip] = []
+    for snap, _, (pos, last_lat, last_lon, since) in stays(snapshots, min_move_m):
+        t = snap.captured_at
         for p, start_lat, start_lon, end_lat, end_lon, start_time in zip(
-            pos.tolist(), park_lat[km].tolist(), park_lon[km].tolist(),
-            lats[pos].tolist(), lons[pos].tolist(), seen[km].tolist(),
+            pos.tolist(), last_lat.tolist(), last_lon.tolist(),
+            snap.lats[pos].tolist(), snap.lons[pos].tolist(), since.tolist(),
         ):
             trips.append(
                 Trip(snap.ids[p], (start_lat, start_lon), (end_lat, end_lon), start_time, t)
             )
-        park_lat[idx], park_lon[idx], seen[idx] = lats, lons, t
     return trips
 
 
 def filter_trips(trips: list[Trip], f: TripFilter) -> list[Trip]:
-    return [t for t in trips if f.keeps(t)]
+    return [t for t in trips if f.rejects(t) is None]
 
 
 def trip_row(t: Trip) -> list:

@@ -135,8 +135,12 @@ def misuse(argv, flag=None):
         misuse(["evaluate", "--ratio", "1"]),
         misuse(["evaluate", "--r-grid", "0:60:20"]),
         misuse(["evaluate", "--dump-radius-km", "-1", "--dump-geojson", "d.geojson"]),
+        # checked with or without --dump-geojson
+        misuse(["evaluate", "--dump-radius-km", "-1"]),
+        misuse(["evaluate", "--dump-radius-km", "100"]),
         misuse(["evaluate", "--trials", "0"]),
         misuse(["scrape", "--duration", "-1"]),
+        misuse(["scrape", "--duration", "1", "--interval", "0.5"], "--interval"),
         misuse(["scrape", "--duration", "1", "--url", "ftp://feed.invalid/"], "--url"),
         # argparse's own errors
         misuse([], "command"),
@@ -203,7 +207,7 @@ def float_flags() -> list[tuple[str, str]]:
 
 # the rule each float flag's error states
 RULES = {
-    "--interval": "in (0, 86400] s", "--duration": ">= 0",
+    "--interval": "in [1, 86400] s", "--duration": ">= 0",
     "--min-distance-m": "finite and >= 0", "--min-move-m": "finite and >= 0",
     "--radius-km": "finite", "--ratio": "finite", "--dump-radius-km": "finite",
 }
@@ -242,7 +246,7 @@ def test_scrape_interval_over_a_day_exits_2_before_polling(tmp_path, capsys, mon
             "--store", str(tmp_path / "a.jsonl"), "--duration", "1", "--interval", "1e300"]
     assert main(argv) == 2
     assert capsys.readouterr().err == (
-        "error: argument --interval: must be in (0, 86400] s, got '1e300'\n"
+        "error: argument --interval: must be in [1, 86400] s, got '1e300'\n"
     )
     assert list(tmp_path.iterdir()) == []
 
@@ -1174,7 +1178,10 @@ class TestScrapeCommand:
         )
         assert rc == 2
 
-    def test_stub_server_yields_snapshot(self, tmp_path):
+    def test_stub_server_yields_snapshot(self, tmp_path, monkeypatch, capsys):
+        # polls at 0 s and 1 s of virtual time, both fetched from the server
+        monkeypatch.setattr(cli, "poll_feed", functools.partial(feed_ingest.poll_feed,
+                                                                clock=FakeClock()))
         server = ThreadingHTTPServer(("127.0.0.1", 0), _OneShotHandler)
         threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True).start()
         try:
@@ -1182,9 +1189,12 @@ class TestScrapeCommand:
             rc = main(
                 ["scrape", "--url", f"http://127.0.0.1:{server.server_port}/feed",
                  "--provider", "p", "--store", str(arch),
-                 "--interval", "0.05", "--duration", "0.2"]
+                 "--interval", "1", "--duration", "1.3"]
             )
             assert rc == 0
+            assert capsys.readouterr().out == (
+                "stored 1 snapshots, 0 fetch failures, 0 parse errors, 1 skipped as not newer\n"
+            )
             snaps = list(SnapshotStore(arch).iter_all())
             assert len(snaps) == 1  # identical last_updated deduplicated
             assert snaps[0].captured_at == 500

@@ -16,10 +16,12 @@ from scootpriv.synth_fleet import (
     write_ground_truth_csv,
 )
 from scootpriv.trip_recon import (
+    DEFAULT_MIN_MOVE_M,
     TripFilter,
     filter_trips,
     haversine_distance,
     reconstruct_trips,
+    stays,
     trip_row,
 )
 from scootpriv.utility_eval import Region, points_in_region
@@ -203,6 +205,19 @@ class TestOracleOnSmallFleets:
         for t in kept:
             assert (t.start_loc, t.end_loc) == (by_key[trip_key(t)].start_loc,
                                                 by_key[trip_key(t)].end_loc)
+        # a scooter's stay changes exactly where it arrives more than
+        # min_move_m from where it stood; each new stay takes the next number
+        changes, last, n_stays = set(), {}, 0
+        for snap, stay, _ in stays(snapshots):
+            for sid, s in zip(snap.ids, stay.tolist()):
+                if last.get(sid) != s:
+                    assert s == n_stays
+                    n_stays += 1
+                    if sid in last:
+                        changes.add((sid, snap.captured_at))
+                last[sid] = s
+        assert changes == {(t.scooter_id, t.end_time) for t in truth.trips + truth.relocations
+                           if t.distance_m > DEFAULT_MIN_MOVE_M}
 
 
 class TestDepartureRates:

@@ -13,6 +13,7 @@ from scootpriv.trip_recon import (
     haversine_distance,
     read_trips_csv,
     reconstruct_trips,
+    stays,
     trip_row,
     write_trips_csv,
 )
@@ -182,23 +183,28 @@ def scalar_haversine(a, b):
 
 def scalar_reconstruct(snapshots, min_move_m):
     """The scalar diff loop, one great-circle call per observation, that
-    the per-snapshot join replaced: the reference for its results. Each
-    scooter's state is its last observation."""
+    the per-snapshot join replaced: the reference for its results, the
+    trips and each snapshot's list of stay numbers. Each scooter's state
+    is its last observation and its stay."""
     state = {}
-    trips = []
+    trips, stay_lists = [], []
+    n_stays = 0
     for snap in snapshots:
+        stay_lists.append([])
         for scooter_id, lat, lon, _, _ in snap.rows():
             loc = (lat, lon)
             known = state.get(scooter_id)
-            state[scooter_id] = (loc, snap.captured_at)
-            if known is None:
-                continue
-            old_loc, last_seen = known
-            if snap.captured_at - last_seen > ID_REUSE_GAP_S:
-                continue
-            if scalar_haversine(old_loc, loc) > min_move_m:
-                trips.append(Trip(scooter_id, old_loc, loc, last_seen, snap.captured_at))
-    return trips
+            new_stay = known is None or snap.captured_at - known[1] > ID_REUSE_GAP_S
+            if not new_stay:
+                old_loc, last_seen, stay = known
+                if scalar_haversine(old_loc, loc) > min_move_m:
+                    trips.append(Trip(scooter_id, old_loc, loc, last_seen, snap.captured_at))
+                    new_stay = True
+            if new_stay:
+                stay, n_stays = n_stays, n_stays + 1
+            state[scooter_id] = (loc, snap.captured_at, stay)
+            stay_lists[-1].append(stay)
+    return trips, stay_lists
 
 
 class TestHaversineMatchesScalar:
@@ -247,7 +253,10 @@ class TestJoinMatchesScalarLoop:
     @given(snapshot_sequences())
     def test_same_trips_in_same_order(self, case):
         snaps, min_move_m = case
-        assert reconstruct_trips(snaps, min_move_m) == scalar_reconstruct(snaps, min_move_m)
+        trips, stay_numbers = scalar_reconstruct(snaps, min_move_m)
+        assert reconstruct_trips(snaps, min_move_m) == trips
+        segmented = [(snap, s.dtype, s.tolist()) for snap, s, _ in stays(snaps, min_move_m)]
+        assert segmented == [(snap, np.int64, s) for snap, s in zip(snaps, stay_numbers)]
 
     def test_move_of_exactly_min_move_m_is_not_a_trip(self):
         snaps = snapshots_for_track([(0, {"a": BASE}), (60, {"a": NEAR})])
@@ -291,7 +300,6 @@ class TestFilterTrips:
         for args, reason in cases.items():
             t = self.trip_of(*args)
             assert default_filter.rejects(t) == reason
-            assert default_filter.keeps(t) is (reason is None)
 
     def test_subset_and_idempotent(self, default_filter):
         trips = [self.trip_of(0.01, 600), self.trip_of(0.0001, 600), self.trip_of(0.01, 9000)]
