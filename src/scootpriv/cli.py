@@ -248,16 +248,15 @@ def cmd_evaluate(args) -> int:
             raise UsageError(
                 f"{flag} {path} holds none of the snapshot's {len(snapshot.ids)} scooters"
             )
-    boundary_rows = utility_eval.boundary_loss_experiment(
-        snapshot, boundary, grid, args.trials, args.ratio, args.seed
-    )
     if args.neighborhoods:
-        neighborhood_rows = utility_eval.neighborhood_loss_experiment(
-            snapshot, regions, grid, args.trials, args.ratio, args.seed
+        # one noisy fleet per R feeds both the boundary and the neighborhoods
+        rows = utility_eval.neighborhood_loss_experiment(
+            snapshot, regions, grid, args.trials, args.ratio, args.seed, boundary=boundary
         )
-        rows = utility_eval.merge_rows(boundary_rows, neighborhood_rows)
     else:
-        rows = boundary_rows
+        rows = utility_eval.boundary_loss_experiment(
+            snapshot, boundary, grid, args.trials, args.ratio, args.seed
+        )
     meta = _meta(
         "evaluate", provider=args.provider or "", snapshot_index=args.snapshot_index,
         r_grid=args.r_grid, trials=args.trials, ratio=args.ratio, seed=args.seed,

@@ -83,7 +83,9 @@ def displace(lat, lon, theta, r_km):
     Every term built from the draws has their (trials, n) shape: delta,
     its sin and cos, the sin and cos of theta, the products, sin_lat2 and
     its clip, lat2 and lon2. At most eight such float arrays, the two
-    results included, are alive at once (tracemalloc peak)."""
+    results included, are alive at once (tracemalloc peak). The evaluate
+    loop makes one such call per R, and both its region sets, the
+    boundary and the neighborhoods, read that one result."""
     # written as all(...) so that a NaN radius fails too
     if not np.all(r_km >= 0):
         raise ValueError("negative displacement radius")

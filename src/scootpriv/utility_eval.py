@@ -136,7 +136,11 @@ def points_in_region(lats: np.ndarray, lons: np.ndarray, region: Region) -> np.n
             if ay[i] == by[i]:
                 continue
             straddles = (ay[i] > lats) != (by[i] > lats)
-            x_cross = ax[i] + (lats - ay[i]) * (bx[i] - ax[i]) / (by[i] - ay[i])
+            # a nearly horizontal edge overflows x_cross only at points it
+            # does not straddle, which the mask drops: a straddling point's
+            # lats - ay is at most by - ay, so its x_cross stays finite
+            with np.errstate(over="ignore"):
+                x_cross = ax[i] + (lats - ay[i]) * (bx[i] - ax[i]) / (by[i] - ay[i])
             crosses ^= straddles & (lons < x_cross)
         inside ^= crosses
     return inside
@@ -193,19 +197,26 @@ def _position(p) -> tuple[float, float]:
     return json_number(lat), json_number(lon)
 
 
+def _by_latitude(lats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(order, sorted latitudes): the sort _assign_regions slices."""
+    order = np.argsort(lats)
+    return order, lats[order]
+
+
 def _assign_regions(
-    lats: np.ndarray, lons: np.ndarray, regions: RegionSet
+    lats: np.ndarray, lons: np.ndarray, regions: RegionSet, by_latitude=None
 ) -> np.ndarray:
     """First-containing-region index per point, -1 for outside all.
 
-    The points are sorted by latitude once. Each region then runs
-    points_in_region only on the still unassigned points inside its
-    bounding box: a searchsorted slice of the sorted latitudes, narrowed
-    by a longitude test.
+    The points are sorted by latitude once: by_latitude is
+    _by_latitude(lats), passed so that several region sets share one
+    sort, or None to sort here. Each region then runs points_in_region
+    only on the still unassigned points inside its bounding box: a
+    searchsorted slice of the sorted latitudes, narrowed by a longitude
+    test.
     """
     assignment = np.full(len(lats), -1, dtype=int)
-    order = np.argsort(lats)
-    sorted_lats = lats[order]
+    order, sorted_lats = _by_latitude(lats) if by_latitude is None else by_latitude
     for idx, region in enumerate(regions.regions):
         lat_min, lon_min, lat_max, lon_max = region.bbox
         lo, hi = np.searchsorted(
@@ -270,6 +281,24 @@ def boundary_loss_experiment(
     ]
 
 
+def _distortion(
+    truth: np.ndarray, noisy: np.ndarray, n_regions: int
+) -> tuple[float, float, float]:
+    """(mean absolute count error, mean escapes, escapes' stderr) per
+    region, averaged over trials, of one region set's true (n,) and
+    noisy (trials, n) assignments."""
+    trials = len(noisy)
+    true_counts = np.bincount(truth[truth >= 0], minlength=n_regions)
+    offsets = np.arange(trials)[:, None] * n_regions
+    noisy_counts = np.bincount(
+        (offsets + noisy)[noisy >= 0], minlength=trials * n_regions
+    ).reshape(trials, n_regions)
+    escaped = (truth >= 0) & (noisy != truth)
+    esc_m, esc_se = _mean_stderr(escaped.sum(axis=1) / n_regions)
+    err_m, _ = _mean_stderr(np.abs(true_counts - noisy_counts).mean(axis=1))
+    return err_m, esc_m, esc_se
+
+
 def neighborhood_loss_experiment(
     snapshot: Snapshot,
     regions: RegionSet,
@@ -277,10 +306,14 @@ def neighborhood_loss_experiment(
     trials: int,
     ratio: float,
     master_seed: int,
+    boundary: Region | None = None,
 ) -> list[UtilityRow]:
     """Per-neighborhood distortion for each R: escapes (scooters truly in
     a neighborhood whose noisy location falls outside it) and absolute
-    count error, both averaged over trials and neighborhoods.
+    count error, both averaged over trials and neighborhoods. With a
+    boundary, each row's mean_outside and stderr_outside are also those
+    boundary_loss_experiment reports for the same seed, measured on the
+    same noisy fleet.
 
     R = 0 means no perturbation. Grid index g draws every trial's noise
     from substream g of master_seed, in one sample_polar_laplace call of
@@ -293,8 +326,15 @@ def neighborhood_loss_experiment(
     two draw arrays, that call peaks at eight (trials, n) float arrays,
     its two results included (see displace): ten in all, 80 * trials * n
     bytes, about 1.9 MB at 25 trials of 940 scooters and 80 MB at 100
-    trials of 10,000. Region assignment then runs once on all trials * n
-    points.
+    trials of 10,000. The draws are then dropped. The noisy points are
+    sorted by latitude once, an intp index and a float copy, and each
+    region set's assignment pass slices that sort: the neighborhoods,
+    then the boundary as its own one-region set, since a point is
+    assigned only its first containing region. A pass holds five
+    (trials, n) arrays beside copies of the candidates of the region it
+    tests; a boundary, which holds nearly every point, makes its pass
+    the peak: about twelve such arrays at 25 trials of 940 scooters
+    (tracemalloc).
     """
     if not regions.regions:
         raise ValueError("empty region set")
@@ -303,11 +343,10 @@ def neighborhood_loss_experiment(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     epsilons = [0.0 if r_km == 0 else geo_privacy.epsilon_from(r_km, ratio) for r_km in r_grid]
+    region_sets = [regions] if boundary is None else [regions, RegionSet((boundary,))]
     lats, lons = snapshot.lats, snapshot.lons
-    true_assignment = _assign_regions(lats, lons, regions)
-    n_regions = len(regions.regions)
-    true_counts = np.bincount(true_assignment[true_assignment >= 0], minlength=n_regions)
-    offsets = np.arange(trials)[:, None] * n_regions
+    true_sort = _by_latitude(lats)
+    truths = [_assign_regions(lats, lons, s, true_sort) for s in region_sets]
     rows = []
     for g, (r_km, eps) in enumerate(zip(r_grid, epsilons)):
         if r_km == 0:
@@ -316,15 +355,22 @@ def neighborhood_loss_experiment(
         rng = geo_privacy.substream(master_seed, g)
         theta, r = geo_privacy.sample_polar_laplace(eps, rng, (trials, len(lats)))
         nlat, nlon = geo_privacy.displace(lats, lons, theta, r)
-        # every trial's points in one assignment, one row per trial
-        noisy = _assign_regions(nlat.ravel(), nlon.ravel(), regions).reshape(nlat.shape)
-        escaped = (true_assignment >= 0) & (noisy != true_assignment)
-        noisy_counts = np.bincount(
-            (offsets + noisy)[noisy >= 0], minlength=trials * n_regions
-        ).reshape(trials, n_regions)
-        esc_m, esc_se = _mean_stderr(escaped.sum(axis=1) / n_regions)
-        err_m, _ = _mean_stderr(np.abs(true_counts - noisy_counts).mean(axis=1))
-        rows.append(UtilityRow(r_km, eps, 0.0, 0.0, err_m, esc_m, esc_se))
+        del theta, r  # spent: the assignment passes do not hold them
+        # every trial's points in one assignment per region set, one row per trial
+        nlat, nlon = nlat.ravel(), nlon.ravel()
+        noisy_sort = _by_latitude(nlat)
+        losses = [
+            _distortion(
+                truth,
+                _assign_regions(nlat, nlon, s, noisy_sort).reshape(trials, -1),
+                len(s.regions),
+            )
+            for truth, s in zip(truths, region_sets)
+        ]
+        del nlat, nlon, noisy_sort  # not held through the next R's draw
+        err_m, esc_m, esc_se = losses[0]
+        _, out_m, out_se = losses[1] if boundary is not None else (0.0, 0.0, 0.0)
+        rows.append(UtilityRow(r_km, eps, out_m, out_se, err_m, esc_m, esc_se))
     return rows
 
 

@@ -87,6 +87,19 @@ def write_boundary_geojson(path, lat0=33.9, lon0=-118.5, side=0.2):
     path.write_text(json.dumps(doc))
 
 
+def write_tiles_geojson(path, lat0=33.9, lon0=-118.5, side=0.1, n=2):
+    """n x n square tiles of side degrees from (lat0, lon0), named by row
+    and column; the defaults tile write_boundary_geojson's square."""
+    features = []
+    for i in range(n):
+        for j in range(n):
+            la, lo = lat0 + i * side, lon0 + j * side
+            ring = [[lo, la], [lo + side, la], [lo + side, la + side], [lo, la + side], [lo, la]]
+            features.append({"type": "Feature", "properties": {"name": f"t{i}{j}"},
+                             "geometry": {"type": "Polygon", "coordinates": [ring]}})
+    path.write_text(json.dumps({"type": "FeatureCollection", "features": features}))
+
+
 class TestGridFlag:
     def test_paper_grid_has_21_points(self):
         grid = parse_r_grid("0:1:0.05")
@@ -996,6 +1009,65 @@ class TestEvaluateCommand:
             )
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+
+class TestEvaluateOneNoisyFleet:
+    """evaluate draws and displaces each R's noise once, for the boundary
+    and the neighborhoods alike, and its report is pinned: a
+    change to the Monte Carlo loop, its RNG stream or the report layout
+    fails here."""
+
+    @pytest.fixture
+    def argv(self, tmp_path, synth_archive):
+        boundary = tmp_path / "boundary.geojson"
+        write_boundary_geojson(boundary)
+        return ["evaluate", "--store", str(synth_archive), "--boundary", str(boundary),
+                "--r-grid", "0:2:1", "--trials", "4", "--seed", "5"]
+
+    @pytest.fixture
+    def tiles(self, tmp_path):
+        path = tmp_path / "tiles.geojson"
+        write_tiles_geojson(path)
+        return path
+
+    def test_each_positive_r_draws_and_displaces_once(self, tmp_path, argv, tiles, monkeypatch):
+        calls = []
+        for name in ("substream", "sample_polar_laplace", "displace"):
+            real = getattr(geo_privacy, name)
+            monkeypatch.setattr(
+                geo_privacy, name, lambda *a, name=name, real=real: calls.append(name) or real(*a)
+            )
+        out = tmp_path / "r.csv"
+        assert main([*argv, "--neighborhoods", str(tiles), "--output", str(out)]) == 0
+        assert calls == ["substream", "sample_polar_laplace", "displace"] * 2
+
+    def test_csv_report_with_tiles_pinned(self, tmp_path, argv, tiles):
+        out = tmp_path / "r.csv"
+        assert main([*argv, "--neighborhoods", str(tiles), "--output", str(out)]) == 0
+        assert out.read_text() == (
+            f"# command=evaluate\n# version={__version__}\n# provider=\n"
+            "# snapshot_index=-1\n# r_grid=0:2:1\n# trials=4\n# ratio=6.0\n# seed=5\n"
+            "R_km,epsilon,mean_outside,stderr_outside,mean_abs_error,mean_escapes,"
+            "stderr_escapes\n"
+            "0.0,0.0,0.0,0.0,0.0,0.0,0.0\n"
+            "1.0,1.791759469228055,0.75,0.47871355387816905,0.875,0.625,0.1613743060919757\n"
+            "2.0,0.8958797346140275,1.75,0.25,1.1875,0.9375,0.1875\n"
+        )
+
+    def test_json_report_without_neighborhoods_pinned(self, tmp_path, argv):
+        out = tmp_path / "r.json"
+        assert main([*argv, "--format", "json", "--output", str(out)]) == 0
+        columns = ["R_km", "epsilon", "mean_outside", "stderr_outside", "mean_abs_error",
+                   "mean_escapes", "stderr_escapes"]
+        rows = [
+            [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+            [1.0, 1.791759469228055, 0.75, 0.47871355387816905, 0.0, 0.0, 0.0],
+            [2.0, 0.8958797346140275, 1.75, 0.25, 0.0, 0.0, 0.0],
+        ]
+        doc = {"command": "evaluate", "version": __version__, "provider": "",
+               "snapshot_index": -1, "r_grid": "0:2:1", "trials": 4, "ratio": 6.0, "seed": 5,
+               "rows": [dict(zip(columns, row)) for row in rows]}
+        assert out.read_text() == json.dumps(doc, indent=2)
 
 
 class TestMultiProviderArchive:

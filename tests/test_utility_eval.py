@@ -1,6 +1,7 @@
 import json
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -368,6 +369,24 @@ class TestAssignRegions:
         assignment = _assign_regions(empty, empty, RegionSet((unit_square,)))
         assert assignment.shape == (0,)
 
+    def test_nearly_horizontal_edge_does_not_overflow(self):
+        # the first edge rises 1e-310 degrees over 1 degree of longitude:
+        # the crossing longitude of a point it does not straddle is ~1e311
+        region = Region("sliver", (((0.0, 0.0), (1e-310, 1.0), (1.0, 1.0), (1.0, 0.0),
+                                    (0.0, 0.0)),))
+        lats = np.array([50.0, 0.5, -1.0, 0.5, 0.0, 1e-310, 0.999])
+        lons = np.array([0.5, 0.5, 0.5, 2.0, 0.5, 0.5, 0.001])
+        with warnings.catch_warnings(), np.errstate(all="warn"):
+            warnings.simplefilter("error", RuntimeWarning)
+            assignment = _assign_regions(lats, lons, RegionSet((region,)))
+            oracle = assign_oracle(lats, lons, RegionSet((region,)))
+        np.testing.assert_array_equal(assignment, oracle)
+        # (0, 0.5) lies just south of the rising edge, (1e-310, 0.5) north of it
+        assert assignment.tolist() == [-1, 0, -1, -1, -1, 0, 0]
+        assert [winding_number_contains(p, region) for p in zip(lats, lons)] == [
+            a == 0 for a in assignment
+        ]
+
 
 class TestBoundaryExperiment:
     @pytest.fixture
@@ -469,7 +488,7 @@ class TestNeighborhoodExperiment:
         ]
         assert b_rows[1].mean_outside > 0
 
-    @pytest.mark.parametrize("experiment", ["neighborhood", "boundary"])
+    @pytest.mark.parametrize("experiment", ["neighborhood", "boundary", "both"])
     def test_one_substream_and_one_draw_per_positive_r(self, halves, monkeypatch, experiment):
         calls = []
         for name in ("substream", "sample_polar_laplace"):
@@ -480,15 +499,37 @@ class TestNeighborhoodExperiment:
             )
         snap = make_snapshot([("a", 0.5, 0.25), ("b", 0.5, 0.75), ("out", 2.0, 2.0)])
         grid = [0.0, 0.1, 0.25, 0.5]
+        city = square_region("city")
         if experiment == "neighborhood":
             neighborhood_loss_experiment(snap, halves, grid, 7, 6, 3)
+        elif experiment == "boundary":
+            boundary_loss_experiment(snap, city, grid, 7, 6, 3)
         else:
-            boundary_loss_experiment(snap, square_region("city"), grid, 7, 6, 3)
+            neighborhood_loss_experiment(snap, halves, grid, 7, 6, 3, boundary=city)
         # grid index g draws all 7 trials of all 3 scooters from substream g
         assert calls == [
             call for g in (1, 2, 3)
             for call in (("substream", g), ("sample_polar_laplace", (7, 3)))
         ]
+
+    def test_with_boundary_joins_both_experiments(self, halves):
+        # the invariant that lets one noisy fleet serve both: with the same
+        # seed, the boundary columns are boundary_loss_experiment's and the
+        # neighborhood columns neighborhood_loss_experiment's
+        city = Region("city", (((-0.1, -0.1), (-0.1, 0.9), (0.9, 0.9), (0.9, -0.1),
+                                (-0.1, -0.1)),))
+        d = 0.2 / KM_PER_DEG
+        snap = make_snapshot(
+            [("w1", 0.5, 0.5 - d), ("w2", 0.3, 0.5 - d / 2), ("e1", 0.5, 0.9 - d),
+             ("e2", 0.9 - d, 0.75), ("out", 2.0, 2.0)]
+        )
+        grid = [0.0, 0.25, 0.5, 1.0]
+        kw = dict(trials=30, ratio=6, master_seed=5)
+        rows = neighborhood_loss_experiment(snap, halves, grid, boundary=city, **kw)
+        b_rows = boundary_loss_experiment(snap, city, grid, **kw)
+        n_rows = neighborhood_loss_experiment(snap, halves, grid, **kw)
+        assert rows == merge_rows(b_rows, n_rows)
+        assert all(r.mean_outside > 0 and r.mean_escapes > 0 for r in rows[1:])
 
     def test_adjacent_halves_match_quadrature(self, halves):
         eps = epsilon_from(0.25, 6)
