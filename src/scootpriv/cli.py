@@ -20,6 +20,7 @@ import sys
 from collections import Counter, deque
 from collections.abc import Iterator
 from dataclasses import replace
+from pathlib import Path
 
 from . import (
     __version__, clustering, feed_ingest, geo_privacy, synth_fleet, trip_recon, utility_eval,
@@ -103,7 +104,8 @@ def cmd_scrape(args) -> int:
 
 def _read_one_provider(args) -> Iterator[Snapshot]:
     """The stream of snapshots of --provider, or of the archive's only
-    provider: a second provider is a usage error where it is read."""
+    provider: a second provider is a usage error where it is read, and so
+    is a --provider the archive holds no snapshot of, once it ends."""
     first = None
     for snap in feed_ingest.read_snapshots(SnapshotStore(args.store), args.provider):
         if first is None:
@@ -114,6 +116,21 @@ def _read_one_provider(args) -> Iterator[Snapshot]:
                 f"{args.store} holds providers {providers}; choose one with --provider"
             )
         yield snap
+    if first is None and args.provider is not None:
+        raise UsageError(f"--provider {args.provider} names no provider of {args.store}")
+
+
+def _outputs(args, *dests: str):
+    """feed_ingest.atomic_paths over the files that these output flags
+    name. Two of them naming one file are a usage error, raised here, so
+    call it before any input is read."""
+    paths = [getattr(args, dest) for dest in dests]
+    flags = {}
+    for dest, path in zip(dests, paths):
+        flag = "--" + dest.replace("_", "-")
+        if path and (other := flags.setdefault(Path(path).resolve(), flag)) != flag:
+            raise UsageError(f"{other} and {flag} name one file, {path}")
+    return feed_ingest.atomic_paths(*paths)
 
 
 def cmd_reconstruct(args) -> int:
@@ -142,6 +159,7 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_cluster(args) -> int:
+    outputs = _outputs(args, "output", "geojson")
     trips = trip_recon.read_trips_csv(args.trips)
     points = [
         t.start_loc if args.endpoint == "start" else t.end_loc for t in trips
@@ -156,16 +174,17 @@ def cmd_cluster(args) -> int:
     clusters = clustering.kmeans(points, k=args.k, seed=args.seed)
     if args.max_size is not None:
         clusters = clustering.select_small_clusters(clusters, args.max_size)
-    clustering.write_clusters_csv(
-        clusters,
-        args.output,
-        meta=_meta(
-            "cluster", k=args.k, seed=args.seed, endpoint=args.endpoint,
-            max_size=args.max_size if args.max_size is not None else "",
-        ),
-    )
-    if args.geojson:
-        clustering.write_clusters_geojson(clusters, args.geojson)
+    with outputs as (output, geojson):
+        clustering.write_clusters_csv(
+            clusters,
+            output,
+            meta=_meta(
+                "cluster", k=args.k, seed=args.seed, endpoint=args.endpoint,
+                max_size=args.max_size if args.max_size is not None else "",
+            ),
+        )
+        if geojson:
+            clustering.write_clusters_geojson(clusters, geojson)
     print(f"{len(clusters)} clusters written")
     return 0
 
@@ -221,25 +240,22 @@ def _pick_snapshot(args) -> Snapshot:
 
 
 def cmd_evaluate(args) -> int:
+    outputs = _outputs(args, "output", "dump_geojson")
     grid = parse_r_grid(args.r_grid)
     if max(grid) > 0:
         _epsilon("--r-grid reaching", max(grid), args.ratio)
     dump_eps = None
     if args.dump_radius_km != 0:
         dump_eps = _epsilon("--dump-radius-km", args.dump_radius_km, args.ratio)
-    boundary, *rest = utility_eval.load_regions_geojson(args.boundary)
+    boundary, *rest = utility_eval.load_regions_geojson(args.boundary).regions
     if rest:
         raise UsageError(f"--boundary {args.boundary} holds {1 + len(rest)} features, want one: "
                          "a city in parts is one MultiPolygon feature")
-    hoods = []
-    if args.neighborhoods:
-        hoods = utility_eval.load_regions_geojson(args.neighborhoods)
-        try:
-            regions = utility_eval.RegionSet(tuple(hoods))
-        except utility_eval.RegionError as exc:
-            raise UsageError(f"{args.neighborhoods}: {exc}") from exc
+    regions = (utility_eval.load_regions_geojson(args.neighborhoods)
+               if args.neighborhoods else None)
     snapshot = _pick_snapshot(args)
     # regions that hold no scooter report no loss at any R: nothing was measured
+    hoods = regions.regions if regions else ()
     for flag, path, held in (("--boundary", args.boundary, [boundary]),
                              ("--neighborhoods", args.neighborhoods, hoods)):
         if path and not any(
@@ -248,32 +264,29 @@ def cmd_evaluate(args) -> int:
             raise UsageError(
                 f"{flag} {path} holds none of the snapshot's {len(snapshot.ids)} scooters"
             )
-    if args.neighborhoods:
-        # one noisy fleet per R feeds both the boundary and the neighborhoods
-        rows = utility_eval.neighborhood_loss_experiment(
-            snapshot, regions, grid, args.trials, args.ratio, args.seed, boundary=boundary
-        )
-    else:
-        rows = utility_eval.boundary_loss_experiment(
-            snapshot, boundary, grid, args.trials, args.ratio, args.seed
-        )
+    # one noisy fleet per R feeds both the boundary and any neighborhoods
+    rows = utility_eval.neighborhood_loss_experiment(
+        snapshot, regions, grid, args.trials, args.ratio, args.seed, boundary=boundary
+    )
     meta = _meta(
         "evaluate", provider=args.provider or "", snapshot_index=args.snapshot_index,
         r_grid=args.r_grid, trials=args.trials, ratio=args.ratio, seed=args.seed,
     )
-    utility_eval.emit_report(rows, args.output, args.format, meta)
-    if args.dump_geojson:
-        dump_snap = snapshot
-        if dump_eps is not None:
-            rng = geo_privacy.substream(args.seed, 10**6)
-            lats, lons = geo_privacy.perturb_many(snapshot.lats, snapshot.lons, dump_eps, rng)
-            dump_snap = replace(snapshot, lats=lats, lons=lons)
-        write_json(args.dump_geojson, utility_eval.snapshot_to_geojson(dump_snap))
+    with outputs as (output, dump_geojson):
+        utility_eval.emit_report(rows, output, args.format, meta)
+        if dump_geojson:
+            dump_snap = snapshot
+            if dump_eps is not None:
+                rng = geo_privacy.substream(args.seed, 10**6)
+                lats, lons = geo_privacy.perturb_many(snapshot.lats, snapshot.lons, dump_eps, rng)
+                dump_snap = replace(snapshot, lats=lats, lons=lons)
+            write_json(dump_geojson, utility_eval.snapshot_to_geojson(dump_snap))
     print(f"{len(rows)} grid rows written to {args.output}")
     return 0
 
 
 def cmd_synth(args) -> int:
+    outputs = _outputs(args, "output", "ground_truth")
     with open(args.config, encoding="utf-8") as f:
         try:
             doc = json.load(f)
@@ -285,13 +298,14 @@ def cmd_synth(args) -> int:
         snapshots, truth = synth_fleet.generate(config)
     except feed_ingest.MALFORMED_INPUT as exc:
         raise UsageError(f"invalid fleet config: {feed_ingest.malformed_message(exc)}") from exc
-    synth_fleet.write_archive(
-        snapshots, args.output, meta=_meta("synth", seed=config.seed, config=doc)
-    )
-    if args.ground_truth:
-        synth_fleet.write_ground_truth_csv(
-            truth, args.ground_truth, meta=_meta("synth", seed=config.seed)
+    with outputs as (output, ground_truth):
+        synth_fleet.write_archive(
+            snapshots, output, meta=_meta("synth", seed=config.seed, config=doc)
         )
+        if ground_truth:
+            synth_fleet.write_ground_truth_csv(
+                truth, ground_truth, meta=_meta("synth", seed=config.seed)
+            )
     print(
         f"{len(snapshots)} snapshots, {len(truth.trips)} true trips, "
         f"{len(truth.relocations)} relocations"

@@ -18,7 +18,7 @@ import sys
 import time
 from collections import Counter
 from collections.abc import Callable
-from contextlib import contextmanager, suppress
+from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -359,6 +359,17 @@ def atomic_path(path: str | Path) -> Iterator[Path]:
         if isinstance(exc, OSError) and exc.filename in (tmp, str(tmp)):
             raise OSError(exc.errno, exc.strerror, os.fspath(given)) from exc
         raise
+
+
+@contextmanager
+def atomic_paths(*paths: str | Path | None) -> Iterator[list]:
+    """atomic_path for each of one run's outputs: yields their temporary
+    paths, to pass to the writers, and replaces none of the targets until
+    the block has written them all, so a run that fails midway leaves
+    every old output as it was. An empty path or None (an output not
+    asked for) is yielded as given."""
+    with ExitStack() as stack:
+        yield [stack.enter_context(atomic_path(p)) if p else p for p in paths]
 
 
 def write_archive(

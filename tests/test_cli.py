@@ -164,6 +164,10 @@ def misuse(argv, flag=None):
         misuse(["cluster", "--seed", "-1"]),
         misuse(["sanitize", "--radius-km", "0.25", "--seed", "-1"], "--seed"),
         misuse(["evaluate", "--seed", "-1"]),
+        # two output flags naming the file --output names
+        misuse(["cluster", "--geojson", "{out}"]),
+        misuse(["evaluate", "--dump-geojson", "{out}"]),
+        misuse(["synth", "--ground-truth", "{out}"]),
     ],
 )
 def test_flag_range_error_exits_2_before_reading_input(
@@ -178,7 +182,9 @@ def test_flag_range_error_exits_2_before_reading_input(
         "sanitize": ["--store", missing, "--output", out],
         "evaluate": ["--store", missing, "--boundary", missing, "--output", out],
         "scrape": ["--url", "http://feed.invalid/", "--provider", "p", "--store", out],
+        "synth": ["--config", missing, "--output", out],
     }
+    argv = [out if a == "{out}" else a for a in argv]
     # main returns 2 for argparse's errors too: no SystemExit escapes it
     assert main(argv[:1] + inputs[argv[0]] + argv[1:] if argv else []) == 2
     captured = capsys.readouterr()
@@ -870,6 +876,9 @@ class TestEvaluateCommand:
             ("--neighborhoods", {"type": "FeatureCollection",
                                  "features": [{"type": "Feature", "properties": {"name": "a"},
                                                "geometry": SQUARE}] * 2}),
+            ("--boundary", {"type": "FeatureCollection",
+                            "features": [{"type": "Feature", "properties": {"name": "a"},
+                                          "geometry": SQUARE}] * 2}),
             # GeoJSON positions are [lon, lat]: the LA box written [lat, lon]
             # has latitudes near -118
             ("--boundary", {"type": "FeatureCollection",
@@ -890,6 +899,7 @@ class TestEvaluateCommand:
              "position NaN", "position Infinity", "ring of three vertices",
              "polygon without rings", "point feature",
              "boundary not JSON", "neighborhoods not JSON", "neighborhoods with a name twice",
+             "boundary with a name twice",
              "boundary written [lat, lon]", "neighborhoods at longitude 181"],
     )
     def test_bad_region_file_exits_2(self, tmp_path, capsys, flag, doc):
@@ -925,17 +935,22 @@ class TestEvaluateCommand:
         )
         assert not (tmp_path / "r.csv").exists()
 
-    def test_duplicate_region_names_listed(self, tmp_path, synth_archive, capsys):
+    @pytest.mark.parametrize("flag", ["--boundary", "--neighborhoods"])
+    def test_duplicate_region_names_listed(self, tmp_path, synth_archive, capsys, flag):
+        # a boundary of five features reports its duplicates, not its count
         boundary = tmp_path / "boundary.geojson"
         write_boundary_geojson(boundary)
         feature = {"type": "Feature", "geometry": SQUARE}
         named = [{**feature, "properties": {"name": n}} for n in ("b", "a", "b", "a", "c")]
-        hoods = tmp_path / "hoods.geojson"
-        hoods.write_text(json.dumps({"type": "FeatureCollection", "features": named}))
+        twins = tmp_path / "twins.geojson"
+        twins.write_text(json.dumps({"type": "FeatureCollection", "features": named}))
+        regions = {"--boundary": boundary, flag: twins}
         argv = ["evaluate", "--store", str(synth_archive), "--trials", "2",
                 "--output", str(tmp_path / "r.csv")]
-        assert main([*argv, "--boundary", str(boundary), "--neighborhoods", str(hoods)]) == 2
-        assert capsys.readouterr().err == f"error: {hoods}: duplicate region names: 'a', 'b'\n"
+        for name, path in regions.items():
+            argv += [name, str(path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {twins}: duplicate region names: 'a', 'b'\n"
 
     def test_archive_of_only_meta_exits_1(self, tmp_path, synth_archive, capsys):
         path = tmp_path / "meta_only.jsonl"
@@ -1106,6 +1121,18 @@ class TestMultiProviderArchive:
     @pytest.mark.parametrize("argv", ["reconstruct_argv", "evaluate_argv"])
     def test_with_provider_exits_0(self, tmp_path, two_provider_archive, argv):
         assert main(getattr(self, argv)(tmp_path, two_provider_archive) + ["--provider", "lime"]) == 0
+
+    @pytest.mark.parametrize("argv", ["reconstruct_argv", "evaluate_argv"])
+    def test_provider_not_in_archive_exits_2_writing_nothing(
+        self, tmp_path, two_provider_archive, capsys, argv
+    ):
+        argv = getattr(self, argv)(tmp_path, two_provider_archive)
+        before = sorted(tmp_path.iterdir())
+        assert main(argv + ["--provider", "bird"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --provider bird names no provider of {two_provider_archive}\n"
+        assert sorted(tmp_path.iterdir()) == before
 
 
 class TestStreamingCommands:
@@ -1373,4 +1400,17 @@ class TestAtomicOutputs:
         capsys.readouterr()
         assert main(argv) == 1
         assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{out}'\n"
+        assert list(tmp_path.rglob(".*.tmp")) == []
+
+    @pytest.mark.parametrize("writer", ["clustering.geojson", "synth_fleet", "cli"])
+    def test_second_output_failing_keeps_the_first(self, tmp_path, inputs, capsys, writer):
+        # --output is written before the second output fails; neither replaces its file
+        argv = inputs[writer]
+        first = Path(argv[argv.index("--output") + 1])
+        first.write_bytes(b"old\n")
+        out = tmp_path / "missing" / "out.txt"
+        capsys.readouterr()
+        assert main([str(out) if a == "{out}" else a for a in argv]) == 1
+        assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{out}'\n"
+        assert first.read_bytes() == b"old\n"
         assert list(tmp_path.rglob(".*.tmp")) == []

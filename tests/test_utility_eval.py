@@ -211,7 +211,7 @@ class TestGeoJsonLoading:
         }
         path = tmp_path / "regions.geojson"
         path.write_text(json.dumps(doc))
-        regions = load_regions_geojson(path)
+        regions = load_regions_geojson(path).regions
         assert [r.name for r in regions] == ["one", "two"]
         # GeoJSON (lon, lat) flipped to (lat, lon)
         assert contains([(0.5, 0.5)], regions[0]) == [True]
@@ -228,13 +228,23 @@ class TestGeoJsonLoading:
             path = tmp_path / "square.geojson"
             path.write_text(json.dumps(doc))
             loaded.append(load_regions_geojson(path))
-        assert loaded[1] == loaded[0] == [square_region("square")]
+        assert loaded[1] == loaded[0] == RegionSet((square_region("square"),))
 
     def test_not_a_feature_collection(self, tmp_path):
         path = tmp_path / "bad.geojson"
         path.write_text(json.dumps({"type": "Polygon"}))
         with pytest.raises(RegionError):
             load_regions_geojson(path)
+
+    def test_two_features_named_alike_named_with_the_path(self, tmp_path):
+        ring = [[0, 0], [1, 0], [1, 1], [0, 1], [0, 0]]
+        feature = {"type": "Feature", "properties": {"name": "twin"},
+                   "geometry": {"type": "Polygon", "coordinates": [ring]}}
+        path = tmp_path / "twins.geojson"
+        path.write_text(json.dumps({"type": "FeatureCollection", "features": [feature] * 2}))
+        with pytest.raises(RegionError) as exc:
+            load_regions_geojson(path)
+        assert str(exc.value) == f"{path}: duplicate region names: 'twin'"
 
 
 class TestCountByRegion:
@@ -530,6 +540,9 @@ class TestNeighborhoodExperiment:
         n_rows = neighborhood_loss_experiment(snap, halves, grid, **kw)
         assert rows == merge_rows(b_rows, n_rows)
         assert all(r.mean_outside > 0 and r.mean_escapes > 0 for r in rows[1:])
+        # given only the boundary, the neighborhood columns are 0
+        assert neighborhood_loss_experiment(snap, None, grid, boundary=city, **kw) == b_rows
+        assert all(r.mean_abs_error == r.mean_escapes == r.stderr_escapes == 0 for r in b_rows)
 
     def test_adjacent_halves_match_quadrature(self, halves):
         eps = epsilon_from(0.25, 6)
@@ -554,6 +567,10 @@ class TestNeighborhoodExperiment:
             neighborhood_loss_experiment(
                 make_snapshot([]), RegionSet(regions=()), [0.1], 1, 6, 0
             )
+
+    def test_neither_region_set_nor_boundary_rejected(self):
+        with pytest.raises(ValueError, match="no region set and no boundary"):
+            neighborhood_loss_experiment(make_snapshot([]), None, [0.1], 1, 6, 0)
 
     def test_zero_trials_rejected(self, halves):
         with pytest.raises(ValueError, match="trials"):
