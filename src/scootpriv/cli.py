@@ -19,6 +19,7 @@ import math
 import sys
 from collections import Counter, deque
 from collections.abc import Iterator
+from contextlib import closing
 from dataclasses import replace
 from pathlib import Path
 
@@ -80,6 +81,7 @@ _INTERVAL = _flag(float, f"in [{MIN_INTERVAL_S:g}, {MAX_INTERVAL_S:g}] s",
                   lambda v: MIN_INTERVAL_S <= v <= MAX_INTERVAL_S)
 _DURATION = _flag(float, ">= 0", lambda v: v >= 0)  # inf polls until interrupted
 _URL = _flag(str, "an http(s) URL", lambda v: v.startswith(("http://", "https://")))
+_OUTPUT = _flag(str, "a non-empty path", bool)  # "" resolves to the working directory
 
 
 def _meta(command: str, **params) -> dict:
@@ -226,11 +228,11 @@ def _pick_snapshot(args) -> Snapshot:
     need = k + 1 if k >= 0 else -k  # snapshots the index needs
     # islice and deque take C sizes; no archive holds sys.maxsize snapshots
     bound = min(need, sys.maxsize)
-    stream = _read_one_provider(args)
-    if k >= 0:
-        stream = itertools.islice(stream, bound)
-    # (running count, snapshot) pairs: the last count is the number read
-    held = deque(enumerate(stream, 1), maxlen=1 if k >= 0 else bound)
+    # closed at once, so a parallel read's workers stop when reading does
+    with closing(_read_one_provider(args)) as stream:
+        snaps = itertools.islice(stream, bound) if k >= 0 else stream
+        # (running count, snapshot) pairs: the last count is the number read
+        held = deque(enumerate(snaps, 1), maxlen=1 if k >= 0 else bound)
     count = held[-1][0] if held else 0
     if not count:
         raise StoreError(f"no snapshots in {args.store}")
@@ -332,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--min-distance-m", type=_NONNEG, default=trip_recon.TripFilter.min_distance_m)
     s.add_argument("--max-duration-s", type=_POS_INT, default=trip_recon.TripFilter.max_duration_s)
     s.add_argument("--min-move-m", type=_NONNEG, default=trip_recon.DEFAULT_MIN_MOVE_M)
-    s.add_argument("--output", required=True)
+    s.add_argument("--output", type=_OUTPUT, required=True)
     s.set_defaults(func=cmd_reconstruct)
 
     s = sub.add_parser("cluster", help="k-means hotspots over trip endpoints")
@@ -341,8 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--endpoint", choices=["start", "end"], default="start")
     s.add_argument("--seed", type=_SEED, default=0)
     s.add_argument("--max-size", type=_POS_INT, default=None, help="keep only clusters this small")
-    s.add_argument("--output", required=True)
-    s.add_argument("--geojson", default=None)
+    s.add_argument("--output", type=_OUTPUT, required=True)
+    s.add_argument("--geojson", type=_OUTPUT, default=None)
     s.set_defaults(func=cmd_cluster)
 
     s = sub.add_parser("sanitize", help="perturb every archived coordinate")
@@ -350,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--radius-km", type=_FINITE, required=True, help="R; epsilon = ln(ratio)/R")
     s.add_argument("--ratio", type=_FINITE, default=6.0)
     s.add_argument("--seed", type=_SEED, default=0)
-    s.add_argument("--output", required=True)
+    s.add_argument("--output", type=_OUTPUT, required=True)
     s.set_defaults(func=cmd_sanitize)
 
     s = sub.add_parser("evaluate", help="privacy-utility sweep over a radius grid")
@@ -363,16 +365,16 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--trials", type=_POS_INT, default=100)
     s.add_argument("--ratio", type=_FINITE, default=6.0)
     s.add_argument("--seed", type=_SEED, default=0)
-    s.add_argument("--output", required=True)
+    s.add_argument("--output", type=_OUTPUT, required=True)
     s.add_argument("--format", choices=["csv", "json"], default="csv")
-    s.add_argument("--dump-geojson", default=None, help="write one (perturbed) snapshot as GeoJSON points")
+    s.add_argument("--dump-geojson", type=_OUTPUT, default=None, help="write one (perturbed) snapshot as GeoJSON points")
     s.add_argument("--dump-radius-km", type=_FINITE, default=0.25, help="R for the dumped snapshot; 0 dumps the true locations")
     s.set_defaults(func=cmd_evaluate)
 
     s = sub.add_parser("synth", help="generate a synthetic fleet archive + ground truth")
     s.add_argument("--config", required=True, help="JSON fleet config")
-    s.add_argument("--output", required=True)
-    s.add_argument("--ground-truth", default=None)
+    s.add_argument("--output", type=_OUTPUT, required=True)
+    s.add_argument("--ground-truth", type=_OUTPUT, default=None)
     s.set_defaults(func=cmd_synth)
 
     return p

@@ -9,14 +9,17 @@ keeps replayed fixtures deterministic.
 from __future__ import annotations
 
 import csv
+import io
+import itertools
 import json
 import logging
 import math
 import mmap
 import os
+import pickle
 import sys
 import time
-from collections import Counter
+from collections import Counter, deque
 from collections.abc import Callable
 from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import dataclass
@@ -34,6 +37,18 @@ MIN_INTERVAL_S, MAX_INTERVAL_S = 1.0, 86_400.0
 # read buffer of the forward archive read: a snapshot line of 1,000 scooters
 # is about 100 KB, and lines longer than the buffer are joined from pieces
 ARCHIVE_READ_BUFFER = 128 * 1024
+# an archive of at least PARALLEL_READ_MIN_BYTES is decoded in worker
+# processes, in newline-aligned chunks of about ARCHIVE_CHUNK_BYTES; below
+# it, starting the pool costs more than it saves. Each chunk's result is
+# one message to the pool's result thread, whose allocations stay in that
+# thread's malloc arena: on a 21.6 MB archive, 1 MiB chunks raised the
+# reading process's peak RSS by about 3.5 MB and 128 KiB ones by about
+# 2 MB, for about 50 ms more of its CPU
+PARALLEL_READ_MIN_BYTES = 8 * 1024 * 1024
+ARCHIVE_CHUNK_BYTES = 128 * 1024
+# the parent's serial share (unpickling and checking each snapshot, and
+# its consumer) caps the speed-up of a parallel read near 4x
+PARALLEL_READ_MAX_WORKERS = 4
 
 
 class FeedParseError(ValueError):
@@ -96,6 +111,12 @@ class Snapshot:
         return (self.provider, self.captured_at, self.ttl_s, self.ids) == (
             other.provider, other.captured_at, other.ttl_s, other.ids
         ) and all(np.array_equal(getattr(self, c), getattr(other, c)) for c, _ in _ARRAY_COLUMNS)
+
+    def __reduce__(self):
+        # unpickled through the constructor, as a worker's snapshot is in
+        # the reading process: ids interned there, columns checked and read-only
+        return Snapshot, (self.provider, self.captured_at, self.ttl_s, self.ids,
+                          *(getattr(self, c) for c, _ in _ARRAY_COLUMNS))
 
     def rows(self) -> Iterator[tuple[str, float, float, bool, bool]]:
         """The observations, one (id, lat, lon, reserved, disabled) tuple
@@ -266,6 +287,62 @@ def snapshot_from_record(rec: dict) -> Snapshot:
     )
 
 
+def _decode_line(line: bytes) -> Snapshot | None:
+    """The snapshot of one raw archive line, or None for a line that holds
+    none (see archive_record); the one decode of a forward read."""
+    rec = archive_record(line)
+    return None if rec is None else snapshot_from_record(rec)
+
+
+def _decode_chunk(path: Path, start: int, end: int) -> tuple[list[bytes], int, str | None]:
+    """A worker's share of a parallel read: the snapshots of the lines in
+    bytes [start, end) of the archive, the number of lines read, and the
+    message of the first corrupt line, the last line read, or None. Each
+    snapshot is pickled on its own, so that the reader unpickles it as it
+    is consumed, not in the pool's result thread with the whole chunk."""
+    with open(path, "rb") as f:
+        f.seek(start)
+        # split as iterating a file is, after each b"\n" only: a raw \r is JSON whitespace
+        lines = io.BytesIO(f.read(end - start))
+    snaps, n = [], 0
+    for n, line in enumerate(lines, start=1):
+        try:
+            snap = _decode_line(line)
+        except MALFORMED_INPUT as exc:
+            return snaps, n, malformed_message(exc)
+        if snap is not None:
+            snaps.append(pickle.dumps(snap))
+    return snaps, n, None
+
+
+def _chunk_bounds(f, size: int) -> list[tuple[int, int]]:
+    """[start, end) byte ranges of about ARCHIVE_CHUNK_BYTES covering the
+    first size bytes of the open file f, each ending after a newline or
+    at size; a line longer than a chunk extends its chunk."""
+    bounds, start = [], 0
+    while start < size:
+        f.seek(start + ARCHIVE_CHUNK_BYTES - 1)
+        f.readline()  # to the end of the line holding the chunk's last byte
+        end = min(f.tell(), size)
+        bounds.append((start, end))
+        start = end
+    return bounds
+
+
+def _read_cpus(size: int) -> int:
+    """CPUs a read of an archive of size bytes may decode on: 0, for a
+    read in-process, below PARALLEL_READ_MIN_BYTES, with one CPU
+    available, or where worker processes cannot be forked."""
+    if size < PARALLEL_READ_MIN_BYTES:
+        return 0
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    if (cpus or 1) < 2:
+        return 0
+    import multiprocessing
+
+    return cpus if "fork" in multiprocessing.get_all_start_methods() else 0
+
+
 class SnapshotStore:
     """Append-only JSON-lines snapshot archive.
 
@@ -325,18 +402,64 @@ class SnapshotStore:
             f.write(json.dumps({"_meta": meta}, separators=(",", ":")) + "\n")
 
     def iter_all(self) -> Iterator[Snapshot]:
+        """The archive's snapshots in file order. A corrupt line is a
+        StoreError naming its line number, raised after every snapshot
+        before it. When more than one CPU is available and worker
+        processes can be forked, an archive of PARALLEL_READ_MIN_BYTES or
+        more is decoded in workers, up to its size when the read starts."""
         if not self.path.exists():
             raise StoreError(f"no such archive: {self.path}")
         with open(self.path, "rb", buffering=ARCHIVE_READ_BUFFER) as f:
+            size = os.fstat(f.fileno()).st_size
+            if cpus := _read_cpus(size):
+                yield from self._iter_in_workers(f, size, cpus)
+                return
             for lineno, line in enumerate(f, start=1):
                 try:
-                    rec = archive_record(line)
-                    if rec is not None:
-                        yield snapshot_from_record(rec)
+                    snap = _decode_line(line)
                 except MALFORMED_INPUT as exc:
-                    raise StoreError(
-                        f"{self.path}: corrupt line {lineno}: {malformed_message(exc)}"
-                    ) from exc
+                    raise StoreError(self._corrupt(lineno, malformed_message(exc))) from exc
+                if snap is not None:
+                    yield snap
+
+    def _corrupt(self, lineno: int, message: str) -> str:
+        return f"{self.path}: corrupt line {lineno}: {message}"
+
+    def _iter_in_workers(self, f, size: int, cpus: int) -> Iterator[Snapshot]:
+        """iter_all's parallel read: the chunks (_chunk_bounds) are decoded
+        in a pool of forked processes, at most two per worker in flight,
+        and their snapshots yielded in file order. The pool is shut down,
+        its queued chunks cancelled, when the stream ends, raises or is
+        closed, so no worker outlives the read."""
+        import multiprocessing
+        import signal
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
+        chunks = _chunk_bounds(f, size)
+        workers = min(cpus, len(chunks), PARALLEL_READ_MAX_WORKERS)
+        pool = ProcessPoolExecutor(
+            workers, mp_context=multiprocessing.get_context("fork"),
+            # Ctrl-C interrupts the parent alone, which then shuts the pool down
+            initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN),
+        )
+        try:
+            todo, window, lineno = iter(chunks), deque(), 0
+            while True:
+                try:
+                    window.extend(pool.submit(_decode_chunk, self.path, *c)
+                                  for c in itertools.islice(todo, 2 * workers - len(window)))
+                    if not window:
+                        break
+                    snaps, lines, error = window.popleft().result()
+                except BrokenProcessPool as exc:  # a worker was killed: submit or result
+                    raise StoreError(f"{self.path}: read worker died: {exc}") from exc
+                yield from map(pickle.loads, snaps)
+                lineno += lines
+                if error is not None:
+                    raise StoreError(self._corrupt(lineno, error))
+        finally:
+            pool.shutdown(cancel_futures=True)
 
 
 @contextmanager

@@ -1,10 +1,51 @@
 import json
 import math
+import multiprocessing
+import os
 
 import pytest
 
+from scootpriv import feed_ingest
 from scootpriv.feed_ingest import Snapshot
 from scootpriv.utility_eval import Region
+
+
+@pytest.fixture(autouse=True)
+def no_process_left_running():
+    """Fails a test that leaves a child process alive, such as a worker of
+    a parallel archive read; the process is then stopped, so the next
+    test starts without it."""
+    yield
+    left = multiprocessing.active_children()
+    for proc in left:
+        proc.terminate()
+        proc.join(10)
+    assert not left, f"processes left running: {left}"
+
+
+def force_parallel_read(monkeypatch) -> list:
+    """Sends every later archive read of the test through the worker pool,
+    in chunks of about 256 bytes, as if on two CPUs. Returns a list that
+    gets the path of each read that used the pool."""
+    monkeypatch.setattr(feed_ingest, "PARALLEL_READ_MIN_BYTES", 0)
+    monkeypatch.setattr(feed_ingest, "ARCHIVE_CHUNK_BYTES", 256)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    reads = []
+    in_workers = feed_ingest.SnapshotStore._iter_in_workers
+
+    def spy(self, f, size, cpus):
+        reads.append(self.path)
+        return in_workers(self, f, size, cpus)
+
+    monkeypatch.setattr(feed_ingest.SnapshotStore, "_iter_in_workers", spy)
+    return reads
+
+
+@pytest.fixture
+def parallel_read(monkeypatch):
+    """force_parallel_read for the whole test."""
+    return force_parallel_read(monkeypatch)
 
 
 def make_feed_doc(bikes, last_updated=1_700_000_000, ttl=60, extra=None):

@@ -24,7 +24,7 @@ from scootpriv.feed_ingest import SnapshotStore, write_archive
 from scootpriv.geo_privacy import analytic_cdf
 from scootpriv.trip_recon import haversine_distance, read_trips_csv
 
-from conftest import FakeClock, make_feed_doc, make_snapshot, square_region
+from conftest import FakeClock, force_parallel_read, make_feed_doc, make_snapshot, square_region
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -168,6 +168,12 @@ def misuse(argv, flag=None):
         misuse(["cluster", "--geojson", "{out}"]),
         misuse(["evaluate", "--dump-geojson", "{out}"]),
         misuse(["synth", "--ground-truth", "{out}"]),
+        # an empty output path, which would resolve to the working directory
+        *(misuse([command, "--output", ""])
+          for command in ("reconstruct", "cluster", "sanitize", "evaluate", "synth")),
+        misuse(["cluster", "--geojson", ""]),
+        misuse(["evaluate", "--dump-geojson", ""]),
+        misuse(["synth", "--ground-truth", ""]),
     ],
 )
 def test_flag_range_error_exits_2_before_reading_input(
@@ -803,6 +809,12 @@ class TestEvaluateCommand:
         assert main([*argv, "--snapshot-index", "0"]) == 0
         assert main([*argv, "--snapshot-index", "-1"]) == 1
 
+    def test_first_snapshot_read_in_workers_before_a_corrupt_third_line(
+        self, tmp_path, monkeypatch
+    ):
+        force_parallel_read(monkeypatch)
+        self.test_first_snapshot_evaluated_before_a_corrupt_third_line(tmp_path)
+
     @pytest.mark.parametrize("trials", ["0", "-1"])
     def test_trials_below_one_exits_2(self, tmp_path, synth_archive, capsys, trials):
         boundary = tmp_path / "boundary.geojson"
@@ -1178,6 +1190,25 @@ class TestStreamingCommands:
             tracemalloc.stop()
         assert rc == 0
         assert peak < held
+
+
+@pytest.mark.parametrize("command", [
+    ["reconstruct"],
+    ["sanitize", "--radius-km", "0.25"],
+    ["evaluate", "--r-grid", "0:0.1:0.05", "--trials", "2", "--snapshot-index", "0"],
+    ["evaluate", "--r-grid", "0:0.1:0.05", "--trials", "2", "--snapshot-index", "-3"],
+], ids=" ".join)
+def test_read_in_workers_writes_the_same_bytes(tmp_path, synth_archive, monkeypatch, command):
+    if command[0] == "evaluate":
+        write_boundary_geojson(tmp_path / "boundary.geojson")
+        command = [*command, "--boundary", str(tmp_path / "boundary.geojson")]
+    command = [*command, "--store", str(synth_archive), "--output"]
+    assert main([*command, str(tmp_path / "in-process")]) == 0
+    reads = force_parallel_read(monkeypatch)
+    # --snapshot-index 0 stops reading at once: no worker may outlive it
+    assert main([*command, str(tmp_path / "in-workers")]) == 0
+    assert reads == [synth_archive]
+    assert (tmp_path / "in-workers").read_bytes() == (tmp_path / "in-process").read_bytes()
 
 
 def test_import_leaves_http_stack_unloaded():

@@ -1,9 +1,15 @@
 import gc
 import io
+import itertools
 import json
+import multiprocessing
+import os
+import pickle
+import re
+import signal
 import threading
 import tracemalloc
-from contextlib import redirect_stderr
+from contextlib import closing, redirect_stderr
 from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -25,7 +31,7 @@ from scootpriv.feed_ingest import (
     write_archive,
 )
 
-from conftest import FakeClock, make_feed_doc, make_snapshot, square_region
+from conftest import FakeClock, force_parallel_read, make_feed_doc, make_snapshot, square_region
 
 
 def _archive_line(snap):
@@ -424,6 +430,143 @@ class TestReadSnapshots:
         assert next(stream) == snaps[1]
         with pytest.raises(StoreError, match="corrupt line 3"):
             next(stream)
+
+
+def mixed_archive(path, n=12):
+    """An archive of n snapshots of 1 to 3 scooters with the line forms a
+    reader must take: a _meta header, blank lines, a raw \\r inside a
+    line (JSON whitespace), a \\r\\n ending and no final newline.
+    Returns its snapshots."""
+    snaps = [make_snapshot([(f"s-{j}", 34.0 + i / 100, -118.2 + j / 100, j == 1)
+                            for j in range(1 + i % 3)], captured_at=100 + i)
+             for i in range(n)]
+    lines = [json.dumps({"_meta": {"command": "test"}}).encode() + b"\n"]
+    for i, snap in enumerate(snaps):
+        line = _archive_line(snap).encode()
+        if i == 2:
+            line = line.replace(b'","captured_at"', b'",\r"captured_at"')
+        if i == 4:
+            line = line.replace(b"\n", b"\r\n")
+        lines.append(line)
+        if i in (3, 7):
+            lines.append(b"  \n" if i == 3 else b"\n")
+    path.write_bytes(b"".join(lines).rstrip(b"\n"))
+    return snaps
+
+
+def _die_in_worker(path, start, end):
+    os._exit(3)  # as a worker the kernel kills would
+
+
+def _report_sigint_handler(path, start, end):
+    # reported as a corrupt first line, the one message a chunk returns
+    return [], 1, f"SIGINT handler {signal.getsignal(signal.SIGINT)!r}"
+
+
+def read_until_error(store):
+    """The snapshots a read yields before its StoreError, and its text."""
+    got = []
+    with pytest.raises(StoreError) as exc:
+        for snap in store.iter_all():
+            got.append(snap)
+    return got, str(exc.value)
+
+
+class TestParallelRead:
+    def test_same_snapshots_as_the_read_in_process(self, tmp_path, monkeypatch):
+        path = tmp_path / "a.jsonl"
+        snaps = mixed_archive(path)
+        assert b"\r" in path.read_bytes() and not path.read_bytes().endswith(b"\n")
+        in_process = list(SnapshotStore(path).iter_all())
+        assert in_process == snaps
+        reads = force_parallel_read(monkeypatch)
+        # a chunk per line, a few lines per chunk, one chunk
+        for n, chunk in enumerate((1, 256, 1000, 10**6), start=1):
+            monkeypatch.setattr(feed_ingest, "ARCHIVE_CHUNK_BYTES", chunk)
+            assert list(SnapshotStore(path).iter_all()) == in_process
+            assert len(reads) == n
+
+    def test_ids_interned_and_columns_read_only(self, tmp_path, parallel_read):
+        path = tmp_path / "a.jsonl"
+        snaps = mixed_archive(path)
+        got = list(SnapshotStore(path).iter_all())
+        assert got == snaps and parallel_read == [path]
+        assert got[-1].ids[0] is snaps[0].ids[0]
+        assert not any(getattr(s, c).flags.writeable for s in got
+                       for c in ("lats", "lons", "reserved", "disabled"))
+
+    @pytest.mark.parametrize("bad", [3, 9, 15], ids=["first chunk", "later chunk", "last line"])
+    def test_corrupt_line_raised_as_in_process_after_every_earlier_snapshot(
+        self, tmp_path, monkeypatch, bad
+    ):
+        path = tmp_path / "a.jsonl"
+        mixed_archive(path)
+        lines = path.read_bytes().split(b"\n")
+        lines[bad - 1] = lines[bad - 1][:40]
+        path.write_bytes(b"\n".join(lines))
+        in_process = read_until_error(SnapshotStore(path))
+        assert f"corrupt line {bad}: " in in_process[1]
+        reads = force_parallel_read(monkeypatch)
+        assert read_until_error(SnapshotStore(path)) == in_process
+        assert len(reads) == 1
+
+    def test_worker_killed_is_a_store_error(self, tmp_path, parallel_read, monkeypatch):
+        path = tmp_path / "a.jsonl"
+        mixed_archive(path)
+        monkeypatch.setattr(feed_ingest, "_decode_chunk", _die_in_worker)
+        with pytest.raises(StoreError, match=f"^{re.escape(str(path))}: read worker died: "):
+            list(SnapshotStore(path).iter_all())
+
+    def test_workers_ignore_ctrl_c(self, tmp_path, parallel_read, monkeypatch):
+        path = tmp_path / "a.jsonl"
+        mixed_archive(path)
+        monkeypatch.setattr(feed_ingest, "_decode_chunk", _report_sigint_handler)
+        # the reader handles Ctrl-C, whatever the process running the tests inherited
+        previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+        try:
+            with pytest.raises(StoreError, match="corrupt line 1: SIGINT handler <Handlers.SIG_IGN"):
+                list(SnapshotStore(path).iter_all())
+            assert signal.getsignal(signal.SIGINT) is signal.default_int_handler
+        finally:
+            signal.signal(signal.SIGINT, previous)
+
+    def test_closed_early_leaves_no_worker(self, tmp_path, parallel_read):
+        path = tmp_path / "a.jsonl"
+        snaps = mixed_archive(path)
+        with closing(SnapshotStore(path).iter_all()) as stream:
+            assert list(itertools.islice(stream, 2)) == snaps[:2]
+            assert multiprocessing.active_children()
+        assert multiprocessing.active_children() == []
+
+    def test_no_pool_below_the_floor_on_one_cpu_or_without_fork(
+        self, tmp_path, parallel_read, monkeypatch
+    ):
+        path = tmp_path / "a.jsonl"
+        snaps = mixed_archive(path)
+        size = path.stat().st_size
+        assert feed_ingest._read_cpus(size) == 2
+        with monkeypatch.context() as m:
+            m.setattr(feed_ingest, "PARALLEL_READ_MIN_BYTES", size + 1)
+            assert feed_ingest._read_cpus(size) == 0
+        with monkeypatch.context() as m:
+            m.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+            m.setattr(os, "cpu_count", lambda: 1)
+            assert feed_ingest._read_cpus(size) == 0
+            assert list(SnapshotStore(path).iter_all()) == snaps
+        with monkeypatch.context() as m:
+            m.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+            assert feed_ingest._read_cpus(size) == 0
+            assert list(SnapshotStore(path).iter_all()) == snaps
+        assert parallel_read == []
+
+    def test_pickled_snapshot_rebuilt_through_the_constructor(self):
+        # ids built at run time, so that only interning makes them one object
+        snap = make_snapshot([("".join(["s", str(i)]), 34.0, -118.2 + i / 10, i == 1)
+                              for i in range(3)])
+        copy = pickle.loads(pickle.dumps(snap))
+        assert copy == snap and copy is not snap
+        assert all(a is b for a, b in zip(copy.ids, snap.ids))
+        assert not copy.lats.flags.writeable and not copy.disabled.flags.writeable
 
 
 @st.composite
