@@ -10,18 +10,16 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import json
 import logging
 import math
 import mmap
 import os
-import pickle
 import sys
 import time
-from collections import Counter, deque
+from collections import Counter
 from collections.abc import Callable
-from contextlib import ExitStack, contextmanager, suppress
+from contextlib import ExitStack, closing, contextmanager, suppress
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -34,19 +32,14 @@ RETRY_ATTEMPTS = 3
 FETCH_TIMEOUT_S = 10.0
 # poll interval bounds: a feed's ttl is whole seconds; time.sleep overflows far past a day
 MIN_INTERVAL_S, MAX_INTERVAL_S = 1.0, 86_400.0
-# read buffer of the forward archive read: a snapshot line of 1,000 scooters
-# is about 100 KB, and lines longer than the buffer are joined from pieces
-ARCHIVE_READ_BUFFER = 128 * 1024
-# an archive of at least PARALLEL_READ_MIN_BYTES is decoded in worker
-# processes, in newline-aligned chunks of about ARCHIVE_CHUNK_BYTES; below
-# it, starting the pool costs more than it saves. Each chunk's result is
-# one message to the pool's result thread, whose allocations stay in that
-# thread's malloc arena: on a 21.6 MB archive, 1 MiB chunks raised the
-# reading process's peak RSS by about 3.5 MB and 128 KiB ones by about
-# 2 MB, for about 50 ms more of its CPU
+# a forward read decodes an archive in newline-aligned chunks of about
+# ARCHIVE_CHUNK_BYTES (a snapshot line of 1,000 scooters is about 100 KB;
+# a longer line extends its chunk); an archive of at least
+# PARALLEL_READ_MIN_BYTES is decoded in worker processes, below which
+# starting them costs more than it saves
 PARALLEL_READ_MIN_BYTES = 8 * 1024 * 1024
 ARCHIVE_CHUNK_BYTES = 128 * 1024
-# the parent's serial share (unpickling and checking each snapshot, and
+# the reader's serial share (unpickling and checking each snapshot, and
 # its consumer) caps the speed-up of a parallel read near 4x
 PARALLEL_READ_MAX_WORKERS = 4
 
@@ -113,8 +106,8 @@ class Snapshot:
         ) and all(np.array_equal(getattr(self, c), getattr(other, c)) for c, _ in _ARRAY_COLUMNS)
 
     def __reduce__(self):
-        # unpickled through the constructor, as a worker's snapshot is in
-        # the reading process: ids interned there, columns checked and read-only
+        # unpickled through the constructor, as the snapshots a read worker
+        # sends are in the reader: ids interned there, columns checked and read-only
         return Snapshot, (self.provider, self.captured_at, self.ttl_s, self.ids,
                           *(getattr(self, c) for c, _ in _ARRAY_COLUMNS))
 
@@ -274,6 +267,8 @@ def snapshot_from_record(rec: dict) -> Snapshot:
     the wrong type is an error of the record. Types are checked a column
     at a time, on the set of the column's types."""
     bikes = rec["bikes"]
+    if type(bikes) is not list:  # {} or "" would read as no bikes
+        raise TypeError("bikes is not an array")
     columns = []
     for key, types in _RECORD_FIELDS:
         column = [b[key] for b in bikes]
@@ -282,24 +277,16 @@ def snapshot_from_record(rec: dict) -> Snapshot:
             raise ValueError(f"bike {key} of type {sorted(t.__name__ for t in wrong)}")
         columns.append(column)
     return Snapshot(
-        rec["provider"], json_int(rec["captured_at"]), json_int(rec["ttl_s"]),
+        json_str(rec["provider"]), json_int(rec["captured_at"]), json_int(rec["ttl_s"]),
         [b["id"] for b in bikes], *columns,
     )
 
 
-def _decode_line(line: bytes) -> Snapshot | None:
-    """The snapshot of one raw archive line, or None for a line that holds
-    none (see archive_record); the one decode of a forward read."""
-    rec = archive_record(line)
-    return None if rec is None else snapshot_from_record(rec)
-
-
-def _decode_chunk(path: Path, start: int, end: int) -> tuple[list[bytes], int, str | None]:
-    """A worker's share of a parallel read: the snapshots of the lines in
-    bytes [start, end) of the archive, the number of lines read, and the
-    message of the first corrupt line, the last line read, or None. Each
-    snapshot is pickled on its own, so that the reader unpickles it as it
-    is consumed, not in the pool's result thread with the whole chunk."""
+def _decode_chunk(path: Path, start: int, end: int) -> tuple[list[Snapshot], int, str | None]:
+    """The one decode of a forward read, in-process or in a worker: the
+    snapshots of the lines in bytes [start, end) of the archive (see
+    archive_record), the number of lines read, and the message of the
+    first corrupt line, the last line read, or None."""
     with open(path, "rb") as f:
         f.seek(start)
         # split as iterating a file is, after each b"\n" only: a raw \r is JSON whitespace
@@ -307,12 +294,25 @@ def _decode_chunk(path: Path, start: int, end: int) -> tuple[list[bytes], int, s
     snaps, n = [], 0
     for n, line in enumerate(lines, start=1):
         try:
-            snap = _decode_line(line)
+            rec = archive_record(line)
+            if rec is not None:
+                snaps.append(snapshot_from_record(rec))
         except MALFORMED_INPUT as exc:
             return snaps, n, malformed_message(exc)
-        if snap is not None:
-            snaps.append(pickle.dumps(snap))
     return snaps, n, None
+
+
+def _read_worker(path: Path, chunks: list[tuple[int, int]], conn) -> None:
+    """A read worker: sends each chunk's _decode_chunk result down conn,
+    up to a corrupt line. Ctrl-C interrupts the reader alone, which kills it."""
+    import signal
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    for start, end in chunks:
+        result = _decode_chunk(path, start, end)
+        conn.send(result)
+        if result[2] is not None:
+            return
 
 
 def _chunk_bounds(f, size: int) -> list[tuple[int, int]]:
@@ -402,64 +402,62 @@ class SnapshotStore:
             f.write(json.dumps({"_meta": meta}, separators=(",", ":")) + "\n")
 
     def iter_all(self) -> Iterator[Snapshot]:
-        """The archive's snapshots in file order. A corrupt line is a
-        StoreError naming its line number, raised after every snapshot
-        before it. When more than one CPU is available and worker
-        processes can be forked, an archive of PARALLEL_READ_MIN_BYTES or
-        more is decoded in workers, up to its size when the read starts."""
+        """The archive's snapshots in file order, up to its size when the
+        read starts. A corrupt line is a StoreError naming its line number,
+        raised after every snapshot before it. The archive is decoded in
+        chunks (_chunk_bounds, _decode_chunk): in worker processes if it
+        holds PARALLEL_READ_MIN_BYTES or more, more than one CPU is
+        available and worker processes can be forked, else in-process."""
         if not self.path.exists():
             raise StoreError(f"no such archive: {self.path}")
-        with open(self.path, "rb", buffering=ARCHIVE_READ_BUFFER) as f:
+        with open(self.path, "rb") as f:
             size = os.fstat(f.fileno()).st_size
-            if cpus := _read_cpus(size):
-                yield from self._iter_in_workers(f, size, cpus)
-                return
-            for lineno, line in enumerate(f, start=1):
-                try:
-                    snap = _decode_line(line)
-                except MALFORMED_INPUT as exc:
-                    raise StoreError(self._corrupt(lineno, malformed_message(exc))) from exc
-                if snap is not None:
-                    yield snap
-
-    def _corrupt(self, lineno: int, message: str) -> str:
-        return f"{self.path}: corrupt line {lineno}: {message}"
-
-    def _iter_in_workers(self, f, size: int, cpus: int) -> Iterator[Snapshot]:
-        """iter_all's parallel read: the chunks (_chunk_bounds) are decoded
-        in a pool of forked processes, at most two per worker in flight,
-        and their snapshots yielded in file order. The pool is shut down,
-        its queued chunks cancelled, when the stream ends, raises or is
-        closed, so no worker outlives the read."""
-        import multiprocessing
-        import signal
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
-
-        chunks = _chunk_bounds(f, size)
-        workers = min(cpus, len(chunks), PARALLEL_READ_MAX_WORKERS)
-        pool = ProcessPoolExecutor(
-            workers, mp_context=multiprocessing.get_context("fork"),
-            # Ctrl-C interrupts the parent alone, which then shuts the pool down
-            initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN),
-        )
-        try:
-            todo, window, lineno = iter(chunks), deque(), 0
-            while True:
-                try:
-                    window.extend(pool.submit(_decode_chunk, self.path, *c)
-                                  for c in itertools.islice(todo, 2 * workers - len(window)))
-                    if not window:
-                        break
-                    snaps, lines, error = window.popleft().result()
-                except BrokenProcessPool as exc:  # a worker was killed: submit or result
-                    raise StoreError(f"{self.path}: read worker died: {exc}") from exc
-                yield from map(pickle.loads, snaps)
+            chunks = _chunk_bounds(f, size)
+        if cpus := _read_cpus(size):
+            results = self._decode_in_workers(chunks, cpus)
+        else:
+            results = (_decode_chunk(self.path, start, end) for start, end in chunks)
+        lineno = 0
+        with closing(results):  # so that no worker outlives a corrupt line
+            for snaps, lines, error in results:
+                yield from snaps
                 lineno += lines
                 if error is not None:
-                    raise StoreError(self._corrupt(lineno, error))
+                    raise StoreError(f"{self.path}: corrupt line {lineno}: {error}")
+
+    def _decode_in_workers(self, chunks: list[tuple[int, int]], cpus: int):
+        """iter_all's chunk results in file order, from n = min(cpus, chunks,
+        PARALLEL_READ_MAX_WORKERS) forked workers. Worker w decodes chunks
+        w, w+n, ... into its own pipe, and chunk i is received from pipe
+        i % n; a full pipe blocks its worker. The workers are killed when
+        the stream ends, raises or is closed."""
+        import multiprocessing
+
+        fork = multiprocessing.get_context("fork")
+        n = min(cpus, len(chunks), PARALLEL_READ_MAX_WORKERS)
+        pipes, workers = [], []
+        try:
+            for w in range(n):
+                recv, send = fork.Pipe(duplex=False)
+                pipes.append(recv)
+                worker = fork.Process(target=_read_worker,
+                                      args=(self.path, chunks[w::n], send), daemon=True)
+                worker.start()
+                workers.append(worker)
+                send.close()  # the worker's copy is the last: its exit ends the pipe
+            for i in range(len(chunks)):
+                try:
+                    yield pipes[i % n].recv()
+                except EOFError as exc:
+                    workers[i % n].join()
+                    raise StoreError(f"{self.path}: read worker died: "
+                                     f"exit code {workers[i % n].exitcode}") from exc
         finally:
-            pool.shutdown(cancel_futures=True)
+            for worker in workers:
+                worker.kill()
+                worker.join()
+            for conn in pipes:
+                conn.close()
 
 
 @contextmanager

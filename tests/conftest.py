@@ -24,21 +24,21 @@ def no_process_left_running():
 
 
 def force_parallel_read(monkeypatch) -> list:
-    """Sends every later archive read of the test through the worker pool,
+    """Sends every later archive read of the test through worker processes,
     in chunks of about 256 bytes, as if on two CPUs. Returns a list that
-    gets the path of each read that used the pool."""
+    gets the path of each read that used them."""
     monkeypatch.setattr(feed_ingest, "PARALLEL_READ_MIN_BYTES", 0)
     monkeypatch.setattr(feed_ingest, "ARCHIVE_CHUNK_BYTES", 256)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     reads = []
-    in_workers = feed_ingest.SnapshotStore._iter_in_workers
+    in_workers = feed_ingest.SnapshotStore._decode_in_workers
 
-    def spy(self, f, size, cpus):
+    def spy(self, chunks, cpus):
         reads.append(self.path)
-        return in_workers(self, f, size, cpus)
+        return in_workers(self, chunks, cpus)
 
-    monkeypatch.setattr(feed_ingest.SnapshotStore, "_iter_in_workers", spy)
+    monkeypatch.setattr(feed_ingest.SnapshotStore, "_decode_in_workers", spy)
     return reads
 
 

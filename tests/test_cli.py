@@ -1146,6 +1146,15 @@ class TestMultiProviderArchive:
         assert captured.err == f"error: --provider bird names no provider of {two_provider_archive}\n"
         assert sorted(tmp_path.iterdir()) == before
 
+    def test_non_string_provider_is_a_corrupt_line(self, tmp_path, two_provider_archive, capsys):
+        # a provider is a JSON string: 5 is neither a second provider nor a crash
+        lines = two_provider_archive.read_text().splitlines(keepends=True)
+        lines[1] = lines[1].replace('"provider":"synth"', '"provider":5')
+        two_provider_archive.write_text("".join(lines))
+        assert main(self.reconstruct_argv(tmp_path, two_provider_archive)) == 1
+        errors = [e for e in capsys.readouterr().err.splitlines() if e.startswith("error:")]
+        assert len(errors) == 1 and f"{two_provider_archive}: corrupt line 2: " in errors[0]
+
 
 class TestStreamingCommands:
     """reconstruct, sanitize and evaluate read the archive as a stream, so

@@ -346,12 +346,18 @@ class TestStore:
             lambda rec: rec.update(captured_at=float("nan")),
             lambda rec: rec.update(ttl_s=60.9),
             lambda rec: rec.update(ttl_s=float("inf")),
+            lambda rec: rec.update(bikes={}),
+            lambda rec: rec.update(bikes=""),
+            lambda rec: rec.update(provider=5),
+            lambda rec: rec.update(provider=["x"]),
+            lambda rec: rec.update(provider=None),
         ],
         ids=["non-string id", "empty id", "duplicate id", "lat 91", "lat null", "lat NaN",
              "missing lon", "ttl 0", "lat of 401 digits", "captured_at past int64",
              "lat true", "lat string", "reserved string", "disabled null",
              "captured_at string", "captured_at true", "captured_at NaN", "ttl_s 60.9",
-             "ttl_s Infinity"],
+             "ttl_s Infinity", "bikes {}", "bikes empty string", "provider 5",
+             "provider list", "provider null"],
     )
     def test_corrupt_record_reported_with_line_number(self, tmp_path, corrupt):
         path = tmp_path / "a.jsonl"
@@ -473,10 +479,12 @@ def read_until_error(store):
 
 
 class TestParallelRead:
-    def test_same_snapshots_as_the_read_in_process(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("in_process_chunk", [1, 256, feed_ingest.ARCHIVE_CHUNK_BYTES])
+    def test_same_snapshots_as_the_read_in_process(self, tmp_path, monkeypatch, in_process_chunk):
         path = tmp_path / "a.jsonl"
         snaps = mixed_archive(path)
         assert b"\r" in path.read_bytes() and not path.read_bytes().endswith(b"\n")
+        monkeypatch.setattr(feed_ingest, "ARCHIVE_CHUNK_BYTES", in_process_chunk)
         in_process = list(SnapshotStore(path).iter_all())
         assert in_process == snaps
         reads = force_parallel_read(monkeypatch)
@@ -509,6 +517,19 @@ class TestParallelRead:
         reads = force_parallel_read(monkeypatch)
         assert read_until_error(SnapshotStore(path)) == in_process
         assert len(reads) == 1
+
+    @pytest.mark.parametrize("in_workers", [False, True], ids=["in-process", "in workers"])
+    def test_line_appended_during_the_read_not_read(self, tmp_path, monkeypatch, in_workers):
+        path = tmp_path / "a.jsonl"
+        snaps = [make_snapshot([("a", 34.0, -118.2)], captured_at=t) for t in (1, 2, 3)]
+        write_archive(snaps, path)
+        if in_workers:
+            force_parallel_read(monkeypatch)
+        monkeypatch.setattr(feed_ingest, "ARCHIVE_CHUNK_BYTES", 1)  # a chunk per line
+        with closing(SnapshotStore(path).iter_all()) as stream:
+            assert next(stream) == snaps[0]
+            SnapshotStore(path).append(make_snapshot([("a", 34.0, -118.2)], captured_at=4))
+            assert list(stream) == snaps[1:]
 
     def test_worker_killed_is_a_store_error(self, tmp_path, parallel_read, monkeypatch):
         path = tmp_path / "a.jsonl"
