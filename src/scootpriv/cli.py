@@ -53,7 +53,7 @@ def parse_r_grid(spec: str) -> list[float]:
         raise UsageError(f"bad grid spec {spec!r}")
     steps = (stop - start + 1e-9) / step
     if steps >= MAX_GRID_POINTS:
-        raise UsageError(f"grid spec {spec!r} has {steps + 1:.0f} points, over {MAX_GRID_POINTS}")
+        raise UsageError(f"grid spec {spec!r} has more than {MAX_GRID_POINTS} points")
     return [round(start + i * step, 10) for i in range(math.floor(steps) + 1)]
 
 

@@ -84,7 +84,11 @@ def _kmeans_pp_init(xy: np.ndarray, k: int, rng: np.random.Generator) -> np.ndar
 
 
 def _assign(xy: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, float]:
-    d2 = np.sum((xy[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
+    # (n, k) squared distances without an (n, k, 2) temporary; the same
+    # bits as summing the squared differences over their last axis
+    dx = xy[:, 0, None] - centroids[:, 0]
+    dy = xy[:, 1, None] - centroids[:, 1]
+    d2 = dx * dx + dy * dy
     labels = np.argmin(d2, axis=1)
     inertia = float(d2[np.arange(len(xy)), labels].sum())
     return labels, inertia

@@ -26,6 +26,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from . import workers
+
 log = logging.getLogger(__name__)
 
 RETRY_ATTEMPTS = 3
@@ -39,9 +41,6 @@ MIN_INTERVAL_S, MAX_INTERVAL_S = 1.0, 86_400.0
 # starting them costs more than it saves
 PARALLEL_READ_MIN_BYTES = 8 * 1024 * 1024
 ARCHIVE_CHUNK_BYTES = 128 * 1024
-# the reader's serial share (unpickling and checking each snapshot, and
-# its consumer) caps the speed-up of a parallel read near 4x
-PARALLEL_READ_MAX_WORKERS = 4
 
 
 class FeedParseError(ValueError):
@@ -302,19 +301,6 @@ def _decode_chunk(path: Path, start: int, end: int) -> tuple[list[Snapshot], int
     return snaps, n, None
 
 
-def _read_worker(path: Path, chunks: list[tuple[int, int]], conn) -> None:
-    """A read worker: sends each chunk's _decode_chunk result down conn,
-    up to a corrupt line. Ctrl-C interrupts the reader alone, which kills it."""
-    import signal
-
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    for start, end in chunks:
-        result = _decode_chunk(path, start, end)
-        conn.send(result)
-        if result[2] is not None:
-            return
-
-
 def _chunk_bounds(f, size: int) -> list[tuple[int, int]]:
     """[start, end) byte ranges of about ARCHIVE_CHUNK_BYTES covering the
     first size bytes of the open file f, each ending after a newline or
@@ -327,20 +313,6 @@ def _chunk_bounds(f, size: int) -> list[tuple[int, int]]:
         bounds.append((start, end))
         start = end
     return bounds
-
-
-def _read_cpus(size: int) -> int:
-    """CPUs a read of an archive of size bytes may decode on: 0, for a
-    read in-process, below PARALLEL_READ_MIN_BYTES, with one CPU
-    available, or where worker processes cannot be forked."""
-    if size < PARALLEL_READ_MIN_BYTES:
-        return 0
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    if (cpus or 1) < 2:
-        return 0
-    import multiprocessing
-
-    return cpus if "fork" in multiprocessing.get_all_start_methods() else 0
 
 
 class SnapshotStore:
@@ -406,58 +378,26 @@ class SnapshotStore:
         read starts. A corrupt line is a StoreError naming its line number,
         raised after every snapshot before it. The archive is decoded in
         chunks (_chunk_bounds, _decode_chunk): in worker processes if it
-        holds PARALLEL_READ_MIN_BYTES or more, more than one CPU is
-        available and worker processes can be forked, else in-process."""
+        holds PARALLEL_READ_MIN_BYTES or more and workers.worker_count
+        allows, else in-process. A worker that dies is a StoreError
+        naming its exit code."""
         if not self.path.exists():
             raise StoreError(f"no such archive: {self.path}")
         with open(self.path, "rb") as f:
             size = os.fstat(f.fileno()).st_size
             chunks = _chunk_bounds(f, size)
-        if cpus := _read_cpus(size):
-            results = self._decode_in_workers(chunks, cpus)
-        else:
-            results = (_decode_chunk(self.path, start, end) for start, end in chunks)
+        n = workers.worker_count(size, PARALLEL_READ_MIN_BYTES, len(chunks))
+        results = workers.ordered_map(lambda chunk: _decode_chunk(self.path, *chunk), chunks, n)
         lineno = 0
-        with closing(results):  # so that no worker outlives a corrupt line
-            for snaps, lines, error in results:
-                yield from snaps
-                lineno += lines
-                if error is not None:
-                    raise StoreError(f"{self.path}: corrupt line {lineno}: {error}")
-
-    def _decode_in_workers(self, chunks: list[tuple[int, int]], cpus: int):
-        """iter_all's chunk results in file order, from n = min(cpus, chunks,
-        PARALLEL_READ_MAX_WORKERS) forked workers. Worker w decodes chunks
-        w, w+n, ... into its own pipe, and chunk i is received from pipe
-        i % n; a full pipe blocks its worker. The workers are killed when
-        the stream ends, raises or is closed."""
-        import multiprocessing
-
-        fork = multiprocessing.get_context("fork")
-        n = min(cpus, len(chunks), PARALLEL_READ_MAX_WORKERS)
-        pipes, workers = [], []
         try:
-            for w in range(n):
-                recv, send = fork.Pipe(duplex=False)
-                pipes.append(recv)
-                worker = fork.Process(target=_read_worker,
-                                      args=(self.path, chunks[w::n], send), daemon=True)
-                worker.start()
-                workers.append(worker)
-                send.close()  # the worker's copy is the last: its exit ends the pipe
-            for i in range(len(chunks)):
-                try:
-                    yield pipes[i % n].recv()
-                except EOFError as exc:
-                    workers[i % n].join()
-                    raise StoreError(f"{self.path}: read worker died: "
-                                     f"exit code {workers[i % n].exitcode}") from exc
-        finally:
-            for worker in workers:
-                worker.kill()
-                worker.join()
-            for conn in pipes:
-                conn.close()
+            with closing(results):  # so that no worker outlives a corrupt line
+                for snaps, lines, error in results:
+                    yield from snaps
+                    lineno += lines
+                    if error is not None:
+                        raise StoreError(f"{self.path}: corrupt line {lineno}: {error}")
+        except workers.WorkerDied as exc:
+            raise StoreError(f"{self.path}: read {exc}") from exc
 
 
 @contextmanager

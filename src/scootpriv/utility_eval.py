@@ -18,8 +18,15 @@ from pathlib import Path
 import numpy as np
 
 from .feed_ingest import Snapshot, json_number, points_geojson, write_csv, write_json
-from . import feed_ingest, geo_privacy
+from . import feed_ingest, geo_privacy, workers
 
+# trial-points (trials x scooters x grid points with R > 0) from which
+# neighborhood_loss_experiment runs its grid points in worker processes.
+# Measured on 2 CPUs with perfbench's city and 100 tiles, 942 scooters, 21
+# alternated calls each: two grid points, the fewest that fork, break even
+# near 1.2e5 trial-points and are faster in workers in every call from
+# 2.4e5; twenty grid points break even near 2e4
+PARALLEL_SWEEP_MIN_POINTS = 1 << 18
 # margin around a region's bounding box in the containment prefilter:
 # points_in_region interpolates each edge's crossing longitude, and the
 # rounding can land a few ulps (about 1e-13 degrees) outside the box
@@ -324,6 +331,14 @@ def neighborhood_loss_experiment(
     tests; a boundary, which holds nearly every point, makes its pass
     the peak: 11.4 such arrays at 25 trials of 942 scooters, against
     displace's 10.4 (tracemalloc, over the memory held at the call).
+
+    The grid points with R > 0 run through workers.ordered_map, so in
+    forked worker processes when trials * n * (their count) reaches
+    PARALLEL_SWEEP_MIN_POINTS and workers.worker_count gives two or more,
+    else in-process; the rows are the same either way. The caller then
+    holds no (trials, n) array, and each worker one R's at a time: the
+    memory held across processes is the number of workers times the
+    peak above.
     """
     if regions is None and boundary is None:
         raise ValueError("no region set and no boundary")
@@ -338,11 +353,9 @@ def neighborhood_loss_experiment(
     lats, lons = snapshot.lats, snapshot.lons
     true_sort = _by_latitude(lats)
     truths = [_assign_regions(lats, lons, s, true_sort) for s in region_sets]
-    rows = []
-    for g, (r_km, eps) in enumerate(zip(r_grid, epsilons)):
-        if r_km == 0:
-            rows.append(UtilityRow(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
-            continue
+
+    def grid_point(g: int) -> UtilityRow:
+        r_km, eps = r_grid[g], epsilons[g]
         rng = geo_privacy.substream(master_seed, g)
         theta, r = geo_privacy.sample_polar_laplace(eps, rng, (trials, len(lats)))
         nlat, nlon = geo_privacy.displace(lats, lons, theta, r)
@@ -358,11 +371,17 @@ def neighborhood_loss_experiment(
             )
             for truth, s in zip(truths, region_sets)
         ]
-        del nlat, nlon, noisy_sort  # not held through the next R's draw
         err_m, esc_m, esc_se = losses[0] if regions is not None else (0.0, 0.0, 0.0)
         _, out_m, out_se = losses[-1] if boundary is not None else (0.0, 0.0, 0.0)
-        rows.append(UtilityRow(r_km, eps, out_m, out_se, err_m, esc_m, esc_se))
-    return rows
+        return UtilityRow(r_km, eps, out_m, out_se, err_m, esc_m, esc_se)
+
+    noisy = [g for g, r_km in enumerate(r_grid) if r_km != 0]
+    n = workers.worker_count(trials * len(lats) * len(noisy), PARALLEL_SWEEP_MIN_POINTS,
+                             len(noisy))
+    # list: read to its end, so that its workers are joined here
+    rows = dict(zip(noisy, list(workers.ordered_map(grid_point, noisy, n))))
+    zero = UtilityRow(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    return [rows.get(g, zero) for g in range(len(r_grid))]
 
 
 def merge_rows(

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from scootpriv import feed_ingest
+from scootpriv import feed_ingest, utility_eval, workers
 from scootpriv.feed_ingest import Snapshot
 from scootpriv.utility_eval import Region
 
@@ -13,7 +13,7 @@ from scootpriv.utility_eval import Region
 @pytest.fixture(autouse=True)
 def no_process_left_running():
     """Fails a test that leaves a child process alive, such as a worker of
-    a parallel archive read; the process is then stopped, so the next
+    an archive read or an R grid; the process is then stopped, so the next
     test starts without it."""
     yield
     left = multiprocessing.active_children()
@@ -24,22 +24,25 @@ def no_process_left_running():
 
 
 def force_parallel_read(monkeypatch) -> list:
-    """Sends every later archive read of the test through worker processes,
-    in chunks of about 256 bytes, as if on two CPUs. Returns a list that
-    gets the path of each read that used them."""
+    """Sends every later archive read and R grid of the test through worker
+    processes, as if on two CPUs, archives in chunks of about 256 bytes.
+    Returns a list that gets, for each map run in workers, the module that
+    ran it: "feed_ingest" for a read, "utility_eval" for an R grid."""
     monkeypatch.setattr(feed_ingest, "PARALLEL_READ_MIN_BYTES", 0)
+    monkeypatch.setattr(utility_eval, "PARALLEL_SWEEP_MIN_POINTS", 0)
     monkeypatch.setattr(feed_ingest, "ARCHIVE_CHUNK_BYTES", 256)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    reads = []
-    in_workers = feed_ingest.SnapshotStore._decode_in_workers
+    maps = []
+    ordered_map = workers.ordered_map
 
-    def spy(self, chunks, cpus):
-        reads.append(self.path)
-        return in_workers(self, chunks, cpus)
+    def spy(fn, tasks, n):
+        if n:
+            maps.append(fn.__module__.rpartition(".")[2])
+        return ordered_map(fn, tasks, n)
 
-    monkeypatch.setattr(feed_ingest.SnapshotStore, "_decode_in_workers", spy)
-    return reads
+    monkeypatch.setattr(workers, "ordered_map", spy)
+    return maps
 
 
 @pytest.fixture

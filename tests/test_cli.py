@@ -117,8 +117,10 @@ class TestGridFlag:
         assert parse_r_grid("0:1:0.35") == [0.0, 0.35, 0.7]
 
     def test_too_many_points_rejected_before_building(self):
-        with pytest.raises(UsageError, match="100001 points"):
-            parse_r_grid("0:1:1e-5")
+        for spec in ("0:1:1e-5", "0:1:1e-320", "0:1e-300:1e-301"):
+            with pytest.raises(UsageError, match=f"^grid spec '{spec}' has more than "
+                                                 f"{MAX_GRID_POINTS} points$"):
+                parse_r_grid(spec)
         assert len(parse_r_grid(f"0:{MAX_GRID_POINTS - 1}:1")) == MAX_GRID_POINTS
 
     def test_bad_specs(self):
@@ -147,6 +149,9 @@ def misuse(argv, flag=None):
         misuse(["sanitize", "--radius-km", "6"]),
         misuse(["evaluate", "--ratio", "1"]),
         misuse(["evaluate", "--r-grid", "0:60:20"]),
+        # counts past a float's range, or of 300 digits, named by the limit
+        misuse(["evaluate", "--r-grid", "0:1:1e-320"], "more than 10000 points"),
+        misuse(["evaluate", "--r-grid", "0:1e-300:1e-301"], "more than 10000 points"),
         misuse(["evaluate", "--dump-radius-km", "-1", "--dump-geojson", "d.geojson"]),
         # checked with or without --dump-geojson
         misuse(["evaluate", "--dump-radius-km", "-1"]),
@@ -1206,18 +1211,46 @@ class TestStreamingCommands:
     ["sanitize", "--radius-km", "0.25"],
     ["evaluate", "--r-grid", "0:0.1:0.05", "--trials", "2", "--snapshot-index", "0"],
     ["evaluate", "--r-grid", "0:0.1:0.05", "--trials", "2", "--snapshot-index", "-3"],
+    ["evaluate", "--r-grid", "0:0.15:0.05", "--trials", "3", "--neighborhoods", "{tiles}",
+     "--format", "json"],
 ], ids=" ".join)
 def test_read_in_workers_writes_the_same_bytes(tmp_path, synth_archive, monkeypatch, command):
     if command[0] == "evaluate":
         write_boundary_geojson(tmp_path / "boundary.geojson")
+        write_tiles_geojson(tmp_path / "tiles.geojson")
+        command = [str(tmp_path / "tiles.geojson") if a == "{tiles}" else a for a in command]
         command = [*command, "--boundary", str(tmp_path / "boundary.geojson")]
     command = [*command, "--store", str(synth_archive), "--output"]
     assert main([*command, str(tmp_path / "in-process")]) == 0
-    reads = force_parallel_read(monkeypatch)
+    maps = force_parallel_read(monkeypatch)
     # --snapshot-index 0 stops reading at once: no worker may outlive it
     assert main([*command, str(tmp_path / "in-workers")]) == 0
-    assert reads == [synth_archive]
+    # an evaluate runs its R grid, the R = 0 row aside, in workers too
+    assert maps == ["feed_ingest"] + ["utility_eval"] * (command[0] == "evaluate")
     assert (tmp_path / "in-workers").read_bytes() == (tmp_path / "in-process").read_bytes()
+
+
+@pytest.mark.parametrize("error", [
+    ValueError("no draw"), MemoryError("no room for a draw"), OSError(28, "No space left"),
+], ids=lambda e: type(e).__name__)
+def test_error_in_an_r_grid_worker_exits_as_in_process(
+    tmp_path, synth_archive, monkeypatch, capsys, error
+):
+    def fail(*args):
+        raise error
+
+    monkeypatch.setattr(geo_privacy, "displace", fail)
+    write_boundary_geojson(tmp_path / "boundary.geojson")
+    argv = ["evaluate", "--r-grid", "0:0.1:0.05", "--trials", "2", "--store", str(synth_archive),
+            "--boundary", str(tmp_path / "boundary.geojson"), "--output", str(tmp_path / "r.csv")]
+    rc = main(argv)
+    in_process = capsys.readouterr().err
+    assert rc == 1 and in_process == f"error: {error}\n"
+    maps = force_parallel_read(monkeypatch)
+    assert main(argv) == rc
+    assert capsys.readouterr().err == in_process
+    assert maps == ["feed_ingest", "utility_eval"]
+    assert not (tmp_path / "r.csv").exists()
 
 
 def test_import_leaves_http_stack_unloaded():

@@ -489,16 +489,17 @@ class TestParallelRead:
         assert in_process == snaps
         reads = force_parallel_read(monkeypatch)
         # a chunk per line, a few lines per chunk, one chunk
-        for n, chunk in enumerate((1, 256, 1000, 10**6), start=1):
+        for chunk in (1, 256, 1000, 10**6):
             monkeypatch.setattr(feed_ingest, "ARCHIVE_CHUNK_BYTES", chunk)
             assert list(SnapshotStore(path).iter_all()) == in_process
-            assert len(reads) == n
+        # a single chunk is one task: a single worker would only add its start
+        assert reads == ["feed_ingest"] * 3
 
     def test_ids_interned_and_columns_read_only(self, tmp_path, parallel_read):
         path = tmp_path / "a.jsonl"
         snaps = mixed_archive(path)
         got = list(SnapshotStore(path).iter_all())
-        assert got == snaps and parallel_read == [path]
+        assert got == snaps and parallel_read == ["feed_ingest"]
         assert got[-1].ids[0] is snaps[0].ids[0]
         assert not any(getattr(s, c).flags.writeable for s in got
                        for c in ("lats", "lons", "reserved", "disabled"))
@@ -565,20 +566,19 @@ class TestParallelRead:
         path = tmp_path / "a.jsonl"
         snaps = mixed_archive(path)
         size = path.stat().st_size
-        assert feed_ingest._read_cpus(size) == 2
         with monkeypatch.context() as m:
             m.setattr(feed_ingest, "PARALLEL_READ_MIN_BYTES", size + 1)
-            assert feed_ingest._read_cpus(size) == 0
+            assert list(SnapshotStore(path).iter_all()) == snaps
         with monkeypatch.context() as m:
             m.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
             m.setattr(os, "cpu_count", lambda: 1)
-            assert feed_ingest._read_cpus(size) == 0
             assert list(SnapshotStore(path).iter_all()) == snaps
         with monkeypatch.context() as m:
             m.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-            assert feed_ingest._read_cpus(size) == 0
             assert list(SnapshotStore(path).iter_all()) == snaps
         assert parallel_read == []
+        assert list(SnapshotStore(path).iter_all()) == snaps
+        assert parallel_read == ["feed_ingest"]
 
     def test_pickled_snapshot_rebuilt_through_the_constructor(self):
         # ids built at run time, so that only interning makes them one object

@@ -25,7 +25,7 @@ from scootpriv.utility_eval import (
     points_in_region,
 )
 
-from conftest import make_snapshot, square_region
+from conftest import force_parallel_read, make_snapshot, square_region
 
 KM_PER_DEG = math.pi / 180 * EARTH_RADIUS_KM  # at the equator
 
@@ -521,6 +521,29 @@ class TestNeighborhoodExperiment:
             call for g in (1, 2, 3)
             for call in (("substream", g), ("sample_polar_laplace", (7, 3)))
         ]
+
+    @pytest.mark.parametrize("experiment", ["neighborhood", "boundary", "both"])
+    def test_grid_in_workers_gives_the_rows_in_process(self, halves, monkeypatch, experiment):
+        snap = make_snapshot([("a", 0.5, 0.25), ("b", 0.5, 0.75), ("out", 2.0, 2.0)])
+        regions, boundary = {"neighborhood": (halves, None), "boundary": (None, square_region()),
+                             "both": (halves, square_region())}[experiment]
+
+        def run(grid):
+            return neighborhood_loss_experiment(snap, regions, grid, 7, 6, 3, boundary=boundary)
+
+        grid = [0.0, 0.1, 0.25, 0.5]
+        in_process = run(grid)
+        maps = force_parallel_read(monkeypatch)
+        assert run(grid) == in_process
+        assert maps == ["utility_eval"]
+        # 7 trials of 3 scooters at 3 radii R > 0 are the work held against the floor
+        monkeypatch.setattr(utility_eval, "PARALLEL_SWEEP_MIN_POINTS", 7 * 3 * 3 + 1)
+        assert run(grid) == in_process
+        monkeypatch.setattr(utility_eval, "PARALLEL_SWEEP_MIN_POINTS", 7 * 3 * 3)
+        assert run(grid) == in_process
+        # a single R > 0 is one task, run in-process
+        assert run([0.0, 0.1]) == in_process[:2]
+        assert maps == ["utility_eval"] * 2
 
     def test_with_boundary_joins_both_experiments(self, halves):
         # the invariant that lets one noisy fleet serve both: with the same
