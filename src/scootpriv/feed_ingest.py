@@ -78,11 +78,8 @@ class Snapshot:
         if not -(2**63) <= self.captured_at < 2**63:
             # reconstruct_trips keeps last-seen times as int64
             raise FeedParseError(f"captured_at out of range: {self.captured_at}")
-        try:
-            # one shared string per id: an archive repeats each id in every snapshot
-            ids = tuple(map(sys.intern, self.ids))
-        except TypeError as exc:
-            raise FeedParseError(f"scooter_id not a string: {exc}") from exc
+        # one shared string per id: an archive repeats each id in every snapshot
+        ids = tuple(map(sys.intern, self.ids))
         if "" in ids:
             raise FeedParseError("empty scooter_id")
         if len(ids) != len(set(ids)):
@@ -181,68 +178,83 @@ def json_int(value) -> int:
 
 
 def json_str(value) -> str:
-    """A name or id read from JSON, as a feed bike_id is in GBFS: a
-    string, never a number or null; anything else is a ValueError."""
+    """A name or id read from JSON, as a string, never a number or null;
+    anything else is a ValueError."""
     if type(value) is not str:
         raise ValueError(f"{value!r} is not a string")
     return value
 
 
-def _feed_flag(value) -> bool:
-    """A feed flag: a JSON boolean, or 0 or 1 as GBFS 1.x wrote it."""
-    if type(value) is not bool and not (type(value) is int and value in (0, 1)):
-        raise ValueError(f"{value!r} is not a boolean")
-    return bool(value)
+# (bike key, JSON types) per Snapshot column, in column order: id, lat,
+# lon, reserved, disabled; a feed flag may be the integer 0 or 1, as
+# GBFS 1.x wrote it, an archive flag is a boolean only
+_FEED_BIKE = (("bike_id", {str}), ("lat", _NUMBER_TYPES), ("lon", _NUMBER_TYPES),
+              ("is_reserved", {bool, int}), ("is_disabled", {bool, int}))
+_ARCHIVE_BIKE = (("id", {str}), ("lat", _NUMBER_TYPES), ("lon", _NUMBER_TYPES),
+                 ("reserved", {bool}), ("disabled", {bool}))
+# (its values as an error names them, dtype or None) per Snapshot column, in column order
+_COLUMN_KINDS = (("a string", None), *[("a number", np.float64)] * 2, *[("a boolean", bool)] * 2)
 
 
-# (feed key, conversion) per Snapshot column, in column order
-_FEED_FIELDS = (
-    ("bike_id", json_str), ("lat", json_number), ("lon", json_number),
-    ("is_reserved", _feed_flag), ("is_disabled", _feed_flag),
-)
-# (record key, JSON types) per Snapshot array column, in column order;
-# Snapshot checks the ids, and that every coordinate is finite
-_RECORD_FIELDS = (
-    ("lat", _NUMBER_TYPES), ("lon", _NUMBER_TYPES),
-    ("reserved", frozenset((bool,))), ("disabled", frozenset((bool,))),
-)
+def _column(bikes: list, key: str, types, kind: str, dtype) -> list | np.ndarray:
+    """The values at key of bikes, as an array of dtype if one is given. A
+    type not in types, or a flag not 0 or 1, is a ValueError naming key
+    and kind; an integer past float64 an OverflowError."""
+    values = [bike[key] for bike in bikes]
+    if not types.issuperset(map(type, values)) or (dtype is bool and not set(values) <= {0, 1}):
+        raise ValueError(f"{key} is not {kind}")
+    return values if dtype is None else np.array(values, dtype=dtype)
+
+
+def _bike_snapshot(provider: str, captured_at: int, ttl_s: int, bikes, fields) -> Snapshot:
+    """The one bike decoder: the Snapshot of a feed's or an archive record's
+    bikes, read by fields (_FEED_BIKE or _ARCHIVE_BIKE) a column at a time.
+    Only if a column fails are the bikes checked one at a time, and the
+    first that fails is a FeedParseError ``bike #i: <message>``."""
+    if type(bikes) is not list:  # {} or "" would read as no bikes
+        raise TypeError("bikes is not an array")
+    checks = [(*field, *kind) for field, kind in zip(fields, _COLUMN_KINDS)]
+    try:
+        columns = [_column(bikes, *check) for check in checks]
+    except MALFORMED_INPUT:
+        for i, bike in enumerate(bikes):
+            try:
+                for check in checks:
+                    _column([bike], *check)
+            except MALFORMED_INPUT as exc:
+                raise FeedParseError(f"bike #{i}: {malformed_message(exc)}") from exc
+        raise
+    return Snapshot(provider, captured_at, ttl_s, *columns)
 
 
 def parse_free_bike_status(raw: bytes, provider: str) -> Snapshot:
     """Parse a GBFS free_bike_status JSON document into a Snapshot.
 
-    ``captured_at`` is the feed's ``last_updated`` timestamp. Unknown
-    extra fields are ignored; a malformed document (MALFORMED_INPUT: not
-    JSON, nested too deeply, or a required field missing or bad, NaN and
-    Infinity included; a coordinate must be a JSON number, a flag a
-    boolean or 0 or 1, an id a string, last_updated and ttl integers),
-    out-of-range coordinates, or duplicate bike ids raise FeedParseError.
-    The message of a bad bike starts with its index.
+    ``captured_at`` is the feed's ``last_updated``; the bikes are read by
+    _bike_snapshot, and unknown extra fields are ignored. Every error is a
+    FeedParseError: a bike's starts ``bike #i: ``, the Snapshot's own (a
+    coordinate out of range or NaN, a duplicate id) has no prefix, and any
+    other (MALFORMED_INPUT) starts ``document: ``.
     """
-    where, columns = "document", [[] for _ in _FEED_FIELDS]
     try:
         doc = json.loads(raw)
-        last_updated, ttl = json_int(doc["last_updated"]), json_int(doc["ttl"])
-        bikes = doc["data"]["bikes"]
-        if type(bikes) is not list:  # {} or "" would read as no bikes
-            raise TypeError("data.bikes is not an array")
-        for i, bike in enumerate(bikes):
-            where = f"bike #{i}"
-            for column, (key, conv) in zip(columns, _FEED_FIELDS):
-                column.append(conv(bike[key]))
+        return _bike_snapshot(provider, json_int(doc["last_updated"]), json_int(doc["ttl"]),
+                              doc["data"]["bikes"], _FEED_BIKE)
+    except FeedParseError:
+        raise
     except MALFORMED_INPUT as exc:
-        raise FeedParseError(f"{where}: {malformed_message(exc)}") from exc
-    return Snapshot(provider, last_updated, ttl, *columns)
+        raise FeedParseError(f"document: {malformed_message(exc)}") from exc
 
 
 def snapshot_to_record(snap: Snapshot) -> dict:
-    """Archive-line schema for one snapshot."""
+    """Archive-line schema for one snapshot; its bikes have _ARCHIVE_BIKE's keys."""
+    k_id, k_lat, k_lon, k_reserved, k_disabled = (key for key, _ in _ARCHIVE_BIKE)
     return {
         "provider": snap.provider,
         "captured_at": snap.captured_at,
         "ttl_s": snap.ttl_s,
         "bikes": [
-            {"id": i, "lat": lat, "lon": lon, "reserved": reserved, "disabled": disabled}
+            {k_id: i, k_lat: lat, k_lon: lon, k_reserved: reserved, k_disabled: disabled}
             for i, lat, lon, reserved, disabled in snap.rows()
         ],
     }
@@ -262,23 +274,10 @@ def archive_record(line: bytes) -> dict | None:
 
 
 def snapshot_from_record(rec: dict) -> Snapshot:
-    """The Snapshot of one archive record; a missing key or a value of
-    the wrong type is an error of the record. Types are checked a column
-    at a time, on the set of the column's types."""
-    bikes = rec["bikes"]
-    if type(bikes) is not list:  # {} or "" would read as no bikes
-        raise TypeError("bikes is not an array")
-    columns = []
-    for key, types in _RECORD_FIELDS:
-        column = [b[key] for b in bikes]
-        wrong = set(map(type, column)) - types
-        if wrong:
-            raise ValueError(f"bike {key} of type {sorted(t.__name__ for t in wrong)}")
-        columns.append(column)
-    return Snapshot(
-        json_str(rec["provider"]), json_int(rec["captured_at"]), json_int(rec["ttl_s"]),
-        [b["id"] for b in bikes], *columns,
-    )
+    """The Snapshot of one archive record, its bikes read by _bike_snapshot;
+    a missing key or a value of the wrong type is a MALFORMED_INPUT error."""
+    return _bike_snapshot(json_str(rec["provider"]), json_int(rec["captured_at"]),
+                          json_int(rec["ttl_s"]), rec["bikes"], _ARCHIVE_BIKE)
 
 
 def _decode_chunk(path: Path, start: int, end: int) -> tuple[list[Snapshot], int, str | None]:

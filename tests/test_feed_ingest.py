@@ -138,6 +138,81 @@ class TestParse:
             parse_free_bike_status(make_feed_doc([("", 0, 0)]), "p")
 
 
+# each format's key for the Snapshot columns the bad-bike cases spoil
+FEED_KEYS = {"id": "bike_id", "lat": "lat", "reserved": "is_reserved"}
+ARCHIVE_KEYS = {"id": "id", "lat": "lat", "reserved": "reserved"}
+MISSING = object()
+
+
+def spoil_second_bike(bikes, keys, column, value):
+    """Sets the second bike's value of column (by the format's keys) to
+    value, deletes it for MISSING, or replaces the bike for column None."""
+    if column is None:
+        bikes[1] = value
+    elif value is MISSING:
+        del bikes[1][keys[column]]
+    else:
+        bikes[1][keys[column]] = value
+
+
+def feed_error(column, value):
+    doc = json.loads(make_feed_doc([("a", 0, 0), ("b", 1, 1), ("c", 2, 2)]))
+    spoil_second_bike(doc["data"]["bikes"], FEED_KEYS, column, value)
+    with pytest.raises(FeedParseError) as exc:
+        parse_free_bike_status(json.dumps(doc).encode(), "p")
+    return str(exc.value)
+
+
+def archive_error(path, column, value):
+    """The message of reading an archive of one record whose second bike is
+    spoiled, after the path and line number, which it must name."""
+    rec = snapshot_to_record(make_snapshot([("a", 0, 0), ("b", 1, 1), ("c", 2, 2)]))
+    spoil_second_bike(rec["bikes"], ARCHIVE_KEYS, column, value)
+    path.write_text(json.dumps(rec) + "\n")
+    with pytest.raises(StoreError) as exc:
+        list(SnapshotStore(path).iter_all())
+    prefix, _, message = str(exc.value).partition(": corrupt line 1: ")
+    assert prefix == str(path)
+    return message
+
+
+class TestBadBikeInBothFormats:
+    """A feed document and an archive record share one bike decoder: a bad
+    bike is named by its index, with the same message, in both."""
+
+    @pytest.mark.parametrize("column,value,tail", [
+        ("lat", MISSING, "missing key 'lat'"),
+        (None, [], "list indices must be integers or slices, not str"),
+        (None, "b", "string indices must be integers, not 'str'"),
+        ("lat", None, "{key} is not a number"),
+        ("lat", "34.0", "{key} is not a number"),
+        ("lat", True, "{key} is not a number"),
+        ("lat", 10**400, "int too large to convert to float"),
+        ("id", 17, "{key} is not a string"),
+        ("id", None, "{key} is not a string"),
+        ("reserved", 2, "{key} is not a boolean"),
+        ("reserved", "false", "{key} is not a boolean"),
+    ], ids=["missing key", "bike an array", "bike a string", "lat null", "lat string",
+            "lat true", "lat of 401 digits", "id a number", "id null", "flag 2",
+            "flag string"])
+    def test_bad_bike_named_alike(self, tmp_path, column, value, tail):
+        feed_key, archive_key = (keys.get(column) for keys in (FEED_KEYS, ARCHIVE_KEYS))
+        assert feed_error(column, value) == "bike #1: " + tail.format(key=feed_key)
+        assert archive_error(tmp_path / "a.jsonl", column, value) == (
+            "bike #1: " + tail.format(key=archive_key)
+        )
+
+    def test_flag_of_one_loads_from_a_feed_only(self, tmp_path):
+        # GBFS 1.x wrote flags as 0 or 1; an archive is written with booleans
+        doc = json.loads(make_feed_doc([("a", 0, 0), ("b", 1, 1), ("c", 2, 2)]))
+        spoil_second_bike(doc["data"]["bikes"], FEED_KEYS, "reserved", 1)
+        snap = parse_free_bike_status(json.dumps(doc).encode(), "p")
+        assert snap.reserved.tolist() == [False, True, False]
+        assert archive_error(tmp_path / "a.jsonl", "reserved", 1) == (
+            "bike #1: reserved is not a boolean"
+        )
+
+
 class TestCoords:
     def test_float_arrays_in_observation_order(self):
         s = make_snapshot([("a", 34, -118), ("b", 33.5, -118.25)])
@@ -325,32 +400,32 @@ class TestStore:
         assert SnapshotStore(path).last_captured("test") is None
 
     @pytest.mark.parametrize(
-        "corrupt",
+        "corrupt,bike",
         [
-            lambda rec: rec["bikes"][0].update(id=17),
-            lambda rec: rec["bikes"][0].update(id=""),
-            lambda rec: rec["bikes"][1].update(id=rec["bikes"][0]["id"]),
-            lambda rec: rec["bikes"][0].update(lat=91),
-            lambda rec: rec["bikes"][0].update(lat=None),
-            lambda rec: rec["bikes"][0].update(lat=float("nan")),
-            lambda rec: rec["bikes"][1].pop("lon"),
-            lambda rec: rec.update(ttl_s=0),
-            lambda rec: rec["bikes"][0].update(lat=10**400),
-            lambda rec: rec.update(captured_at=2**63),
-            lambda rec: rec["bikes"][0].update(lat=True),
-            lambda rec: rec["bikes"][0].update(lat="34.0"),
-            lambda rec: rec["bikes"][0].update(reserved="false"),
-            lambda rec: rec["bikes"][0].update(disabled=None),
-            lambda rec: rec.update(captured_at="1700000000"),
-            lambda rec: rec.update(captured_at=True),
-            lambda rec: rec.update(captured_at=float("nan")),
-            lambda rec: rec.update(ttl_s=60.9),
-            lambda rec: rec.update(ttl_s=float("inf")),
-            lambda rec: rec.update(bikes={}),
-            lambda rec: rec.update(bikes=""),
-            lambda rec: rec.update(provider=5),
-            lambda rec: rec.update(provider=["x"]),
-            lambda rec: rec.update(provider=None),
+            (lambda rec: rec["bikes"][0].update(id=17), 0),
+            (lambda rec: rec["bikes"][0].update(id=""), None),
+            (lambda rec: rec["bikes"][1].update(id=rec["bikes"][0]["id"]), None),
+            (lambda rec: rec["bikes"][0].update(lat=91), None),
+            (lambda rec: rec["bikes"][0].update(lat=None), 0),
+            (lambda rec: rec["bikes"][0].update(lat=float("nan")), None),
+            (lambda rec: rec["bikes"][1].pop("lon"), 1),
+            (lambda rec: rec.update(ttl_s=0), None),
+            (lambda rec: rec["bikes"][0].update(lat=10**400), 0),
+            (lambda rec: rec.update(captured_at=2**63), None),
+            (lambda rec: rec["bikes"][0].update(lat=True), 0),
+            (lambda rec: rec["bikes"][0].update(lat="34.0"), 0),
+            (lambda rec: rec["bikes"][0].update(reserved="false"), 0),
+            (lambda rec: rec["bikes"][0].update(disabled=None), 0),
+            (lambda rec: rec.update(captured_at="1700000000"), None),
+            (lambda rec: rec.update(captured_at=True), None),
+            (lambda rec: rec.update(captured_at=float("nan")), None),
+            (lambda rec: rec.update(ttl_s=60.9), None),
+            (lambda rec: rec.update(ttl_s=float("inf")), None),
+            (lambda rec: rec.update(bikes={}), None),
+            (lambda rec: rec.update(bikes=""), None),
+            (lambda rec: rec.update(provider=5), None),
+            (lambda rec: rec.update(provider=["x"]), None),
+            (lambda rec: rec.update(provider=None), None),
         ],
         ids=["non-string id", "empty id", "duplicate id", "lat 91", "lat null", "lat NaN",
              "missing lon", "ttl 0", "lat of 401 digits", "captured_at past int64",
@@ -359,7 +434,7 @@ class TestStore:
              "ttl_s Infinity", "bikes {}", "bikes empty string", "provider 5",
              "provider list", "provider null"],
     )
-    def test_corrupt_record_reported_with_line_number(self, tmp_path, corrupt):
+    def test_corrupt_record_reported_with_line_number(self, tmp_path, corrupt, bike):
         path = tmp_path / "a.jsonl"
         snaps = [make_snapshot([("a", 34.0, -118.2), ("b", 34.1, -118.3)], captured_at=t)
                  for t in (1, 2, 3)]
@@ -369,8 +444,11 @@ class TestStore:
         corrupt(rec)
         lines[2] = json.dumps(rec) + "\n"
         path.write_text("".join(lines))
-        with pytest.raises(StoreError, match="corrupt line 3"):
+        with pytest.raises(StoreError, match="corrupt line 3: ") as exc:
             list(SnapshotStore(path).iter_all())
+        # a bike's error names it; a record's or the Snapshot's names none
+        named = re.search(r"bike #(\d+): ", str(exc.value))
+        assert (int(named[1]) if named else None) == bike
 
     def test_meta_lines_skipped(self, tmp_path):
         path = tmp_path / "a.jsonl"
@@ -553,8 +631,13 @@ class TestParallelRead:
             signal.signal(signal.SIGINT, previous)
 
     def test_closed_early_leaves_no_worker(self, tmp_path, parallel_read):
+        # snapshots larger than a pipe holds, a chunk each, so that both
+        # workers are still running when the reader stops
         path = tmp_path / "a.jsonl"
-        snaps = mixed_archive(path)
+        snaps = [make_snapshot([(f"s-{j}", 34.0, -118.2 + j / 1e4) for j in range(6000)],
+                               captured_at=t) for t in range(12)]
+        write_archive(snaps, path)
+        assert len(pickle.dumps(snaps[0])) > 1 << 17
         with closing(SnapshotStore(path).iter_all()) as stream:
             assert list(itertools.islice(stream, 2)) == snaps[:2]
             assert multiprocessing.active_children()
@@ -737,6 +820,18 @@ class TestPoller:
         assert (first.snapshots_written, first.skipped_unchanged) == (1, 0)
         assert (second.snapshots_written, second.skipped_unchanged) == (0, 1)
         assert len(path.read_text().splitlines()) == 1
+
+    def test_gbfs_1_integer_flags_archived_as_booleans(self, tmp_path, monkeypatch):
+        raw = make_feed_doc([("a", 34, -118, 1, 0), ("b", 34.5, -118.5, 0, 1)], last_updated=100)
+        monkeypatch.setattr(feed_ingest, "_fetch_with_retry", lambda *args: raw)
+        path = tmp_path / "a.jsonl"
+        summary = self._run("http://feed.invalid/", SnapshotStore(path), n_polls=1)
+        assert summary.snapshots_written == 1
+        bikes = json.loads(path.read_text())["bikes"]
+        flags = [(b["reserved"], b["disabled"]) for b in bikes]
+        assert flags == [(True, False), (False, True)]
+        assert all(type(flag) is bool for pair in flags for flag in pair)
+        assert list(SnapshotStore(path).iter_all()) == [parse_free_bike_status(raw, "p")]
 
     def test_stale_snapshot_skipped(self, tmp_path, monkeypatch):
         # a cached copy can serve an older document after a newer one
