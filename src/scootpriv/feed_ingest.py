@@ -21,6 +21,7 @@ from collections import Counter
 from collections.abc import Callable
 from contextlib import ExitStack, closing, contextmanager, suppress
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -109,7 +110,8 @@ class Snapshot:
 
     def rows(self) -> Iterator[tuple[str, float, float, bool, bool]]:
         """The observations, one (id, lat, lon, reserved, disabled) tuple
-        of Python values each, built as they are read."""
+        of Python values each, built as they are read. The GeoJSON writer
+        iterates them; the archive writer reads the columns (_archive_line)."""
         return zip(
             self.ids, self.lats.tolist(), self.lons.tolist(),
             self.reserved.tolist(), self.disabled.tolist(),
@@ -246,18 +248,50 @@ def parse_free_bike_status(raw: bytes, provider: str) -> Snapshot:
         raise FeedParseError(f"document: {malformed_message(exc)}") from exc
 
 
-def snapshot_to_record(snap: Snapshot) -> dict:
-    """Archive-line schema for one snapshot; its bikes have _ARCHIVE_BIKE's keys."""
-    k_id, k_lat, k_lon, k_reserved, k_disabled = (key for key, _ in _ARCHIVE_BIKE)
-    return {
-        "provider": snap.provider,
-        "captured_at": snap.captured_at,
-        "ttl_s": snap.ttl_s,
-        "bikes": [
-            {k_id: i, k_lat: lat, k_lon: lon, k_reserved: reserved, k_disabled: disabled}
-            for i, lat, lon, reserved, disabled in snap.rows()
-        ],
-    }
+# an archive bike's JSON object as json.dumps writes it with separators
+# (",", ":"): _ARCHIVE_BIKE's keys, each value formatted by _bike_json
+_BIKE_JSON = "{" + ",".join(f'"{key}":%s' for key, _ in _ARCHIVE_BIKE) + "}"
+_JSON_BOOL = ("false", "true")
+
+
+def _bike_json(ids, lats, lons, reserved, disabled) -> list[str]:
+    """The JSON object of each bike of the given columns, as lists of
+    Python values: the id as json.dumps escapes it (ASCII only), a
+    coordinate by float.__repr__, a flag as true or false."""
+    return [_BIKE_JSON % (encode_basestring_ascii(i), repr(lat), repr(lon), _JSON_BOOL[r],
+                          _JSON_BOOL[d])
+            for i, lat, lon, r, d in zip(ids, lats, lons, reserved, disabled)]
+
+
+def _archive_line(snap: Snapshot, prev: tuple | None) -> tuple[str, tuple]:
+    """The archive line of snap, byte for byte json.dumps of its record
+    with separators (",", ":"), and the memo to pass for the provider's
+    next snapshot. prev is the memo of the provider's previous snapshot,
+    or None: (snapshot, position per id, its bikes' JSON objects). A bike
+    whose id, flags and coordinates' float64 bit patterns (so 0.0 is not
+    -0.0) are unchanged there is written from that memo; every other bike
+    is formatted from snap's columns by _bike_json."""
+    n = len(snap.ids)
+    bikes = np.empty(n, dtype=object)
+    changed = np.ones(n, dtype=bool)
+    if prev is not None:
+        old, position, old_bikes = prev
+        j = np.array([position.get(i, -1) for i in snap.ids], dtype=np.intp)
+        hit = np.flatnonzero(j >= 0)
+        k = j[hit]
+        same = hit[(snap.lats.view(np.uint64)[hit] == old.lats.view(np.uint64)[k])
+                   & (snap.lons.view(np.uint64)[hit] == old.lons.view(np.uint64)[k])
+                   & (snap.reserved[hit] == old.reserved[k])
+                   & (snap.disabled[hit] == old.disabled[k])]
+        bikes[same] = old_bikes[j[same]]
+        changed[same] = False
+    new = np.flatnonzero(changed)
+    bikes[new] = _bike_json([snap.ids[i] for i in new.tolist()],
+                            *(getattr(snap, c)[new].tolist() for c, _ in _ARRAY_COLUMNS))
+    header = json.dumps({"provider": snap.provider, "captured_at": snap.captured_at,
+                         "ttl_s": snap.ttl_s, "bikes": []}, separators=(",", ":"))
+    line = f"{header[:-2]}{','.join(bikes.tolist())}]}}"  # the bikes inside "bikes":[]
+    return line, (snap, dict(zip(snap.ids, range(n))), bikes)
 
 
 def archive_record(line: bytes) -> dict | None:
@@ -325,6 +359,8 @@ class SnapshotStore:
         self.path = Path(path)
         # last captured_at per provider, for the monotonicity check
         self._last_written: dict[str, int | None] = {}
+        # per provider, the memo of the last snapshot appended (see _archive_line)
+        self._written: dict[str, tuple] = {}
 
     def last_captured(self, provider: str) -> int | None:
         """captured_at of the provider's newest snapshot in the archive, or
@@ -360,12 +396,13 @@ class SnapshotStore:
                 f"captured_at {snap.captured_at} not after previous {last} "
                 f"for provider {snap.provider!r}"
             )
-        line = json.dumps(snapshot_to_record(snap), separators=(",", ":"))
+        # the memo is a function of snap alone, so a failed write leaves it right
+        line, self._written[snap.provider] = _archive_line(snap, self._written.get(snap.provider))
         try:
             with open(self.path, "a", encoding="utf-8") as f:
                 f.write(line + "\n")
         except OSError as exc:
-            raise StoreError(f"cannot append to {self.path}: {exc}") from exc
+            raise StoreError(f"cannot append to {self.path}: {exc.strerror or exc}") from exc
         self._last_written[snap.provider] = snap.captured_at
 
     def write_meta(self, meta: dict) -> None:
@@ -407,7 +444,8 @@ def atomic_path(path: str | Path) -> Iterator[Path]:
     it is removed and ``path`` is left as it was, so no reader ever sees
     a partial output. Close the temporary file before the block ends.
     A symbolic link is followed: the file it names is replaced, the
-    link stays. An OSError on the temporary file names ``path`` as given.
+    link stays. An OSError on the temporary file, and a StoreError that
+    names it (a failed SnapshotStore.append), name ``path`` as given.
     """
     given, path = path, Path(path).resolve()
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
@@ -418,6 +456,8 @@ def atomic_path(path: str | Path) -> Iterator[Path]:
         tmp.unlink(missing_ok=True)
         if isinstance(exc, OSError) and exc.filename in (tmp, str(tmp)):
             raise OSError(exc.errno, exc.strerror, os.fspath(given)) from exc
+        if isinstance(exc, StoreError) and str(tmp) in str(exc):
+            raise StoreError(str(exc).replace(str(tmp), os.fspath(given))) from exc
         raise
 
 

@@ -1475,6 +1475,26 @@ class TestAtomicOutputs:
         assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{out}'\n"
         assert list(tmp_path.rglob(".*.tmp")) == []
 
+    def test_archive_append_failing_names_the_output(
+        self, tmp_path, synth_config, capsys, monkeypatch
+    ):
+        # the _meta line is written, then the first snapshot's append hits a full disk
+        out = tmp_path / "out.jsonl"
+        real_open = builtins.open
+
+        def open_on_full_disk(file, mode="r", *args, **kwargs):
+            if "a" in mode and os.path.getsize(file):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(file))
+            return real_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(feed_ingest, "open", open_on_full_disk, raising=False)
+        assert main(["synth", "--config", str(synth_config), "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: cannot append to {out}: {os.strerror(errno.ENOSPC)}\n"
+        assert ".tmp" not in err
+        assert not out.exists()
+        assert list(tmp_path.glob(".*.tmp")) == []
+
     @pytest.mark.parametrize("writer", ["clustering.geojson", "synth_fleet", "cli"])
     def test_second_output_failing_keeps_the_first(self, tmp_path, inputs, capsys, writer):
         # --output is written before the second output fails; neither replaces its file

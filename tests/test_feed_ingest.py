@@ -7,17 +7,19 @@ import os
 import pickle
 import re
 import signal
+import tempfile
 import threading
 import tracemalloc
 from contextlib import closing, redirect_stderr
 from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from scootpriv import cli, feed_ingest, synth_fleet
+from scootpriv import cli, feed_ingest, synth_fleet, utility_eval
 from scootpriv.feed_ingest import (
     FeedParseError,
     Snapshot,
@@ -27,7 +29,6 @@ from scootpriv.feed_ingest import (
     poll_feed,
     read_snapshots,
     snapshot_from_record,
-    snapshot_to_record,
     write_archive,
 )
 
@@ -35,7 +36,15 @@ from conftest import FakeClock, force_parallel_read, make_feed_doc, make_snapsho
 
 
 def _archive_line(snap):
-    return json.dumps(snapshot_to_record(snap), separators=(",", ":")) + "\n"
+    """snap's archive line, newline included, as a fresh SnapshotStore writes it."""
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "a.jsonl"
+        SnapshotStore(path).append(snap)
+        return path.read_text(encoding="utf-8")
+
+
+def _record(snap):
+    return json.loads(_archive_line(snap))
 
 
 # one snapshot's archive line behind a UTF-8 byte-order mark, and with a
@@ -166,7 +175,7 @@ def feed_error(column, value):
 def archive_error(path, column, value):
     """The message of reading an archive of one record whose second bike is
     spoiled, after the path and line number, which it must name."""
-    rec = snapshot_to_record(make_snapshot([("a", 0, 0), ("b", 1, 1), ("c", 2, 2)]))
+    rec = _record(make_snapshot([("a", 0, 0), ("b", 1, 1), ("c", 2, 2)]))
     spoil_second_bike(rec["bikes"], ARCHIVE_KEYS, column, value)
     path.write_text(json.dumps(rec) + "\n")
     with pytest.raises(StoreError) as exc:
@@ -288,19 +297,18 @@ class TestWriteArchive:
 class TestRoundTrip:
     def test_record_round_trip(self):
         snap = make_snapshot([("a", 34.0, -118.2, True, False), ("b", 33.9, -118.0)])
-        assert snapshot_from_record(snapshot_to_record(snap)) == snap
+        assert snapshot_from_record(_record(snap)) == snap
 
     def test_integral_float_timestamps_load_as_int(self):
-        rec = snapshot_to_record(make_snapshot([("a", 34.0, -118.2)]))
+        rec = _record(make_snapshot([("a", 34.0, -118.2)]))
         rec.update(captured_at=1_700_000_000.0, ttl_s=60.0)
         snap = snapshot_from_record(rec)
         assert (snap.captured_at, snap.ttl_s) == (1_700_000_000, 60)
         assert type(snap.captured_at) is int and type(snap.ttl_s) is int
 
     def test_loaded_ids_shared_across_snapshots(self):
-        recs = [snapshot_to_record(make_snapshot([("s-1", 34.0, -118.2)], captured_at=t))
-                for t in (1, 2)]
-        a, b = (snapshot_from_record(json.loads(json.dumps(r))) for r in recs)
+        recs = [_record(make_snapshot([("s-1", 34.0, -118.2)], captured_at=t)) for t in (1, 2)]
+        a, b = map(snapshot_from_record, recs)
         row_a, row_b = next(a.rows()), next(b.rows())
         assert row_a[0] is row_b[0]
         assert not hasattr(row_a, "__dict__")
@@ -313,6 +321,86 @@ class TestRoundTrip:
         for s in snaps:
             store.append(s)
         assert list(store.iter_all()) == snaps
+
+
+def reference_line(snap):
+    """The oracle of the archive encoder: snap's record built as a dict,
+    through json.dumps, newline included."""
+    bikes = [{"id": i, "lat": lat, "lon": lon, "reserved": reserved, "disabled": disabled}
+             for i, lat, lon, reserved, disabled in snap.rows()]
+    record = {"provider": snap.provider, "captured_at": snap.captured_at, "ttl_s": snap.ttl_s,
+              "bikes": bikes}
+    return json.dumps(record, separators=(",", ":")) + "\n"
+
+
+HOSTILE_IDS = ['"', "\\", "\u00e9", "\u2028", "\x01"]
+# each a run of snapshots appended in order into one archive
+ENCODER_CASES = {
+    "hostile ids": [make_snapshot([(i, k, -k) for k, i in enumerate(HOSTILE_IDS)], captured_at=t)
+                    for t in (1, 2)]
+                   + [make_snapshot([(i, k, k) for k, i in enumerate(HOSTILE_IDS)], captured_at=3)],
+    "lat flips 0.0 to -0.0 and back": [
+        make_snapshot([("a", lat, 0.0), ("b", 1.0, -0.0)], captured_at=t)
+        for t, lat in enumerate((0.0, -0.0, 0.0), start=1)
+    ],
+    "a flag only changes": [
+        make_snapshot([("a", 34.0, -118.2, reserved, disabled), ("b", 34.1, -118.3)], captured_at=t)
+        for t, (reserved, disabled) in enumerate(
+            [(False, False), (True, False), (True, True), (False, True), (False, False)], start=1)
+    ],
+    "absent once, back at the same spot": [
+        make_snapshot(bikes, captured_at=t) for t, bikes in enumerate(
+            [[("a", 34.0, -118.2), ("b", 34.1, -118.3)], [("b", 34.1, -118.3)],
+             [("b", 34.1, -118.3), ("a", 34.0, -118.2)]], start=1)
+    ],
+    "two providers alternately": [
+        make_snapshot([("a", 34.0 + k, -118.2), ("b", 34.1, -118.3 + k)], captured_at=t,
+                      provider=provider)
+        for t, (provider, k) in enumerate(
+            [("lime", 0), ("bird", 0.5), ("lime", 0), ("bird", 0.5), ("lime", 0.25)], start=1)
+    ],
+}
+
+
+class TestArchiveEncoder:
+    """Archive lines equal the dict-and-json.dumps oracle byte for byte,
+    whether a bike is formatted or reused from the provider's previous
+    snapshot."""
+
+    @pytest.mark.parametrize("reopen", [False, True], ids=["one store", "a fresh store each"])
+    @pytest.mark.parametrize("case", ENCODER_CASES)
+    def test_lines_match_the_oracle(self, tmp_path, case, reopen):
+        path = tmp_path / "a.jsonl"
+        store = SnapshotStore(path)
+        for snap in ENCODER_CASES[case]:
+            if reopen:  # a fresh store on the existing archive
+                store = SnapshotStore(path)
+            store.append(snap)
+        expected = "".join(map(reference_line, ENCODER_CASES[case]))
+        assert path.read_bytes() == expected.encode()
+
+    def test_synth_fleet_matches_the_oracle_and_reuses_parked_bikes(self, tmp_path, monkeypatch):
+        config = synth_fleet.FleetConfig(
+            n_scooters=50, area=square_region(lat0=33.9, lon0=-118.5, side_deg=0.2), seed=3,
+            trip_rate=0.5, relocation_rate=0.2, duration_h=1.0,
+        )
+        snapshots, _ = synth_fleet.generate(config)
+        formatted = 0
+        bike_json = feed_ingest._bike_json
+
+        def counting(ids, *columns):
+            nonlocal formatted
+            formatted += len(ids)
+            return bike_json(ids, *columns)
+
+        monkeypatch.setattr(feed_ingest, "_bike_json", counting)
+        path = tmp_path / "a.jsonl"
+        write_archive(snapshots, path, meta={"command": "test"})
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        assert lines[1:] == [reference_line(s) for s in snapshots]
+        n_obs = sum(len(s.ids) for s in snapshots)
+        # every bike of the first snapshot, then only the ones that moved
+        assert len(snapshots[0].ids) <= formatted < n_obs / 2
 
 
 class TestStore:
@@ -1005,8 +1093,8 @@ class TestColumnarMemory:
             finally:
                 tracemalloc.stop()
             assert built == 0
-            # the writer builds its rows through the counted generator
-            snapshot_to_record(snaps[0])
+            # the GeoJSON writer builds its rows through the counted generator
+            utility_eval.snapshot_to_geojson(snaps[0])
             assert built == 1
         n_obs = sum(len(s.ids) for s in snaps)
         assert n_obs == sum(len(s.ids) for s in snapshots) > 10_000

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from scootpriv.clustering import kmeans
-from scootpriv.feed_ingest import SnapshotStore, parse_free_bike_status, snapshot_to_record
+from scootpriv.feed_ingest import SnapshotStore, archive_record, parse_free_bike_status
 from scootpriv.synth_fleet import (
     MAINTENANCE_GAP_S,
     FleetConfig,
@@ -88,7 +88,9 @@ class TestGenerate:
         write_archive(snapshots, path, meta={"seed": 4})
         assert list(SnapshotStore(path).iter_all()) == snapshots
         # archive records are also valid GBFS-shaped input
-        rec = snapshot_to_record(snapshots[0])
+        with open(path, "rb") as f:
+            assert archive_record(next(f)) is None  # the _meta header
+            rec = archive_record(next(f))
         gbfs = {
             "last_updated": rec["captured_at"],
             "ttl": rec["ttl_s"],
