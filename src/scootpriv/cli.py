@@ -43,8 +43,10 @@ class UsageError(ValueError):
 def parse_r_grid(spec: str) -> list[float]:
     """Parse "start:stop:step" into an ascending grid of radii >= 0 km:
     start + i * step for every i that stays within stop, which is
-    included when the steps reach it to within 1e-9 km. A grid of more
-    than MAX_GRID_POINTS points is a usage error, found before it is built."""
+    included when the steps reach it to within 1e-9 km, each rounded to
+    1e-10 km. A usage error: more than MAX_GRID_POINTS points, found before
+    the grid is built, or rounded radii that repeat or round to 0 from a
+    positive start."""
     try:
         start, stop, step = (float(v) for v in spec.split(":"))
     except ValueError as exc:
@@ -54,7 +56,10 @@ def parse_r_grid(spec: str) -> list[float]:
     steps = (stop - start + 1e-9) / step
     if steps >= MAX_GRID_POINTS:
         raise UsageError(f"grid spec {spec!r} has more than {MAX_GRID_POINTS} points")
-    return [round(start + i * step, 10) for i in range(math.floor(steps) + 1)]
+    grid = [round(start + i * step, 10) for i in range(math.floor(steps) + 1)]
+    if grid[0] == 0 < start or any(a >= b for a, b in zip(grid, grid[1:])):
+        raise UsageError(f"grid spec {spec!r} has radii that round to 0 or to one another")
+    return grid
 
 
 class _Parser(argparse.ArgumentParser):
@@ -123,9 +128,9 @@ def _read_one_provider(args) -> Iterator[Snapshot]:
 
 
 def _outputs(args, *dests: str):
-    """feed_ingest.atomic_paths over the files that these output flags
-    name. Two of them naming one file are a usage error, raised here, so
-    call it before any input is read."""
+    """feed_ingest.atomic_paths, the one commit of every command's output
+    files, over the files these output flags name. Two naming one file
+    are a usage error, raised here, so call it before any input is read."""
     paths = [getattr(args, dest) for dest in dests]
     flags = {}
     for dest, path in zip(dests, paths):
@@ -136,22 +141,17 @@ def _outputs(args, *dests: str):
 
 
 def cmd_reconstruct(args) -> int:
+    outputs = _outputs(args, "output")
     f = trip_recon.TripFilter(
         min_distance_m=args.min_distance_m, max_duration_s=args.max_duration_s
     )
     trips = trip_recon.reconstruct_trips(_read_one_provider(args), min_move_m=args.min_move_m)
     kept = trip_recon.filter_trips(trips, f)
-    trip_recon.write_trips_csv(
-        kept,
-        args.output,
-        meta=_meta(
-            "reconstruct",
-            provider=args.provider or "",
-            min_distance_m=args.min_distance_m,
-            max_duration_s=args.max_duration_s,
-            min_move_m=args.min_move_m,
-        ),
-    )
+    with outputs as (output,):
+        trip_recon.write_trips_csv(kept, output, meta=_meta(
+            "reconstruct", provider=args.provider or "", min_distance_m=args.min_distance_m,
+            max_duration_s=args.max_duration_s, min_move_m=args.min_move_m,
+        ))
     dropped = Counter(map(f.rejects, trips))
     print(
         f"{len(kept)} trips kept of {len(trips)} reconstructed; {dropped['min_distance_m']} under "
@@ -200,6 +200,7 @@ def _epsilon(flag: str, radius_km: float, ratio: float) -> float:
 
 
 def cmd_sanitize(args) -> int:
+    outputs = _outputs(args, "output")
     eps = _epsilon("--radius-km", args.radius_km, args.ratio)
     snaps = feed_ingest.read_snapshots(SnapshotStore(args.store))
     rng = geo_privacy.substream(args.seed, 0)
@@ -210,12 +211,11 @@ def cmd_sanitize(args) -> int:
         points = [geo_privacy.perturb(loc, eps, rng) for loc in locs]
         return replace(snap, lats=[lat for lat, _ in points], lons=[lon for _, lon in points])
 
-    n = feed_ingest.write_archive(
-        (perturbed(s) for s in snaps),
-        args.output,
-        meta=_meta("sanitize", seed=args.seed, epsilon=eps, radius_km=args.radius_km,
-                   ratio=args.ratio),
-    )
+    # the output replaces its file only once written, so it may name --store
+    with outputs as (output,):
+        n = feed_ingest.write_archive((perturbed(s) for s in snaps), output, meta=_meta(
+            "sanitize", seed=args.seed, epsilon=eps, radius_km=args.radius_km, ratio=args.ratio,
+        ))
     print(f"sanitized {n} snapshots at epsilon={eps:.4f}")
     return 0
 

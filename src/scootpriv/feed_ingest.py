@@ -19,7 +19,7 @@ import sys
 import time
 from collections import Counter
 from collections.abc import Callable
-from contextlib import ExitStack, closing, contextmanager, suppress
+from contextlib import closing, contextmanager, suppress
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -437,63 +437,55 @@ class SnapshotStore:
 
 
 @contextmanager
-def atomic_path(path: str | Path) -> Iterator[Path]:
-    """Yield a temporary path beside ``path`` to write the output to.
-
-    On a normal exit the temporary file replaces ``path``; on any error
-    it is removed and ``path`` is left as it was, so no reader ever sees
-    a partial output. Close the temporary file before the block ends.
-    A symbolic link is followed: the file it names is replaced, the
-    link stays. An OSError on the temporary file, and a StoreError that
-    names it (a failed SnapshotStore.append), name ``path`` as given.
-    """
-    given, path = path, Path(path).resolve()
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        yield tmp
-        os.replace(tmp, path)
-    except BaseException as exc:
-        tmp.unlink(missing_ok=True)
-        if isinstance(exc, OSError) and exc.filename in (tmp, str(tmp)):
-            raise OSError(exc.errno, exc.strerror, os.fspath(given)) from exc
-        if isinstance(exc, StoreError) and str(tmp) in str(exc):
-            raise StoreError(str(exc).replace(str(tmp), os.fspath(given))) from exc
-        raise
-
-
-@contextmanager
 def atomic_paths(*paths: str | Path | None) -> Iterator[list]:
-    """atomic_path for each of one run's outputs: yields their temporary
-    paths, to pass to the writers, and replaces none of the targets until
-    the block has written them all, so a run that fails midway leaves
-    every old output as it was. An empty path or None (an output not
-    asked for) is yielded as given."""
-    with ExitStack() as stack:
-        yield [stack.enter_context(atomic_path(p)) if p else p for p in paths]
+    """The one output commit: yields a temporary path beside each of one
+    run's outputs, for the writers, and replaces the outputs only once the
+    block has written and closed them all; on any error it removes the
+    temporary files, so a run that fails before the renames leaves every
+    old output as it was. An empty path or None (an output not asked for)
+    is yielded as given. A symbolic link is followed: the file it names is
+    replaced, the link stays. An OSError on a temporary file, and a
+    StoreError that names one (a failed SnapshotStore.append), name its
+    output as given."""
+    commits = []  # (temporary path, target, output as given)
+    for given in filter(None, paths):
+        path = Path(given).resolve()
+        commits.append((path.with_name(f".{path.name}.{os.getpid()}.tmp"), path, given))
+    tmps = iter(commits)
+    try:
+        yield [next(tmps)[0] if p else p for p in paths]
+        for tmp, path, _ in commits:
+            os.replace(tmp, path)
+    except BaseException as exc:
+        for tmp, _, _ in commits:
+            tmp.unlink(missing_ok=True)
+        for tmp, _, given in commits:
+            if isinstance(exc, OSError) and exc.filename in (tmp, str(tmp)):
+                raise OSError(exc.errno, exc.strerror, os.fspath(given)) from exc
+            if isinstance(exc, StoreError) and str(tmp) in str(exc):
+                raise StoreError(str(exc).replace(str(tmp), os.fspath(given))) from exc
+        raise
 
 
 def write_archive(
     snapshots: Iterable[Snapshot], path: str | Path, meta: dict | None = None
 ) -> int:
-    """Write a fresh archive atomically (see atomic_path): one ``_meta``
-    line if meta is given, then one line per snapshot. Returns the
-    number of snapshots written."""
+    """Write a fresh archive to path: one ``_meta`` line if meta is given,
+    then one line per snapshot. Returns the number of snapshots written."""
+    Path(path).write_text("")
+    store = SnapshotStore(path)
+    if meta:
+        store.write_meta(meta)
     n = 0
-    with atomic_path(path) as tmp:
-        tmp.write_text("")
-        store = SnapshotStore(tmp)
-        if meta:
-            store.write_meta(meta)
-        for n, snap in enumerate(snapshots, start=1):
-            store.append(snap)
+    for n, snap in enumerate(snapshots, start=1):
+        store.append(snap)
     return n
 
 
 def write_csv(path: str | Path, columns: list[str], rows: Iterable, meta: dict | None) -> None:
-    """Write a CSV atomically (see atomic_path): one ``# key=value`` line
-    per meta item, which the CSV readers here skip, then the header row
-    and the rows."""
-    with atomic_path(path) as tmp, open(tmp, "w", newline="", encoding="utf-8") as f:
+    """Write a CSV to path: one ``# key=value`` line per meta item, which
+    the CSV readers here skip, then the header row and the rows."""
+    with open(path, "w", newline="", encoding="utf-8") as f:
         for k, v in (meta or {}).items():
             f.write(f"# {k}={v}\n")
         w = csv.writer(f)
@@ -502,8 +494,8 @@ def write_csv(path: str | Path, columns: list[str], rows: Iterable, meta: dict |
 
 
 def write_json(path: str | Path, doc: dict) -> None:
-    """Write a JSON document atomically (see atomic_path), indented."""
-    with atomic_path(path) as tmp, open(tmp, "w", encoding="utf-8") as f:
+    """Write a JSON document to path, indented."""
+    with open(path, "w", encoding="utf-8") as f:
         json.dump(doc, f, indent=2)
 
 

@@ -38,14 +38,16 @@ def epsilon_from(radius_km: float, ratio_bound: float) -> float:
     """Privacy rate (1/km) making any two locations within radius_km
     indistinguishable up to the given likelihood ratio: ln(ratio)/R.
     R must be positive and finite, the ratio finite and above 1, and eps
-    large enough that one draw lands beyond MAX_RADIUS_KM with probability
-    (1 + eps*M) * exp(-eps*M) <= MAX_TAIL_PROBABILITY: eps >= 0.311/km,
-    so R <= 5.76 km at ratio 6."""
+    finite and large enough that one draw lands beyond MAX_RADIUS_KM with
+    probability (1 + eps*M) * exp(-eps*M) <= MAX_TAIL_PROBABILITY:
+    eps >= 0.311/km, so R <= 5.76 km at ratio 6."""
     if not 0 < radius_km < math.inf:
         raise ValueError(f"radius must be positive and finite, got {radius_km}")
     if not 1 < ratio_bound < math.inf:
         raise ValueError(f"ratio bound must exceed 1 and be finite, got {ratio_bound}")
     epsilon = math.log(ratio_bound) / radius_km
+    if epsilon == math.inf:  # a radius so small that ln(ratio)/R overflows
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     x = epsilon * MAX_RADIUS_KM
     tail = (1.0 + x) * math.exp(-x)
     if tail > MAX_TAIL_PROBABILITY:

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import builtins
 import errno
 import functools
@@ -124,8 +125,11 @@ class TestGridFlag:
         assert len(parse_r_grid(f"0:{MAX_GRID_POINTS - 1}:1")) == MAX_GRID_POINTS
 
     def test_bad_specs(self):
+        # radii are rounded to 1e-10 km: none may round to 0 from a
+        # positive start, nor two to one value
         for bad in ("1:0:0.1", "0:1:-1", "abc", "0:1", "-0.5:0.5:0.5",
-                    "0:inf:1", "0:nan:1", "0:1:inf", "nan:1:0.1"):
+                    "0:inf:1", "0:nan:1", "0:1:inf", "nan:1:0.1",
+                    "1e-11:1e-11:1", "0:1e-9:3e-11"):
             with pytest.raises(UsageError):
                 parse_r_grid(bad)
 
@@ -147,6 +151,9 @@ def misuse(argv, flag=None):
         misuse(["sanitize", "--radius-km", "0.25", "--ratio", "1"]),
         misuse(["sanitize", "--radius-km", "18"]),
         misuse(["sanitize", "--radius-km", "6"]),
+        # a radius so small that ln(ratio)/R overflows to an infinite epsilon
+        misuse(["sanitize", "--radius-km", "1e-320"]),
+        misuse(["evaluate", "--dump-radius-km", "1e-320"]),
         misuse(["evaluate", "--ratio", "1"]),
         misuse(["evaluate", "--r-grid", "0:60:20"]),
         # counts past a float's range, or of 300 digits, named by the limit
@@ -1439,22 +1446,25 @@ class TestAtomicOutputs:
             "utility_eval.csv": evaluate + ["--output", "{out}"],
             "utility_eval.json": evaluate + ["--format", "json", "--output", "{out}"],
             "cli": evaluate + ["--output", str(tmp_path / "r.csv"), "--dump-geojson", "{out}"],
+            "sanitize": ["sanitize", "--store", str(synth_archive), "--radius-km", "0.25",
+                         "--output", "{out}"],
         }
 
     @pytest.mark.parametrize("writer", [
         "trip_recon", "clustering.csv", "clustering.geojson", "synth_fleet",
-        "utility_eval.csv", "utility_eval.json", "cli",
+        "utility_eval.csv", "utility_eval.json", "cli", "sanitize",
     ])
     def test_full_disk_midway_keeps_old_output(self, tmp_path, inputs, monkeypatch, writer):
         # every output file is opened for writing in feed_ingest, nowhere else
+        # (test_only_feed_ingest_opens_files_for_writing)
         out = tmp_path / "out.txt"
         out.write_text("old\n")
         real_open = builtins.open
 
         def open_on_full_disk(file, mode="r", *args, **kwargs):
             f = real_open(file, mode, *args, **kwargs)
-            # the target, or its temporary file beside it
-            return _FullDisk(f, 40) if "w" in mode and out.name in str(file) else f
+            # the target, or its temporary file beside it, written or appended to
+            return _FullDisk(f, 40) if mode[0] in "wa" and out.name in str(file) else f
 
         monkeypatch.setattr(feed_ingest, "open", open_on_full_disk, raising=False)
         argv = [str(out) if a == "{out}" else a for a in inputs[writer]]
@@ -1464,7 +1474,7 @@ class TestAtomicOutputs:
 
     @pytest.mark.parametrize("writer", [
         "trip_recon", "clustering.csv", "clustering.geojson", "synth_fleet",
-        "utility_eval.csv", "utility_eval.json", "cli",
+        "utility_eval.csv", "utility_eval.json", "cli", "sanitize",
     ])
     def test_missing_directory_names_the_output(self, tmp_path, inputs, capsys, writer):
         # the error names the path given, not the temporary file beside it
@@ -1507,3 +1517,59 @@ class TestAtomicOutputs:
         assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{out}'\n"
         assert first.read_bytes() == b"old\n"
         assert list(tmp_path.rglob(".*.tmp")) == []
+
+    @pytest.mark.parametrize("writer", [
+        "synth_fleet", "trip_recon", "clustering.geojson", "sanitize", "cli",
+    ])
+    def test_each_output_replaced_once_from_its_temporary(
+        self, tmp_path, inputs, monkeypatch, writer
+    ):
+        # one commit per run (cli._outputs): no writer renames a file of its own
+        argv = [str(tmp_path / "out.txt") if a == "{out}" else a for a in inputs[writer]]
+        outs = [Path(argv[i + 1]).resolve() for i, a in enumerate(argv)
+                if a in ("--output", "--ground-truth", "--geojson", "--dump-geojson")]
+        replaced = []
+        real_replace = os.replace
+
+        def spy(src, dst, *args, **kwargs):
+            replaced.append((Path(src), Path(dst)))
+            return real_replace(src, dst, *args, **kwargs)
+
+        monkeypatch.setattr(os, "replace", spy)
+        assert main(argv) == 0
+        assert len(outs) == (1 if writer in ("trip_recon", "sanitize") else 2)
+        assert sorted(replaced) == sorted(
+            (out.with_name(f".{out.name}.{os.getpid()}.tmp"), out) for out in outs
+        )
+
+
+def _writes(tree: ast.AST) -> list[str]:
+    """The calls in tree that may write a file, as source text: an open
+    whose mode is given and is not a read-only string constant (builtin
+    open, io.open and os.open take it second, so every os.open counts;
+    a path's open method takes it first), and any write_text or write_bytes."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = getattr(func, "id", getattr(func, "attr", None))
+        if name == "open":
+            by_module = isinstance(func, ast.Name) or getattr(func.value, "id", "") in ("io", "os")
+            mode = node.args[1:2] if by_module else node.args[:1]
+            mode += [kw.value for kw in node.keywords if kw.arg in ("mode", "flags")]
+            if mode and not (isinstance(mode[0], ast.Constant) and isinstance(mode[0].value, str)
+                             and not set(mode[0].value) & set("wax+")):
+                found.append(ast.unparse(node))
+        elif name in ("write_text", "write_bytes"):
+            found.append(ast.unparse(node))
+    return found
+
+
+def test_only_feed_ingest_opens_files_for_writing():
+    # TestAtomicOutputs fails a write by patching feed_ingest.open, which
+    # reaches every output only while no other module writes a file
+    writes = {path.stem: _writes(ast.parse(path.read_text(encoding="utf-8")))
+              for path in sorted((SRC / "scootpriv").glob("*.py"))}
+    assert writes.pop("feed_ingest")  # the rule sees the writers' own opens
+    assert {module: found for module, found in writes.items() if found} == {}

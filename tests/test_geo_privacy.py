@@ -54,6 +54,12 @@ class TestCheckEpsilon:
         with pytest.raises(ValueError, match="too small"):
             epsilon_from(5.77, 6)
 
+    def test_radius_too_small_for_a_finite_epsilon(self):
+        # ln(6) / 1e-320 overflows; its tail (1 + x) * exp(-x) would be NaN
+        with pytest.raises(ValueError, match="^epsilon must be positive and finite, got inf$"):
+            epsilon_from(1e-320, 6)
+        assert math.isfinite(epsilon_from(1e-300, 6))
+
     @pytest.mark.parametrize("radius_km", [0.0, -1.0])
     def test_nonpositive_rejected(self, radius_km):
         with pytest.raises(ValueError, match="positive"):
