@@ -80,6 +80,7 @@ def _flag(parse, rule: str, holds):
 
 _FINITE = _flag(float, "finite", math.isfinite)
 _NONNEG = _flag(float, "finite and >= 0", lambda v: 0 <= v < math.inf)
+_RATIO = _flag(float, "finite and > 1", lambda v: 1 < v < math.inf)  # so ln(ratio)/R > 0
 _POS_INT = _flag(int, ">= 1", lambda v: v >= 1)
 _SEED = _flag(int, ">= 0", lambda v: v >= 0)
 _INTERVAL = _flag(float, f"in [{MIN_INTERVAL_S:g}, {MAX_INTERVAL_S:g}] s",
@@ -350,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("sanitize", help="perturb every archived coordinate")
     s.add_argument("--store", required=True)
     s.add_argument("--radius-km", type=_FINITE, required=True, help="R; epsilon = ln(ratio)/R")
-    s.add_argument("--ratio", type=_FINITE, default=6.0)
+    s.add_argument("--ratio", type=_RATIO, default=6.0)
     s.add_argument("--seed", type=_SEED, default=0)
     s.add_argument("--output", type=_OUTPUT, required=True)
     s.set_defaults(func=cmd_sanitize)
@@ -363,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--neighborhoods", default=None, help="GeoJSON neighborhood polygons")
     s.add_argument("--r-grid", default="0:1:0.05")
     s.add_argument("--trials", type=_POS_INT, default=100)
-    s.add_argument("--ratio", type=_FINITE, default=6.0)
+    s.add_argument("--ratio", type=_RATIO, default=6.0)
     s.add_argument("--seed", type=_SEED, default=0)
     s.add_argument("--output", type=_OUTPUT, required=True)
     s.add_argument("--format", choices=["csv", "json"], default="csv")

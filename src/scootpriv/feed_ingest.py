@@ -49,7 +49,9 @@ class FeedParseError(ValueError):
 
 
 class StoreError(OSError):
-    """Raised when a snapshot archive cannot be read or written."""
+    """Raised when a snapshot archive cannot be read, or when an append is
+    not newer than its provider's last snapshot. A failed write is the
+    OSError of _write."""
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -398,16 +400,11 @@ class SnapshotStore:
             )
         # the memo is a function of snap alone, so a failed write leaves it right
         line, self._written[snap.provider] = _archive_line(snap, self._written.get(snap.provider))
-        try:
-            with open(self.path, "a", encoding="utf-8") as f:
-                f.write(line + "\n")
-        except OSError as exc:
-            raise StoreError(f"cannot append to {self.path}: {exc.strerror or exc}") from exc
+        _write(self.path, "a", line + "\n")
         self._last_written[snap.provider] = snap.captured_at
 
     def write_meta(self, meta: dict) -> None:
-        with open(self.path, "a", encoding="utf-8") as f:
-            f.write(json.dumps({"_meta": meta}, separators=(",", ":")) + "\n")
+        _write(self.path, "a", json.dumps({"_meta": meta}, separators=(",", ":")) + "\n")
 
     def iter_all(self) -> Iterator[Snapshot]:
         """The archive's snapshots in file order, up to its size when the
@@ -436,6 +433,17 @@ class SnapshotStore:
             raise StoreError(f"{self.path}: read {exc}") from exc
 
 
+def _write(path: str | Path, mode: str, text: str) -> None:
+    """The one output write: text written ("w") or appended ("a") to path
+    as UTF-8, its newlines as given. An OSError from the open, a write or
+    the close is raised again with its errno, naming path."""
+    try:
+        with open(path, mode, encoding="utf-8", newline="") as f:
+            f.write(text)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror or str(exc), os.fspath(path)) from exc
+
+
 @contextmanager
 def atomic_paths(*paths: str | Path | None) -> Iterator[list]:
     """The one output commit: yields a temporary path beside each of one
@@ -444,9 +452,8 @@ def atomic_paths(*paths: str | Path | None) -> Iterator[list]:
     temporary files, so a run that fails before the renames leaves every
     old output as it was. An empty path or None (an output not asked for)
     is yielded as given. A symbolic link is followed: the file it names is
-    replaced, the link stays. An OSError on a temporary file, and a
-    StoreError that names one (a failed SnapshotStore.append), name its
-    output as given."""
+    replaced, the link stays. An OSError naming a temporary file (every
+    failed _write does) names its output as given."""
     commits = []  # (temporary path, target, output as given)
     for given in filter(None, paths):
         path = Path(given).resolve()
@@ -462,8 +469,6 @@ def atomic_paths(*paths: str | Path | None) -> Iterator[list]:
         for tmp, _, given in commits:
             if isinstance(exc, OSError) and exc.filename in (tmp, str(tmp)):
                 raise OSError(exc.errno, exc.strerror, os.fspath(given)) from exc
-            if isinstance(exc, StoreError) and str(tmp) in str(exc):
-                raise StoreError(str(exc).replace(str(tmp), os.fspath(given))) from exc
         raise
 
 
@@ -472,7 +477,7 @@ def write_archive(
 ) -> int:
     """Write a fresh archive to path: one ``_meta`` line if meta is given,
     then one line per snapshot. Returns the number of snapshots written."""
-    Path(path).write_text("")
+    _write(path, "w", "")
     store = SnapshotStore(path)
     if meta:
         store.write_meta(meta)
@@ -485,18 +490,18 @@ def write_archive(
 def write_csv(path: str | Path, columns: list[str], rows: Iterable, meta: dict | None) -> None:
     """Write a CSV to path: one ``# key=value`` line per meta item, which
     the CSV readers here skip, then the header row and the rows."""
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        for k, v in (meta or {}).items():
-            f.write(f"# {k}={v}\n")
-        w = csv.writer(f)
-        w.writerow(columns)
-        w.writerows(rows)
+    text = io.StringIO()
+    for k, v in (meta or {}).items():
+        text.write(f"# {k}={v}\n")
+    w = csv.writer(text)
+    w.writerow(columns)
+    w.writerows(rows)
+    _write(path, "w", text.getvalue())
 
 
 def write_json(path: str | Path, doc: dict) -> None:
     """Write a JSON document to path, indented."""
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(doc, f, indent=2)
+    _write(path, "w", json.dumps(doc, indent=2))
 
 
 def points_geojson(points: Iterable[tuple[float, float, dict]]) -> dict:

@@ -148,13 +148,16 @@ def misuse(argv, flag=None):
         misuse(["cluster", "--max-size", "0"]),
         misuse(["cluster", "--k", "0"]),
         misuse(["sanitize", "--radius-km", "0"]),
-        misuse(["sanitize", "--radius-km", "0.25", "--ratio", "1"]),
+        misuse(["sanitize", "--radius-km", "0.25", "--ratio", "1"], "--ratio"),
         misuse(["sanitize", "--radius-km", "18"]),
         misuse(["sanitize", "--radius-km", "6"]),
         # a radius so small that ln(ratio)/R overflows to an infinite epsilon
         misuse(["sanitize", "--radius-km", "1e-320"]),
         misuse(["evaluate", "--dump-radius-km", "1e-320"]),
         misuse(["evaluate", "--ratio", "1"]),
+        # checked with no positive R, where no epsilon is computed
+        misuse(["evaluate", "--r-grid", "0:0:1", "--ratio", "0.5", "--dump-radius-km", "0"],
+               "--ratio"),
         misuse(["evaluate", "--r-grid", "0:60:20"]),
         # counts past a float's range, or of 300 digits, named by the limit
         misuse(["evaluate", "--r-grid", "0:1:1e-320"], "more than 10000 points"),
@@ -246,7 +249,7 @@ def float_flags() -> list[tuple[str, str]]:
 RULES = {
     "--interval": "in [1, 86400] s", "--duration": ">= 0",
     "--min-distance-m": "finite and >= 0", "--min-move-m": "finite and >= 0",
-    "--radius-km": "finite", "--ratio": "finite", "--dump-radius-km": "finite",
+    "--radius-km": "finite", "--ratio": "finite and > 1", "--dump-radius-km": "finite",
 }
 
 
@@ -1423,6 +1426,18 @@ class _FullDisk:
         self._f.close()
 
 
+def _fill_disk(monkeypatch, room, full):
+    """Make each file feed_ingest opens as (file, mode) for which full holds
+    a _FullDisk with room characters left."""
+    real_open = builtins.open
+
+    def open_on_full_disk(file, mode="r", *args, **kwargs):
+        f = real_open(file, mode, *args, **kwargs)
+        return _FullDisk(f, room) if full(file, mode) else f
+
+    monkeypatch.setattr(feed_ingest, "open", open_on_full_disk, raising=False)
+
+
 class TestAtomicOutputs:
     """Every output goes to a temporary file that replaces the target
     only once complete, so a failure midway keeps the old output."""
@@ -1454,21 +1469,19 @@ class TestAtomicOutputs:
         "trip_recon", "clustering.csv", "clustering.geojson", "synth_fleet",
         "utility_eval.csv", "utility_eval.json", "cli", "sanitize",
     ])
-    def test_full_disk_midway_keeps_old_output(self, tmp_path, inputs, monkeypatch, writer):
-        # every output file is opened for writing in feed_ingest, nowhere else
-        # (test_only_feed_ingest_opens_files_for_writing)
+    def test_full_disk_midway_keeps_old_output(
+        self, tmp_path, inputs, capsys, monkeypatch, writer
+    ):
+        # every output file is opened for writing in feed_ingest._write, nowhere
+        # else (test_only_feed_ingest_opens_files_for_writing)
         out = tmp_path / "out.txt"
         out.write_text("old\n")
-        real_open = builtins.open
-
-        def open_on_full_disk(file, mode="r", *args, **kwargs):
-            f = real_open(file, mode, *args, **kwargs)
-            # the target, or its temporary file beside it, written or appended to
-            return _FullDisk(f, 40) if mode[0] in "wa" and out.name in str(file) else f
-
-        monkeypatch.setattr(feed_ingest, "open", open_on_full_disk, raising=False)
+        # the target, or its temporary file beside it, written or appended to
+        _fill_disk(monkeypatch, 40, lambda file, mode: mode[0] in "wa" and out.name in str(file))
         argv = [str(out) if a == "{out}" else a for a in inputs[writer]]
+        capsys.readouterr()
         assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: [Errno 28] No space left on device: '{out}'\n"
         assert out.read_text() == "old\n"
         assert list(tmp_path.glob(".*.tmp")) == []
 
@@ -1485,25 +1498,32 @@ class TestAtomicOutputs:
         assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{out}'\n"
         assert list(tmp_path.rglob(".*.tmp")) == []
 
+    @pytest.mark.parametrize("full_at", [0, 1], ids=["_meta line", "first snapshot line"])
     def test_archive_append_failing_names_the_output(
-        self, tmp_path, synth_config, capsys, monkeypatch
+        self, tmp_path, synth_config, capsys, monkeypatch, full_at
     ):
-        # the _meta line is written, then the first snapshot's append hits a full disk
+        # the disk fills on the first append to an archive of at least full_at bytes:
+        # the _meta line, or the first snapshot's line after it
         out = tmp_path / "out.jsonl"
-        real_open = builtins.open
-
-        def open_on_full_disk(file, mode="r", *args, **kwargs):
-            if "a" in mode and os.path.getsize(file):
-                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(file))
-            return real_open(file, mode, *args, **kwargs)
-
-        monkeypatch.setattr(feed_ingest, "open", open_on_full_disk, raising=False)
+        _fill_disk(monkeypatch, 0, lambda file, mode: "a" in mode and
+                   os.path.getsize(file) >= full_at)
         assert main(["synth", "--config", str(synth_config), "--output", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert err == f"error: cannot append to {out}: {os.strerror(errno.ENOSPC)}\n"
-        assert ".tmp" not in err
+        assert capsys.readouterr().err == f"error: [Errno 28] No space left on device: '{out}'\n"
         assert not out.exists()
         assert list(tmp_path.glob(".*.tmp")) == []
+
+    def test_scrape_append_failing_names_the_store(self, tmp_path, capsys, monkeypatch):
+        # scrape appends to its store in place, with no temporary file to name
+        store = tmp_path / "s.jsonl"
+        docs = (make_feed_doc([("a", 1, 1)], last_updated=t) for t in itertools.count(100, 60))
+        monkeypatch.setattr(feed_ingest, "_fetch_with_retry", lambda *args: next(docs))
+        monkeypatch.setattr(cli, "poll_feed",
+                            functools.partial(feed_ingest.poll_feed, clock=FakeClock()))
+        _fill_disk(monkeypatch, 0, lambda file, mode: "a" in mode)
+        argv = ["scrape", "--url", "http://feed.invalid/", "--provider", "p",
+                "--store", str(store), "--duration", "120"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: [Errno 28] No space left on device: '{store}'\n"
 
     @pytest.mark.parametrize("writer", ["clustering.geojson", "synth_fleet", "cli"])
     def test_second_output_failing_keeps_the_first(self, tmp_path, inputs, capsys, writer):
@@ -1568,8 +1588,13 @@ def _writes(tree: ast.AST) -> list[str]:
 
 def test_only_feed_ingest_opens_files_for_writing():
     # TestAtomicOutputs fails a write by patching feed_ingest.open, which
-    # reaches every output only while no other module writes a file
-    writes = {path.stem: _writes(ast.parse(path.read_text(encoding="utf-8")))
-              for path in sorted((SRC / "scootpriv").glob("*.py"))}
-    assert writes.pop("feed_ingest")  # the rule sees the writers' own opens
-    assert {module: found for module, found in writes.items() if found} == {}
+    # reaches every output only while no other module writes a file; and
+    # every failed write names its file only while all go through _write
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((SRC / "scootpriv").glob("*.py"))}
+    body = trees["feed_ingest"].body
+    one_write, = (node for node in body if getattr(node, "name", None) == "_write")
+    body.remove(one_write)
+    assert _writes(one_write)  # the rule sees _write's own open
+    writes = {module: found for module, tree in trees.items() if (found := _writes(tree))}
+    assert writes == {}

@@ -438,10 +438,13 @@ class TestStore:
         with pytest.raises(StoreError, match=f"corrupt line at byte {start}: "):
             SnapshotStore(path).last_captured("test")
 
-    def test_append_failure_is_a_store_error(self, tmp_path):
+    def test_append_failure_names_the_archive(self, tmp_path):
+        # a failed write is the OSError of the one output write, not a StoreError
         path = tmp_path / "missing" / "a.jsonl"
-        with pytest.raises(StoreError, match=f"cannot append to {path}: "):
+        with pytest.raises(FileNotFoundError) as exc:
             SnapshotStore(path).append(make_snapshot([("a", 0, 0)]))
+        assert not isinstance(exc.value, StoreError)
+        assert str(exc.value) == f"[Errno 2] No such file or directory: '{path}'"
 
     def test_corrupt_line_reported_with_number(self, tmp_path):
         path = tmp_path / "a.jsonl"
