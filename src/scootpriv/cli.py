@@ -229,7 +229,7 @@ def _pick_snapshot(args) -> Snapshot:
     need = k + 1 if k >= 0 else -k  # snapshots the index needs
     # islice and deque take C sizes; no archive holds sys.maxsize snapshots
     bound = min(need, sys.maxsize)
-    # closed at once, so a parallel read's workers stop when reading does
+    # closed at once, so the archive is closed when reading stops
     with closing(_read_one_provider(args)) as stream:
         snaps = itertools.islice(stream, bound) if k >= 0 else stream
         # (running count, snapshot) pairs: the last count is the number read

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import logging
 import math
@@ -19,7 +20,7 @@ import sys
 import time
 from collections import Counter
 from collections.abc import Callable
-from contextlib import closing, contextmanager, suppress
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -27,21 +28,12 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from . import workers
-
 log = logging.getLogger(__name__)
 
 RETRY_ATTEMPTS = 3
 FETCH_TIMEOUT_S = 10.0
 # poll interval bounds: a feed's ttl is whole seconds; time.sleep overflows far past a day
 MIN_INTERVAL_S, MAX_INTERVAL_S = 1.0, 86_400.0
-# a forward read decodes an archive in newline-aligned chunks of about
-# ARCHIVE_CHUNK_BYTES (a snapshot line of 1,000 scooters is about 100 KB;
-# a longer line extends its chunk); an archive of at least
-# PARALLEL_READ_MIN_BYTES is decoded in worker processes, below which
-# starting them costs more than it saves
-PARALLEL_READ_MIN_BYTES = 8 * 1024 * 1024
-ARCHIVE_CHUNK_BYTES = 128 * 1024
 
 
 class FeedParseError(ValueError):
@@ -103,12 +95,6 @@ class Snapshot:
         return (self.provider, self.captured_at, self.ttl_s, self.ids) == (
             other.provider, other.captured_at, other.ttl_s, other.ids
         ) and all(np.array_equal(getattr(self, c), getattr(other, c)) for c, _ in _ARRAY_COLUMNS)
-
-    def __reduce__(self):
-        # unpickled through the constructor, as the snapshots a read worker
-        # sends are in the reader: ids interned there, columns checked and read-only
-        return Snapshot, (self.provider, self.captured_at, self.ttl_s, self.ids,
-                          *(getattr(self, c) for c, _ in _ARRAY_COLUMNS))
 
     def rows(self) -> Iterator[tuple[str, float, float, bool, bool]]:
         """The observations, one (id, lat, lon, reserved, disabled) tuple
@@ -316,49 +302,109 @@ def snapshot_from_record(rec: dict) -> Snapshot:
                           json_int(rec["ttl_s"]), rec["bikes"], _ARCHIVE_BIKE)
 
 
-def _decode_chunk(path: Path, start: int, end: int) -> tuple[list[Snapshot], int, str | None]:
-    """The one decode of a forward read, in-process or in a worker: the
-    snapshots of the lines in bytes [start, end) of the archive (see
-    archive_record), the number of lines read, and the message of the
-    first corrupt line, the last line read, or None."""
-    with open(path, "rb") as f:
-        f.seek(start)
-        # split as iterating a file is, after each b"\n" only: a raw \r is JSON whitespace
-        lines = io.BytesIO(f.read(end - start))
-    snaps, n = [], 0
-    for n, line in enumerate(lines, start=1):
-        try:
-            rec = archive_record(line)
-            if rec is not None:
-                snaps.append(snapshot_from_record(rec))
-        except MALFORMED_INPUT as exc:
-            return snaps, n, malformed_message(exc)
-    return snaps, n, None
+# where an archive line's bikes start, after the header _archive_line writes
+_BIKES_START = ',"bikes":[{'
+_JSON_SPACE = " \t\r\n"
+# _column's arguments per archive bike column, in column order
+_ARCHIVE_CHECKS = [(*field, *kind) for field, kind in zip(_ARCHIVE_BIKE, _COLUMN_KINDS)]
 
 
-def _chunk_bounds(f, size: int) -> list[tuple[int, int]]:
-    """[start, end) byte ranges of about ARCHIVE_CHUNK_BYTES covering the
-    first size bytes of the open file f, each ending after a newline or
-    at size; a line longer than a chunk extends its chunk."""
-    bounds, start = [], 0
-    while start < size:
-        f.seek(start + ARCHIVE_CHUNK_BYTES - 1)
-        f.readline()  # to the end of the line holding the chunk's last byte
-        end = min(f.tell(), size)
-        bounds.append((start, end))
-        start = end
-    return bounds
+def _padded(bikes: str) -> bool:
+    """Whether a "}" or "," in the text of a line's bikes is followed by
+    JSON whitespace, as a padded separator's is. Each whitespace
+    character is looked for alone first, at memchr speed."""
+    return any(space in bikes and ("}" + space in bikes or "," + space in bikes)
+               for space in _JSON_SPACE)
+
+
+def _positions(prev: tuple, bikes: str) -> tuple[Snapshot, dict] | None:
+    """From prev, a provider's memo (see _changed_bikes_snapshot), its
+    snapshot and the position there of each bike's JSON object text; or
+    None if the new line's bikes, whose text is given, likely share none
+    with it (the first is not found in its text), or if its line's split
+    on "},{" is not at every object boundary."""
+    old, old_bikes, old_pieces = prev
+    if bikes.partition("},{")[0] not in old_bikes:
+        return None
+    if old_pieces is None:  # the old line was decoded whole
+        old_pieces = old_bikes.split("},{")
+        if len(old_pieces) != len(old.ids) or _padded(old_bikes):
+            return None
+    return old, dict(zip(old_pieces, range(len(old_pieces))))
+
+
+def _changed_bikes_snapshot(line: bytes, memo: dict) -> Snapshot | None:
+    """The Snapshot of an archive line as _archive_line writes it, which
+    decodes only the bikes that changed since their provider's last line
+    read here; None for a line in any other form or one that fails a
+    check, to be read by archive_record and snapshot_from_record, which
+    raise its error. memo maps each provider to its last line read here:
+    (its snapshot, its bikes' text, that text split on "},{" or None); a
+    line's entry is set once its Snapshot is built.
+
+    The bikes' text is split on "},{" into pieces, each a bike's JSON
+    object text without its braces. A piece found in the provider's last
+    line takes its values from that snapshot's columns; the others, the
+    misses, are joined back, decoded by one json.loads and checked by
+    _column. The split is trusted only if it falls at every boundary
+    between bikes: the line starts with the canonical header and ends
+    "}]}"; no separator is padded with JSON whitespace, so every
+    boundary is a "},{"; and the misses decode to as many objects as
+    there are misses, so no "},{" inside a string or a nested array was
+    split on (a piece found is a whole bike, which no part of another
+    bike can be). A line that likely shares no bike (see _positions) is
+    decoded whole, and split only when the next line looks it up.
+    """
+    if not line.startswith(b'{"provider":'):
+        return None
+    try:
+        text = line.decode("utf-8").removesuffix("\n")
+        i = text.find(_BIKES_START)
+        if i < 0 or not text.endswith("}]}"):
+            return None
+        head = json.loads(text[:i] + "}")
+        if (list(head) != ["provider", "captured_at", "ttl_s"]
+                or json.dumps(head, separators=(",", ":")) != text[:i] + "}"):
+            return None
+        bikes = text[i + len(_BIKES_START):-3]
+        provider = json_str(head["provider"])
+        prev = memo.get(provider)
+        hits = prev and not _padded(bikes) and _positions(prev, bikes)
+        if not hits:
+            pieces, misses = None, json.loads("[{" + bikes + "}]")
+        else:
+            old, position = hits
+            pieces = bikes.split("},{")
+            j = np.fromiter(map(position.get, pieces, itertools.repeat(-1)), np.intp, len(pieces))
+            miss = np.flatnonzero(j < 0)
+            texts = [pieces[k] for k in miss.tolist()]
+            misses = json.loads("[{" + "},{".join(texts) + "}]") if texts else []
+            if len(misses) != len(texts):
+                return None
+        columns = [_column(misses, *c) for c in _ARCHIVE_CHECKS]
+        if hits:  # each bike's values at j in old's columns followed by the misses'
+            j[miss] = len(old.ids) + np.arange(len(miss))
+            ids = old.ids + tuple(columns[0])
+            columns = [[ids[k] for k in j.tolist()],
+                       *(np.concatenate((getattr(old, name), col))[j]
+                         for (name, _), col in zip(_ARRAY_COLUMNS, columns[1:]))]
+        snap = Snapshot(provider, json_int(head["captured_at"]), json_int(head["ttl_s"]), *columns)
+    except MALFORMED_INPUT:
+        return None
+    memo[provider] = (snap, bikes, pieces)
+    return snap
 
 
 class SnapshotStore:
     """Append-only JSON-lines snapshot archive.
 
     Single writer per file; concurrent readers need no coordination.
-    Both reads, forward and from the tail, read a line by archive_record.
+    Both reads, forward and from the tail, read a line as archive_record
+    does. Every message names the archive by its path as given.
     """
 
     def __init__(self, path: str | Path):
-        self.path = Path(path)
+        self.path = path  # as given, for every message that names it
         # last captured_at per provider, for the monotonicity check
         self._last_written: dict[str, int | None] = {}
         # per provider, the memo of the last snapshot appended (see _archive_line)
@@ -374,7 +420,7 @@ class SnapshotStore:
         return self._last_written[provider]
 
     def _tail_captured(self, provider: str) -> int | None:
-        if not self.path.exists() or not self.path.stat().st_size:
+        if not os.path.exists(self.path) or not os.path.getsize(self.path):
             return None  # mmap rejects an empty file
         with open(self.path, "rb") as f, mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ) as mm:
             end = len(mm)
@@ -409,28 +455,34 @@ class SnapshotStore:
     def iter_all(self) -> Iterator[Snapshot]:
         """The archive's snapshots in file order, up to its size when the
         read starts. A corrupt line is a StoreError naming its line number,
-        raised after every snapshot before it. The archive is decoded in
-        chunks (_chunk_bounds, _decode_chunk): in worker processes if it
-        holds PARALLEL_READ_MIN_BYTES or more and workers.worker_count
-        allows, else in-process. A worker that dies is a StoreError
-        naming its exit code."""
-        if not self.path.exists():
+        raised after every snapshot before it. A line is read by
+        _changed_bikes_snapshot, which decodes only the bikes that changed
+        since its provider's last snapshot read so, or else by
+        archive_record and snapshot_from_record."""
+        if not os.path.exists(self.path):
             raise StoreError(f"no such archive: {self.path}")
-        with open(self.path, "rb") as f:
-            size = os.fstat(f.fileno()).st_size
-            chunks = _chunk_bounds(f, size)
-        n = workers.worker_count(size, PARALLEL_READ_MIN_BYTES, len(chunks))
-        results = workers.ordered_map(lambda chunk: _decode_chunk(self.path, *chunk), chunks, n)
-        lineno = 0
-        try:
-            with closing(results):  # so that no worker outlives a corrupt line
-                for snaps, lines, error in results:
-                    yield from snaps
-                    lineno += lines
-                    if error is not None:
-                        raise StoreError(f"{self.path}: corrupt line {lineno}: {error}")
-        except workers.WorkerDied as exc:
-            raise StoreError(f"{self.path}: read {exc}") from exc
+        memo = {}
+        # a 128 KiB buffer: a snapshot line of 1,000 scooters is about 90 KB
+        with open(self.path, "rb", buffering=1 << 17) as f:
+            left = os.fstat(f.fileno()).st_size
+            # split as iterating a file is, after each b"\n" only: a raw \r is JSON whitespace
+            for lineno in itertools.count(1):
+                line = f.readline(left)
+                if not line:
+                    return
+                left -= len(line)
+                try:
+                    snap = _changed_bikes_snapshot(line, memo)
+                    if snap is None:
+                        rec = archive_record(line)
+                        if rec is None:
+                            continue
+                        snap = snapshot_from_record(rec)
+                except MALFORMED_INPUT as exc:
+                    raise StoreError(
+                        f"{self.path}: corrupt line {lineno}: {malformed_message(exc)}"
+                    ) from exc
+                yield snap
 
 
 def _write(path: str | Path, mode: str, text: str) -> None:

@@ -1,9 +1,8 @@
 """Forked worker processes that map a function over tasks, in task order.
 
-The package's one implementation of process parallelism: the archive
-read (feed_ingest.SnapshotStore.iter_all) decodes its chunks with it,
-and evaluate (utility_eval.neighborhood_loss_experiment) runs its R grid
-with it. Workers are forked, so a task function is never pickled and
+The package's one implementation of process parallelism: evaluate
+(utility_eval.neighborhood_loss_experiment) runs its R grid with it.
+Workers are forked, so a task function is never pickled and
 sees the caller's state as it was at the fork; only results and
 exceptions travel back, pickled, through one pipe per worker.
 """
@@ -15,9 +14,8 @@ import pickle
 import signal
 from collections.abc import Callable, Iterator, Sequence
 
-# the callers' serial share (the read's unpickling and checking of each
-# snapshot, and its consumer) caps the speed-up of a read near 4x, and
-# every worker of a sweep holds one R's arrays
+# every worker of a sweep holds one R's arrays, so the memory a sweep
+# holds across processes grows with the number of workers
 MAX_WORKERS = 4
 
 

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from scootpriv import feed_ingest, utility_eval, workers
+from scootpriv import utility_eval, workers
 from scootpriv.feed_ingest import Snapshot
 from scootpriv.utility_eval import Region
 
@@ -13,8 +13,8 @@ from scootpriv.utility_eval import Region
 @pytest.fixture(autouse=True)
 def no_process_left_running():
     """Fails a test that leaves a child process alive, such as a worker of
-    an archive read or an R grid; the process is then stopped, so the next
-    test starts without it."""
+    an R grid; the process is then stopped, so the next test starts
+    without it."""
     yield
     left = multiprocessing.active_children()
     for proc in left:
@@ -23,14 +23,12 @@ def no_process_left_running():
     assert not left, f"processes left running: {left}"
 
 
-def force_parallel_read(monkeypatch) -> list:
-    """Sends every later archive read and R grid of the test through worker
-    processes, as if on two CPUs, archives in chunks of about 256 bytes.
-    Returns a list that gets, for each map run in workers, the module that
-    ran it: "feed_ingest" for a read, "utility_eval" for an R grid."""
-    monkeypatch.setattr(feed_ingest, "PARALLEL_READ_MIN_BYTES", 0)
+def force_parallel_grid(monkeypatch) -> list:
+    """Sends every later R grid of the test through worker processes, as
+    if on two CPUs, whatever its size. Returns a list that gets, for each
+    map run in workers, the module that ran it: "utility_eval" for an R
+    grid, the package's one caller of workers.ordered_map."""
     monkeypatch.setattr(utility_eval, "PARALLEL_SWEEP_MIN_POINTS", 0)
-    monkeypatch.setattr(feed_ingest, "ARCHIVE_CHUNK_BYTES", 256)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     maps = []
@@ -43,12 +41,6 @@ def force_parallel_read(monkeypatch) -> list:
 
     monkeypatch.setattr(workers, "ordered_map", spy)
     return maps
-
-
-@pytest.fixture
-def parallel_read(monkeypatch):
-    """force_parallel_read for the whole test."""
-    return force_parallel_read(monkeypatch)
 
 
 def make_feed_doc(bikes, last_updated=1_700_000_000, ttl=60, extra=None):

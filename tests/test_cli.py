@@ -25,7 +25,7 @@ from scootpriv.feed_ingest import SnapshotStore, write_archive
 from scootpriv.geo_privacy import analytic_cdf
 from scootpriv.trip_recon import haversine_distance, read_trips_csv
 
-from conftest import FakeClock, force_parallel_read, make_feed_doc, make_snapshot, square_region
+from conftest import FakeClock, force_parallel_grid, make_feed_doc, make_snapshot, square_region
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -824,11 +824,13 @@ class TestEvaluateCommand:
         assert main([*argv, "--snapshot-index", "0"]) == 0
         assert main([*argv, "--snapshot-index", "-1"]) == 1
 
-    def test_first_snapshot_read_in_workers_before_a_corrupt_third_line(
+    def test_first_snapshot_evaluated_in_workers_before_a_corrupt_third_line(
         self, tmp_path, monkeypatch
     ):
-        force_parallel_read(monkeypatch)
+        maps = force_parallel_grid(monkeypatch)
         self.test_first_snapshot_evaluated_before_a_corrupt_third_line(tmp_path)
+        # the first snapshot's R grid; the whole read stops at the corrupt line
+        assert maps == ["utility_eval"]
 
     @pytest.mark.parametrize("trials", ["0", "-1"])
     def test_trials_below_one_exits_2(self, tmp_path, synth_archive, capsys, trials):
@@ -1217,26 +1219,22 @@ class TestStreamingCommands:
 
 
 @pytest.mark.parametrize("command", [
-    ["reconstruct"],
-    ["sanitize", "--radius-km", "0.25"],
     ["evaluate", "--r-grid", "0:0.1:0.05", "--trials", "2", "--snapshot-index", "0"],
     ["evaluate", "--r-grid", "0:0.1:0.05", "--trials", "2", "--snapshot-index", "-3"],
     ["evaluate", "--r-grid", "0:0.15:0.05", "--trials", "3", "--neighborhoods", "{tiles}",
      "--format", "json"],
 ], ids=" ".join)
-def test_read_in_workers_writes_the_same_bytes(tmp_path, synth_archive, monkeypatch, command):
-    if command[0] == "evaluate":
-        write_boundary_geojson(tmp_path / "boundary.geojson")
-        write_tiles_geojson(tmp_path / "tiles.geojson")
-        command = [str(tmp_path / "tiles.geojson") if a == "{tiles}" else a for a in command]
-        command = [*command, "--boundary", str(tmp_path / "boundary.geojson")]
-    command = [*command, "--store", str(synth_archive), "--output"]
+def test_r_grid_in_workers_writes_the_same_bytes(tmp_path, synth_archive, monkeypatch, command):
+    write_boundary_geojson(tmp_path / "boundary.geojson")
+    write_tiles_geojson(tmp_path / "tiles.geojson")
+    command = [str(tmp_path / "tiles.geojson") if a == "{tiles}" else a for a in command]
+    command = [*command, "--boundary", str(tmp_path / "boundary.geojson"),
+               "--store", str(synth_archive), "--output"]
     assert main([*command, str(tmp_path / "in-process")]) == 0
-    maps = force_parallel_read(monkeypatch)
-    # --snapshot-index 0 stops reading at once: no worker may outlive it
+    maps = force_parallel_grid(monkeypatch)
     assert main([*command, str(tmp_path / "in-workers")]) == 0
-    # an evaluate runs its R grid, the R = 0 row aside, in workers too
-    assert maps == ["feed_ingest"] + ["utility_eval"] * (command[0] == "evaluate")
+    # the R grid, the R = 0 row aside, runs in workers
+    assert maps == ["utility_eval"]
     assert (tmp_path / "in-workers").read_bytes() == (tmp_path / "in-process").read_bytes()
 
 
@@ -1256,10 +1254,10 @@ def test_error_in_an_r_grid_worker_exits_as_in_process(
     rc = main(argv)
     in_process = capsys.readouterr().err
     assert rc == 1 and in_process == f"error: {error}\n"
-    maps = force_parallel_read(monkeypatch)
+    maps = force_parallel_grid(monkeypatch)
     assert main(argv) == rc
     assert capsys.readouterr().err == in_process
-    assert maps == ["feed_ingest", "utility_eval"]
+    assert maps == ["utility_eval"]
     assert not (tmp_path / "r.csv").exists()
 
 
@@ -1561,6 +1559,57 @@ class TestAtomicOutputs:
         assert sorted(replaced) == sorted(
             (out.with_name(f".{out.name}.{os.getpid()}.tmp"), out) for out in outs
         )
+
+
+class TestStoreNamedAsGiven:
+    """Every message about an archive names it as --store gave it, here
+    relative to the working directory with a leading ./"""
+
+    @pytest.fixture
+    def archive(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        snaps = [make_snapshot([("a", 34.0, -118.2)], captured_at=t) for t in (100, 160)]
+        write_archive(snaps, "s.jsonl")
+        return "./s.jsonl"
+
+    def test_corrupt_line(self, archive, capsys):
+        with open(archive, "a") as f:
+            f.write("{not json\n")
+        assert main(["reconstruct", "--store", archive, "--output", "t.csv"]) == 1
+        assert capsys.readouterr().err.startswith("error: ./s.jsonl: corrupt line 3: ")
+
+    def test_missing_archive(self, archive, capsys):
+        assert main(["reconstruct", "--store", "./none.jsonl", "--output", "t.csv"]) == 1
+        assert capsys.readouterr().err == "error: no such archive: ./none.jsonl\n"
+
+    def test_dropped_snapshot_warning(self, archive, caplog):
+        with open(archive) as f:
+            first = f.readline()
+        with open(archive, "a") as f:
+            f.write(first)
+        assert len(list(feed_ingest.read_snapshots(SnapshotStore(archive)))) == 2
+        assert [r.getMessage() for r in caplog.records] == [
+            "./s.jsonl: dropped 'test' snapshot at 100, not after 160"
+        ]
+
+    def _scrape(self, archive, monkeypatch):
+        docs = (make_feed_doc([("a", 1, 1)], last_updated=t) for t in itertools.count(200, 60))
+        monkeypatch.setattr(feed_ingest, "_fetch_with_retry", lambda *args: next(docs))
+        monkeypatch.setattr(cli, "poll_feed",
+                            functools.partial(feed_ingest.poll_feed, clock=FakeClock()))
+        return main(["scrape", "--url", "http://feed.invalid/", "--provider", "test",
+                     "--store", archive, "--duration", "120"])
+
+    def test_scrape_tail_read(self, archive, capsys, monkeypatch):
+        with open(archive, "a") as f:
+            f.write("{not json\n")
+        assert self._scrape(archive, monkeypatch) == 1
+        assert capsys.readouterr().err.startswith("error: ./s.jsonl: corrupt line at byte ")
+
+    def test_scrape_append_failing(self, archive, capsys, monkeypatch):
+        _fill_disk(monkeypatch, 0, lambda file, mode: "a" in mode)
+        assert self._scrape(archive, monkeypatch) == 1
+        assert capsys.readouterr().err == "error: [Errno 28] No space left on device: './s.jsonl'\n"
 
 
 def _writes(tree: ast.AST) -> list[str]:

@@ -1,15 +1,11 @@
 import gc
 import io
-import itertools
 import json
-import multiprocessing
-import os
-import pickle
 import re
-import signal
 import tempfile
 import threading
 import tracemalloc
+from collections import Counter
 from contextlib import closing, redirect_stderr
 from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -25,6 +21,7 @@ from scootpriv.feed_ingest import (
     Snapshot,
     SnapshotStore,
     StoreError,
+    archive_record,
     parse_free_bike_status,
     poll_feed,
     read_snapshots,
@@ -32,7 +29,7 @@ from scootpriv.feed_ingest import (
     write_archive,
 )
 
-from conftest import FakeClock, force_parallel_read, make_feed_doc, make_snapshot, square_region
+from conftest import FakeClock, make_feed_doc, make_snapshot, square_region
 
 
 def _archive_line(snap):
@@ -530,6 +527,10 @@ class TestStore:
         # a bike's error names it; a record's or the Snapshot's names none
         named = re.search(r"bike #(\d+): ", str(exc.value))
         assert (int(named[1]) if named else None) == bike
+        # written as the archive writer would, the line fails the same way
+        lines[2] = json.dumps(rec, separators=(",", ":")) + "\n"
+        path.write_text("".join(lines))
+        assert read_until_error(SnapshotStore(path))[1] == str(exc.value)
 
     def test_meta_lines_skipped(self, tmp_path):
         path = tmp_path / "a.jsonl"
@@ -619,15 +620,6 @@ def mixed_archive(path, n=12):
     return snaps
 
 
-def _die_in_worker(path, start, end):
-    os._exit(3)  # as a worker the kernel kills would
-
-
-def _report_sigint_handler(path, start, end):
-    # reported as a corrupt first line, the one message a chunk returns
-    return [], 1, f"SIGINT handler {signal.getsignal(signal.SIGINT)!r}"
-
-
 def read_until_error(store):
     """The snapshots a read yields before its StoreError, and its text."""
     got = []
@@ -637,121 +629,270 @@ def read_until_error(store):
     return got, str(exc.value)
 
 
-class TestParallelRead:
-    @pytest.mark.parametrize("in_process_chunk", [1, 256, feed_ingest.ARCHIVE_CHUNK_BYTES])
-    def test_same_snapshots_as_the_read_in_process(self, tmp_path, monkeypatch, in_process_chunk):
+def read_with_error(path):
+    """The snapshots the forward read of path yields, and the text of its
+    StoreError or None."""
+    got = []
+    try:
+        for snap in SnapshotStore(path).iter_all():
+            got.append(snap)
+    except StoreError as exc:
+        return got, str(exc)
+    return got, None
+
+
+def line_by_line(path):
+    """The oracle of the forward read: snapshot_from_record(archive_record(line))
+    for each line of path, up to the first that raises, and the StoreError
+    text the read gives for that line, or None."""
+    snaps = []
+    with open(path, "rb") as f:
+        for n, line in enumerate(f, start=1):
+            try:
+                rec = archive_record(line)
+                if rec is not None:
+                    snaps.append(snapshot_from_record(rec))
+            except feed_ingest.MALFORMED_INPUT as exc:
+                return snaps, f"{path}: corrupt line {n}: {feed_ingest.malformed_message(exc)}"
+    return snaps, None
+
+
+def exactly(snaps):
+    """Each snapshot's fields, its columns as dtype and bytes (so 0.0 is
+    not -0.0), for a comparison stricter than ==."""
+    return [(s.provider, s.captured_at, s.ttl_s, s.ids,
+             *((getattr(s, c).dtype.str, getattr(s, c).tobytes())
+               for c in ("lats", "lons", "reserved", "disabled")))
+            for s in snaps]
+
+
+class TestForwardRead:
+    def test_mixed_archive_read_as_written(self, tmp_path):
         path = tmp_path / "a.jsonl"
         snaps = mixed_archive(path)
         assert b"\r" in path.read_bytes() and not path.read_bytes().endswith(b"\n")
-        monkeypatch.setattr(feed_ingest, "ARCHIVE_CHUNK_BYTES", in_process_chunk)
-        in_process = list(SnapshotStore(path).iter_all())
-        assert in_process == snaps
-        reads = force_parallel_read(monkeypatch)
-        # a chunk per line, a few lines per chunk, one chunk
-        for chunk in (1, 256, 1000, 10**6):
-            monkeypatch.setattr(feed_ingest, "ARCHIVE_CHUNK_BYTES", chunk)
-            assert list(SnapshotStore(path).iter_all()) == in_process
-        # a single chunk is one task: a single worker would only add its start
-        assert reads == ["feed_ingest"] * 3
+        assert list(SnapshotStore(path).iter_all()) == snaps
+        assert exactly(read_with_error(path)[0]) == exactly(line_by_line(path)[0])
 
-    def test_ids_interned_and_columns_read_only(self, tmp_path, parallel_read):
+    def test_ids_interned_and_columns_read_only(self, tmp_path):
         path = tmp_path / "a.jsonl"
         snaps = mixed_archive(path)
         got = list(SnapshotStore(path).iter_all())
-        assert got == snaps and parallel_read == ["feed_ingest"]
+        assert got == snaps
         assert got[-1].ids[0] is snaps[0].ids[0]
         assert not any(getattr(s, c).flags.writeable for s in got
                        for c in ("lats", "lons", "reserved", "disabled"))
 
-    @pytest.mark.parametrize("bad", [3, 9, 15], ids=["first chunk", "later chunk", "last line"])
-    def test_corrupt_line_raised_as_in_process_after_every_earlier_snapshot(
-        self, tmp_path, monkeypatch, bad
-    ):
+    @pytest.mark.parametrize("bad", [3, 9, 15], ids=["third line", "ninth line", "last line"])
+    def test_corrupt_line_raised_after_every_earlier_snapshot(self, tmp_path, bad):
         path = tmp_path / "a.jsonl"
         mixed_archive(path)
         lines = path.read_bytes().split(b"\n")
         lines[bad - 1] = lines[bad - 1][:40]
         path.write_bytes(b"\n".join(lines))
-        in_process = read_until_error(SnapshotStore(path))
-        assert f"corrupt line {bad}: " in in_process[1]
-        reads = force_parallel_read(monkeypatch)
-        assert read_until_error(SnapshotStore(path)) == in_process
-        assert len(reads) == 1
+        got, error = read_until_error(SnapshotStore(path))
+        assert f"corrupt line {bad}: " in error
+        assert (got, error) == line_by_line(path)
 
-    @pytest.mark.parametrize("in_workers", [False, True], ids=["in-process", "in workers"])
-    def test_line_appended_during_the_read_not_read(self, tmp_path, monkeypatch, in_workers):
+    def test_line_appended_during_the_read_not_read(self, tmp_path):
         path = tmp_path / "a.jsonl"
         snaps = [make_snapshot([("a", 34.0, -118.2)], captured_at=t) for t in (1, 2, 3)]
         write_archive(snaps, path)
-        if in_workers:
-            force_parallel_read(monkeypatch)
-        monkeypatch.setattr(feed_ingest, "ARCHIVE_CHUNK_BYTES", 1)  # a chunk per line
         with closing(SnapshotStore(path).iter_all()) as stream:
             assert next(stream) == snaps[0]
             SnapshotStore(path).append(make_snapshot([("a", 34.0, -118.2)], captured_at=4))
             assert list(stream) == snaps[1:]
 
-    def test_worker_killed_is_a_store_error(self, tmp_path, parallel_read, monkeypatch):
-        path = tmp_path / "a.jsonl"
-        mixed_archive(path)
-        monkeypatch.setattr(feed_ingest, "_decode_chunk", _die_in_worker)
-        with pytest.raises(StoreError, match=f"^{re.escape(str(path))}: read worker died: "):
-            list(SnapshotStore(path).iter_all())
 
-    def test_workers_ignore_ctrl_c(self, tmp_path, parallel_read, monkeypatch):
-        path = tmp_path / "a.jsonl"
-        mixed_archive(path)
-        monkeypatch.setattr(feed_ingest, "_decode_chunk", _report_sigint_handler)
-        # the reader handles Ctrl-C, whatever the process running the tests inherited
-        previous = signal.signal(signal.SIGINT, signal.default_int_handler)
-        try:
-            with pytest.raises(StoreError, match="corrupt line 1: SIGINT handler <Handlers.SIG_IGN"):
-                list(SnapshotStore(path).iter_all())
-            assert signal.getsignal(signal.SIGINT) is signal.default_int_handler
-        finally:
-            signal.signal(signal.SIGINT, previous)
+def count_decoding(monkeypatch) -> Counter:
+    """Counts from now on, as "bikes", every bike feed_ingest decodes from
+    JSON and checks (by either line reader), and as "records" each call of
+    snapshot_from_record, the forward read's fallback."""
+    counts = Counter()
+    column, from_record = feed_ingest._column, feed_ingest.snapshot_from_record
 
-    def test_closed_early_leaves_no_worker(self, tmp_path, parallel_read):
-        # snapshots larger than a pipe holds, a chunk each, so that both
-        # workers are still running when the reader stops
+    def counting_column(bikes, key, *args):
+        counts["bikes"] += len(bikes) * (key == "id")
+        return column(bikes, key, *args)
+
+    def counting_from_record(rec):
+        counts["records"] += 1
+        return from_record(rec)
+
+    monkeypatch.setattr(feed_ingest, "_column", counting_column)
+    monkeypatch.setattr(feed_ingest, "snapshot_from_record", counting_from_record)
+    return counts
+
+
+def bike_text(bike_id, lat=34.0, lon=-118.2, reserved=False, disabled=False, **extra) -> str:
+    """A bike's JSON object as the archive writer writes it, then any extra keys."""
+    return json.dumps({"id": bike_id, "lat": lat, "lon": lon, "reserved": reserved,
+                       "disabled": disabled, **extra}, separators=(",", ":"))
+
+
+def archive_text(provider, captured_at, bikes, joiner=",", ending="\n") -> str:
+    """An archive line of the given bike texts, its header as json.dumps writes it."""
+    header = json.dumps({"provider": provider, "captured_at": captured_at, "ttl_s": 60,
+                         "bikes": []}, separators=(",", ":"))
+    return f"{header[:-2]}{joiner.join(bikes)}]}}{ending}"
+
+
+class TestChangedBikesRead:
+    """The forward read decodes only the bikes whose JSON text changed since
+    their provider's last line, and reads every line as the line-by-line
+    oracle does."""
+
+    def test_synth_fleet_decodes_only_changed_bikes(self, tmp_path, monkeypatch):
+        config = synth_fleet.FleetConfig(
+            n_scooters=50, area=square_region(lat0=33.9, lon0=-118.5, side_deg=0.2), seed=3,
+            trip_rate=0.5, relocation_rate=0.2, duration_h=1.0,
+        )
+        snapshots, _ = synth_fleet.generate(config)
         path = tmp_path / "a.jsonl"
-        snaps = [make_snapshot([(f"s-{j}", 34.0, -118.2 + j / 1e4) for j in range(6000)],
-                               captured_at=t) for t in range(12)]
+        write_archive(snapshots, path, meta={"command": "test"})
+        counts = count_decoding(monkeypatch)
+        assert exactly(SnapshotStore(path).iter_all()) == exactly(snapshots)
+        # every bike of the first snapshot, then mostly the ones that moved
+        assert counts["records"] == 0
+        assert len(snapshots[0].ids) <= counts["bikes"] < sum(len(s.ids) for s in snapshots) / 2
+
+    def test_changed_bikes_alone_decoded(self, tmp_path, monkeypatch):
+        path = tmp_path / "a.jsonl"
+        snaps = [make_snapshot([("a", 34.0, -118.2), ("b", 34.1, lon, False, disabled),
+                                ("c", 34.2, -118.4)], captured_at=t)
+                 for t, lon, disabled in ((1, -118.3, False), (2, -118.3, True),
+                                          (3, -118.0, True), (4, -118.0, True))]
         write_archive(snaps, path)
-        assert len(pickle.dumps(snaps[0])) > 1 << 17
-        with closing(SnapshotStore(path).iter_all()) as stream:
-            assert list(itertools.islice(stream, 2)) == snaps[:2]
-            assert multiprocessing.active_children()
-        assert multiprocessing.active_children() == []
+        counts = count_decoding(monkeypatch)
+        assert exactly(SnapshotStore(path).iter_all()) == exactly(snaps)
+        # three bikes, then b for its flag, b for its move, and none
+        assert counts == {"bikes": 5}
 
-    def test_no_pool_below_the_floor_on_one_cpu_or_without_fork(
-        self, tmp_path, parallel_read, monkeypatch
-    ):
+    def test_providers_memo_apart(self, tmp_path, monkeypatch):
         path = tmp_path / "a.jsonl"
-        snaps = mixed_archive(path)
-        size = path.stat().st_size
-        with monkeypatch.context() as m:
-            m.setattr(feed_ingest, "PARALLEL_READ_MIN_BYTES", size + 1)
-            assert list(SnapshotStore(path).iter_all()) == snaps
-        with monkeypatch.context() as m:
-            m.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-            m.setattr(os, "cpu_count", lambda: 1)
-            assert list(SnapshotStore(path).iter_all()) == snaps
-        with monkeypatch.context() as m:
-            m.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-            assert list(SnapshotStore(path).iter_all()) == snaps
-        assert parallel_read == []
-        assert list(SnapshotStore(path).iter_all()) == snaps
-        assert parallel_read == ["feed_ingest"]
+        same = [bike_text("a"), bike_text("b", 34.1)]
+        path.write_text("".join(archive_text(p, t, same) for t, p in enumerate("pqpq")))
+        expected = exactly(line_by_line(path)[0])
+        counts = count_decoding(monkeypatch)
+        assert exactly(SnapshotStore(path).iter_all()) == expected
+        # each provider's first line whole, its second from the memo
+        assert counts == {"bikes": 4}
 
-    def test_pickled_snapshot_rebuilt_through_the_constructor(self):
-        # ids built at run time, so that only interning makes them one object
-        snap = make_snapshot([("".join(["s", str(i)]), 34.0, -118.2 + i / 10, i == 1)
-                              for i in range(3)])
-        copy = pickle.loads(pickle.dumps(snap))
-        assert copy == snap and copy is not snap
-        assert all(a is b for a, b in zip(copy.ids, snap.ids))
-        assert not copy.lats.flags.writeable and not copy.disabled.flags.writeable
+    @pytest.mark.parametrize("first", [["x"], ["x},{y", "c"]],
+                             ids=["first line a prefix of the id", "first line the same bikes"])
+    def test_split_of_a_padded_line_not_trusted(self, tmp_path, monkeypatch, first):
+        # the second line's first id holds "},{" and its bikes are joined by
+        # "}, {": split on "},{", the pieces are '"id":"x' and the rest, two
+        # bikes that still decode to two objects when joined back; only the
+        # padded separator shows that the split missed the boundary
+        bikes = [bike_text("x},{y"), bike_text("c", 34.1)]
+        path = tmp_path / "a.jsonl"
+        path.write_text(archive_text("p", 1, [bike_text(i) for i in first])
+                        + archive_text("p", 2, bikes, ", ") + archive_text("p", 3, bikes))
+        expected = exactly(line_by_line(path)[0])
+        counts = count_decoding(monkeypatch)
+        got = list(SnapshotStore(path).iter_all())
+        assert exactly(got) == expected
+        assert [s.ids for s in got][1:] == [("x},{y", "c")] * 2
+        # each line decoded whole: the padded line's pieces are never looked
+        # up, so the third line's '"id":"x' is no hit, and none falls back
+        assert counts == {"bikes": len(first) + 4}
+
+    def test_id_holding_the_separator_falls_back(self, tmp_path, monkeypatch):
+        # '"id":"x' and 'y",...' miss and 'x' hits; the misses joined back
+        # decode to one object, not two, so the split is not trusted
+        path = tmp_path / "a.jsonl"
+        path.write_text(archive_text("p", 1, [bike_text("x")])
+                        + archive_text("p", 2, [bike_text("x},{y"), bike_text("x")]))
+        expected = exactly(line_by_line(path)[0])
+        counts = count_decoding(monkeypatch)
+        assert exactly(SnapshotStore(path).iter_all()) == expected
+        assert counts == {"bikes": 3, "records": 1}
+
+    @pytest.mark.parametrize("form", ["\r\n ending", "padded header", "extra key"])
+    def test_line_in_another_form_read_by_its_record(self, tmp_path, monkeypatch, form):
+        bikes = [bike_text("a"), bike_text("b", 34.1)]
+        other = {"\r\n ending": archive_text("p", 2, bikes, ending="\r\n"),
+                 "padded header": archive_text("p", 2, bikes).replace('"ttl_s":', '"ttl_s": '),
+                 "extra key": archive_text("p", 2, bikes).replace("]}\n", '],"x":[{}]}\n')}[form]
+        path = tmp_path / "a.jsonl"
+        path.write_text(archive_text("p", 1, bikes) + other + archive_text("p", 3, bikes))
+        expected = exactly(line_by_line(path)[0])
+        counts = count_decoding(monkeypatch)
+        assert exactly(SnapshotStore(path).iter_all()) == expected
+        assert counts == {"bikes": 4, "records": 1}
+
+
+# ids that a split on "},{", or on a separator padded with whitespace,
+# could cut in the wrong place (some begin as another id does), and ids
+# with escapes or beyond ASCII
+TRICKY_IDS = ["x", "x},{y", "y", "},{", "}, {", '", "', '"', '\\"},{\\"', "é", " ", "☃,{"]
+# the forms of a bike's JSON object other than the archive writer's: an
+# extra key (one holding "},{", or a nested array of objects), a duplicate
+# key whose last value counts, non-ASCII written raw, a coordinate that is
+# a string
+BIKE_FORMS = {
+    "note": lambda text: text[:-1] + ',"note":"},{"}',
+    "nested objects": lambda text: '{"seen":[{},{"at":1}],' + text[1:],
+    "duplicate key": lambda text: '{"lat":"not this",' + text[1:],
+    "raw": lambda text: json.dumps(json.loads(text), separators=(",", ":"), ensure_ascii=False),
+    "lat a string": lambda text: re.sub(r'"lat":([^,]*),', r'"lat":"\1",', text, count=1),
+}
+
+
+@st.composite
+def changing_archives(draw):
+    """The text of an archive of providers "p" and "q", interleaved, each
+    ascending in captured_at. Each provider keeps a fleet, of which each
+    line changes a few bikes: one moves, changes only a flag, vanishes,
+    comes back, or takes another form of its JSON object (BIKE_FORMS); the
+    rest stay, in their order or shuffled. A line's bikes may be joined by
+    a separator padded with whitespace, its header may be padded, it may
+    end in \r\n, and its closing "]}" may be corrupt."""
+    fleets = {"p": {}, "q": {}}
+    lines = []
+    for t, provider in enumerate(draw(st.lists(st.sampled_from("pq"), min_size=1, max_size=8))):
+        fleet = fleets[provider]  # id -> (values, form)
+        for bike_id in draw(st.lists(st.sampled_from(TRICKY_IDS), unique=True, max_size=3)):
+            values, form = fleet.pop(bike_id, ({"lat": 34.0, "lon": -118.2, "reserved": False,
+                                                "disabled": False}, None))
+            change = draw(st.sampled_from(["move", "flag", "form", "vanish"]))
+            if change == "move":
+                values = {**values, "lat": draw(st.sampled_from([34.0, 34.5, 0.0, -0.0, 5]))}
+            elif change == "flag":
+                flag = draw(st.sampled_from(["reserved", "disabled"]))
+                values = {**values, flag: not values[flag]}
+            elif change == "form":
+                form = draw(st.sampled_from([None, *BIKE_FORMS]))
+            if change != "vanish":
+                fleet[bike_id] = values, form
+        order = list(fleet)
+        if draw(st.booleans()):
+            order = draw(st.permutations(order))
+        bikes = []
+        for bike_id in order:
+            values, form = fleet[bike_id]
+            text = bike_text(bike_id, **values)
+            bikes.append(BIKE_FORMS[form](text) if form else text)
+        joiner = draw(st.sampled_from([","] * 6 + [", ", " ,", ",\r", "\t,"]))
+        ending = draw(st.sampled_from(["]}\n"] * 8 + ["]}\r\n", "]]\n", "}}\n"]))
+        line = archive_text(provider, t, bikes, joiner).removesuffix("]}\n") + ending
+        if draw(st.integers(0, 9)) == 0:
+            line = line.replace('"ttl_s":', '"ttl_s": ')
+        lines.append(line)
+    return "".join(lines)
+
+
+class TestChangedBikesProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(changing_archives())
+    def test_read_equals_the_line_by_line_oracle(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("changing") / "a.jsonl"
+        path.write_text(text, encoding="utf-8")
+        got, error = read_with_error(path)
+        expected, expected_error = line_by_line(path)
+        assert exactly(got) == exactly(expected)
+        assert error == expected_error
 
 
 @st.composite

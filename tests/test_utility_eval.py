@@ -25,7 +25,7 @@ from scootpriv.utility_eval import (
     points_in_region,
 )
 
-from conftest import force_parallel_read, make_snapshot, square_region
+from conftest import force_parallel_grid, make_snapshot, square_region
 
 KM_PER_DEG = math.pi / 180 * EARTH_RADIUS_KM  # at the equator
 
@@ -533,7 +533,7 @@ class TestNeighborhoodExperiment:
 
         grid = [0.0, 0.1, 0.25, 0.5]
         in_process = run(grid)
-        maps = force_parallel_read(monkeypatch)
+        maps = force_parallel_grid(monkeypatch)
         assert run(grid) == in_process
         assert maps == ["utility_eval"]
         # 7 trials of 3 scooters at 3 radii R > 0 are the work held against the floor
