@@ -530,7 +530,7 @@ class TestStore:
         # written as the archive writer would, the line fails the same way
         lines[2] = json.dumps(rec, separators=(",", ":")) + "\n"
         path.write_text("".join(lines))
-        assert read_until_error(SnapshotStore(path))[1] == str(exc.value)
+        assert read_with_error(path)[1] == str(exc.value)
 
     def test_meta_lines_skipped(self, tmp_path):
         path = tmp_path / "a.jsonl"
@@ -620,15 +620,6 @@ def mixed_archive(path, n=12):
     return snaps
 
 
-def read_until_error(store):
-    """The snapshots a read yields before its StoreError, and its text."""
-    got = []
-    with pytest.raises(StoreError) as exc:
-        for snap in store.iter_all():
-            got.append(snap)
-    return got, str(exc.value)
-
-
 def read_with_error(path):
     """The snapshots the forward read of path yields, and the text of its
     StoreError or None."""
@@ -690,7 +681,7 @@ class TestForwardRead:
         lines = path.read_bytes().split(b"\n")
         lines[bad - 1] = lines[bad - 1][:40]
         path.write_bytes(b"\n".join(lines))
-        got, error = read_until_error(SnapshotStore(path))
+        got, error = read_with_error(path)
         assert f"corrupt line {bad}: " in error
         assert (got, error) == line_by_line(path)
 
