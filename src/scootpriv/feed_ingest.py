@@ -184,6 +184,9 @@ _ARCHIVE_BIKE = (("id", {str}), ("lat", _NUMBER_TYPES), ("lon", _NUMBER_TYPES),
                  ("reserved", {bool}), ("disabled", {bool}))
 # (its values as an error names them, dtype or None) per Snapshot column, in column order
 _COLUMN_KINDS = (("a string", None), *[("a number", np.float64)] * 2, *[("a boolean", bool)] * 2)
+# _column's arguments per bike column of each format, in column order
+_FEED_CHECKS, _ARCHIVE_CHECKS = ([(*field, *kind) for field, kind in zip(fields, _COLUMN_KINDS)]
+                                 for fields in (_FEED_BIKE, _ARCHIVE_BIKE))
 
 
 def _column(bikes: list, key: str, types, kind: str, dtype) -> list | np.ndarray:
@@ -196,14 +199,13 @@ def _column(bikes: list, key: str, types, kind: str, dtype) -> list | np.ndarray
     return values if dtype is None else np.array(values, dtype=dtype)
 
 
-def _bike_snapshot(provider: str, captured_at: int, ttl_s: int, bikes, fields) -> Snapshot:
+def _bike_snapshot(provider: str, captured_at: int, ttl_s: int, bikes, checks) -> Snapshot:
     """The one bike decoder: the Snapshot of a feed's or an archive record's
-    bikes, read by fields (_FEED_BIKE or _ARCHIVE_BIKE) a column at a time.
+    bikes, read by checks (_FEED_CHECKS or _ARCHIVE_CHECKS) a column at a time.
     Only if a column fails are the bikes checked one at a time, and the
     first that fails is a FeedParseError ``bike #i: <message>``."""
     if type(bikes) is not list:  # {} or "" would read as no bikes
         raise TypeError("bikes is not an array")
-    checks = [(*field, *kind) for field, kind in zip(fields, _COLUMN_KINDS)]
     try:
         columns = [_column(bikes, *check) for check in checks]
     except MALFORMED_INPUT:
@@ -229,7 +231,7 @@ def parse_free_bike_status(raw: bytes, provider: str) -> Snapshot:
     try:
         doc = json.loads(raw)
         return _bike_snapshot(provider, json_int(doc["last_updated"]), json_int(doc["ttl"]),
-                              doc["data"]["bikes"], _FEED_BIKE)
+                              doc["data"]["bikes"], _FEED_CHECKS)
     except FeedParseError:
         raise
     except MALFORMED_INPUT as exc:
@@ -299,14 +301,12 @@ def snapshot_from_record(rec: dict) -> Snapshot:
     """The Snapshot of one archive record, its bikes read by _bike_snapshot;
     a missing key or a value of the wrong type is a MALFORMED_INPUT error."""
     return _bike_snapshot(json_str(rec["provider"]), json_int(rec["captured_at"]),
-                          json_int(rec["ttl_s"]), rec["bikes"], _ARCHIVE_BIKE)
+                          json_int(rec["ttl_s"]), rec["bikes"], _ARCHIVE_CHECKS)
 
 
 # where an archive line's bikes start, after the header _archive_line writes
 _BIKES_START = ',"bikes":[{'
 _JSON_SPACE = " \t\r\n"
-# _column's arguments per archive bike column, in column order
-_ARCHIVE_CHECKS = [(*field, *kind) for field, kind in zip(_ARCHIVE_BIKE, _COLUMN_KINDS)]
 
 
 def _padded(bikes: str) -> bool:

@@ -332,13 +332,14 @@ def neighborhood_loss_experiment(
     the peak: 11.4 such arrays at 25 trials of 942 scooters, against
     displace's 10.4 (tracemalloc, over the memory held at the call).
 
-    The grid points with R > 0 run through workers.ordered_map, so in
-    forked worker processes when trials * n * (their count) reaches
-    PARALLEL_SWEEP_MIN_POINTS and workers.worker_count gives two or more,
-    else in-process; the rows are the same either way. The caller then
-    holds no (trials, n) array, and each worker one R's at a time: the
-    memory held across processes is the number of workers times the
-    peak above.
+    Every grid point is one task of one blocking workers.ordered_map call,
+    the R = 0 row included, which draws nothing. The tasks run in forked
+    worker processes when trials * n * (the count of R > 0) reaches
+    PARALLEL_SWEEP_MIN_POINTS and workers.worker_count, given that count,
+    gives two or more, else in-process; the rows are the same either way.
+    The caller then holds no (trials, n) array, and each worker one R's
+    at a time: the memory held across processes is the number of workers
+    times the peak above.
     """
     if regions is None and boundary is None:
         raise ValueError("no region set and no boundary")
@@ -356,6 +357,8 @@ def neighborhood_loss_experiment(
 
     def grid_point(g: int) -> UtilityRow:
         r_km, eps = r_grid[g], epsilons[g]
+        if r_km == 0:
+            return UtilityRow(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
         rng = geo_privacy.substream(master_seed, g)
         theta, r = geo_privacy.sample_polar_laplace(eps, rng, (trials, len(lats)))
         nlat, nlon = geo_privacy.displace(lats, lons, theta, r)
@@ -375,13 +378,9 @@ def neighborhood_loss_experiment(
         _, out_m, out_se = losses[-1] if boundary is not None else (0.0, 0.0, 0.0)
         return UtilityRow(r_km, eps, out_m, out_se, err_m, esc_m, esc_se)
 
-    noisy = [g for g, r_km in enumerate(r_grid) if r_km != 0]
-    n = workers.worker_count(trials * len(lats) * len(noisy), PARALLEL_SWEEP_MIN_POINTS,
-                             len(noisy))
-    # list: read to its end, so that its workers are joined here
-    rows = dict(zip(noisy, list(workers.ordered_map(grid_point, noisy, n))))
-    zero = UtilityRow(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    return [rows.get(g, zero) for g in range(len(r_grid))]
+    noisy = sum(r_km != 0 for r_km in r_grid)
+    n = workers.worker_count(trials * len(lats) * noisy, PARALLEL_SWEEP_MIN_POINTS, noisy)
+    return workers.ordered_map(grid_point, range(len(r_grid)), n)
 
 
 def merge_rows(

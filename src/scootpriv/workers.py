@@ -12,7 +12,7 @@ from __future__ import annotations
 import os
 import pickle
 import signal
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Sequence
 
 # every worker of a sweep holds one R's arrays, so the memory a sweep
 # holds across processes grows with the number of workers
@@ -62,26 +62,23 @@ def _work(fn: Callable, tasks: Sequence, conn) -> None:
             return
 
 
-def ordered_map(fn: Callable, tasks: Sequence, n: int) -> Iterator:
-    """fn(task) for each task, in task order, computed in n forked
-    workers, or in-process if n is 0.
+def ordered_map(fn: Callable, tasks: Sequence, n: int) -> list:
+    """[fn(task) for task in tasks], computed in n forked workers, or
+    in-process if n is 0.
 
     Worker w runs tasks w, w+n, ... and sends each result down its own
     one-way pipe, where a full pipe blocks it; task i's result is
-    received from pipe i % n. An exception fn raises is raised here when
-    its task is reached, with its type and message (see _portable); a
-    worker that dies instead raises WorkerDied, naming its exit code.
-    The workers are killed and joined, and the pipes closed, when the
-    stream ends, raises or is closed. Nothing is forked before the
-    first result is asked for.
+    received from pipe i % n. An exception fn raises is raised here, with
+    its type and message (see _portable); a worker that dies instead
+    raises WorkerDied, naming its exit code. Every worker is killed and
+    joined, and every pipe closed, before this returns or raises.
     """
     if not n:
-        yield from map(fn, tasks)
-        return
+        return [fn(task) for task in tasks]
     import multiprocessing
 
     fork = multiprocessing.get_context("fork")
-    pipes, workers = [], []
+    pipes, workers, results = [], [], []
     try:
         for w in range(n):
             recv, send = fork.Pipe(duplex=False)
@@ -98,7 +95,8 @@ def ordered_map(fn: Callable, tasks: Sequence, n: int) -> Iterator:
                 raise WorkerDied(f"worker died: exit code {workers[i % n].exitcode}") from None
             if not ok:
                 raise value
-            yield value
+            results.append(value)
+        return results
     finally:
         for worker in workers:
             worker.kill()

@@ -2,6 +2,8 @@ import json
 import math
 import multiprocessing
 import os
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -145,3 +147,42 @@ def square_with_hole():
         (4.0, 4.0),
     )
     return Region(name="holed", rings=(outer, hole))
+
+
+class _FeedHandler(BaseHTTPRequestHandler):
+    """Replays a scripted list of responses, one per request."""
+
+    script = []
+    calls = 0
+
+    def do_GET(self):
+        cls = type(self)
+        i = min(cls.calls, len(cls.script) - 1)
+        status, body = cls.script[i]
+        cls.calls += 1
+        self.send_response(status)
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def stub_server():
+    """A feed server on a free local port, as (Handler, url). Each request
+    gets the next (status, body) of Handler.script, then the last again;
+    Handler.calls counts the requests."""
+
+    class Handler(_FeedHandler):
+        script = []
+        calls = 0
+
+    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    # shutdown() waits out one poll_interval of serve_forever (0.5 s by default)
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
+    thread.start()
+    url = f"http://127.0.0.1:{server.server_port}/free_bike_status.json"
+    yield Handler, url
+    server.shutdown()
+    server.server_close()

@@ -10,9 +10,7 @@ import math
 import os
 import subprocess
 import sys
-import threading
 import tracemalloc
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import numpy as np
@@ -719,22 +717,17 @@ class TestSanitizeCommand:
         assert not out.exists()
         assert main(argv + ["--radius-km", "5.59"]) == 0  # epsilon 0.3205/km
 
-    def test_failure_midway_leaves_no_output(self, tmp_path, synth_archive, monkeypatch):
-        calls = 0
-        real = geo_privacy.perturb
-
-        def perturb_then_fail(*args):
-            nonlocal calls
-            calls += 1
-            if calls > 100:
-                raise ValueError("injected failure")
-            return real(*args)
-
-        monkeypatch.setattr(geo_privacy, "perturb", perturb_then_fail)
+    def test_failure_midway_leaves_no_output(self, tmp_path, synth_archive, capsys):
+        # the read fails at line 101, after sanitize wrote the snapshots before it
+        lines = synth_archive.read_text().splitlines(keepends=True)
+        lines[100] = "{not json\n"
+        synth_archive.write_text("".join(lines))
         out = tmp_path / "s.jsonl"
         rc = main(["sanitize", "--store", str(synth_archive), "--output", str(out),
                    "--radius-km", "0.36"])
-        assert rc == 1 and calls > 100
+        err = capsys.readouterr().err
+        assert rc == 1 and err.count("\n") == 1
+        assert err.startswith(f"error: {synth_archive}: corrupt line 101: ")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["archive.jsonl", "fleet.json"]
 
     def test_output_may_be_the_store(self, tmp_path, synth_archive):
@@ -1328,18 +1321,6 @@ def test_malformed_input_exits_with_one_error_line_naming_the_file(
     assert not out.exists() and bad.read_bytes() == content
 
 
-class _OneShotHandler(BaseHTTPRequestHandler):
-    body = make_feed_doc([("a", 34.0, -118.4)], last_updated=500)
-
-    def do_GET(self):
-        self.send_response(200)
-        self.end_headers()
-        self.wfile.write(type(self).body)
-
-    def log_message(self, *args):
-        pass
-
-
 class TestScrapeCommand:
     def test_duration_zero_empty_archive(self, tmp_path):
         arch = tmp_path / "a.jsonl"
@@ -1358,29 +1339,24 @@ class TestScrapeCommand:
         )
         assert rc == 2
 
-    def test_stub_server_yields_snapshot(self, tmp_path, monkeypatch, capsys):
+    def test_stub_server_yields_snapshot(self, tmp_path, monkeypatch, capsys, stub_server):
         # polls at 0 s and 1 s of virtual time, both fetched from the server
         monkeypatch.setattr(cli, "poll_feed", functools.partial(feed_ingest.poll_feed,
                                                                 clock=FakeClock()))
-        server = ThreadingHTTPServer(("127.0.0.1", 0), _OneShotHandler)
-        threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True).start()
-        try:
-            arch = tmp_path / "a.jsonl"
-            rc = main(
-                ["scrape", "--url", f"http://127.0.0.1:{server.server_port}/feed",
-                 "--provider", "p", "--store", str(arch),
-                 "--interval", "1", "--duration", "1.3"]
-            )
-            assert rc == 0
-            assert capsys.readouterr().out == (
-                "stored 1 snapshots, 0 fetch failures, 0 parse errors, 1 skipped as not newer\n"
-            )
-            snaps = list(SnapshotStore(arch).iter_all())
-            assert len(snaps) == 1  # identical last_updated deduplicated
-            assert snaps[0].captured_at == 500
-        finally:
-            server.shutdown()
-            server.server_close()
+        handler, url = stub_server
+        handler.script = [(200, make_feed_doc([("a", 34.0, -118.4)], last_updated=500))]
+        arch = tmp_path / "a.jsonl"
+        rc = main(
+            ["scrape", "--url", url, "--provider", "p", "--store", str(arch),
+             "--interval", "1", "--duration", "1.3"]
+        )
+        assert rc == 0
+        assert capsys.readouterr().out == (
+            "stored 1 snapshots, 0 fetch failures, 0 parse errors, 1 skipped as not newer\n"
+        )
+        snaps = list(SnapshotStore(arch).iter_all())
+        assert len(snaps) == 1  # identical last_updated deduplicated
+        assert snaps[0].captured_at == 500
 
 
 class TestEvaluateGeojsonDump:
@@ -1647,3 +1623,22 @@ def test_only_feed_ingest_opens_files_for_writing():
     assert _writes(one_write)  # the rule sees _write's own open
     writes = {module: found for module, tree in trees.items() if (found := _writes(tree))}
     assert writes == {}
+
+
+def test_src_imports_only_the_standard_library_and_numpy():
+    # numpy is the one dependency (pyproject.toml); scipy is for tests only.
+    # ast.walk sees the imports inside functions too, as lazy imports are made
+    allowed = sys.stdlib_module_names | {"numpy", "scootpriv"}
+    outside = {}
+    for path in sorted((SRC / "scootpriv").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:  # relative: the package
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                if name.partition(".")[0] not in allowed:
+                    outside.setdefault(path.name, []).append(name)
+    assert outside == {}

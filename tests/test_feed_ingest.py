@@ -3,12 +3,10 @@ import io
 import json
 import re
 import tempfile
-import threading
 import tracemalloc
 from collections import Counter
 from contextlib import closing, redirect_stderr
 from dataclasses import replace
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import numpy as np
@@ -969,41 +967,6 @@ class TestMutatedArchives:
             assert all(t0 < t1 for t0, t1 in zip(times, times[1:]))
             read = [s.captured_at for s in store.iter_all() if s.provider == provider]
             assert SnapshotStore(path).last_captured(provider) == (read[-1] if read else None)
-
-
-class _FeedHandler(BaseHTTPRequestHandler):
-    """Replays a scripted list of responses, one per request."""
-
-    script = []
-    calls = 0
-
-    def do_GET(self):
-        cls = type(self)
-        i = min(cls.calls, len(cls.script) - 1)
-        status, body = cls.script[i]
-        cls.calls += 1
-        self.send_response(status)
-        self.end_headers()
-        self.wfile.write(body)
-
-    def log_message(self, *args):
-        pass
-
-
-@pytest.fixture
-def stub_server():
-    class Handler(_FeedHandler):
-        script = []
-        calls = 0
-
-    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-    # shutdown() waits out one poll_interval of serve_forever (0.5 s by default)
-    thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
-    thread.start()
-    url = f"http://127.0.0.1:{server.server_port}/free_bike_status.json"
-    yield Handler, url
-    server.shutdown()
-    server.server_close()
 
 
 class TestPoller:

@@ -1,8 +1,6 @@
-import itertools
 import multiprocessing
 import os
 import signal
-from contextlib import closing
 
 import pytest
 
@@ -40,63 +38,53 @@ def _die_at_three(x):
 class TestOrderedMap:
     @pytest.mark.parametrize("n", [1, 2, 3, 7])
     def test_results_in_task_order_from_n_workers(self, n):
-        got = list(ordered_map(_square_and_pid, list(range(20)), n))
+        got = ordered_map(_square_and_pid, list(range(20)), n)
         assert [square for square, _ in got] == [x * x for x in range(20)]
         pids = {pid for _, pid in got}
         assert os.getpid() not in pids and len(pids) == min(n, 20)
 
     def test_no_workers_runs_in_process(self):
-        got = list(ordered_map(_square_and_pid, [1, 2, 3], 0))
+        got = ordered_map(_square_and_pid, [1, 2, 3], 0)
         assert got == [(1, os.getpid()), (4, os.getpid()), (9, os.getpid())]
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("n", [0, 2])
-    def test_exception_raised_with_its_type_and_message_after_earlier_results(self, n):
-        got = []
+    def test_exception_raised_with_its_type_and_message(self, n):
         with pytest.raises(KeyError, match="'task 5'"):
-            for x in ordered_map(_fail_at_five, list(range(10)), n):
-                got.append(x)
-        assert got == [0, 1, 2, 3, 4]
+            ordered_map(_fail_at_five, list(range(10)), n)
 
     def test_exception_that_cannot_travel_keeps_its_type_name_and_message(self):
         def fail(x):
             raise LocalError(x, "b")
 
         with pytest.raises(RuntimeError, match="^LocalError: 0 and b$"):
-            list(ordered_map(fail, [0, 1], 2))
+            ordered_map(fail, [0, 1], 2)
 
     def test_dead_worker_is_one_error_naming_its_exit_code(self):
-        got = []
         with pytest.raises(WorkerDied, match="^worker died: exit code 7$"):
-            for x in ordered_map(_die_at_three, list(range(8)), 2):
-                got.append(x)
-        assert got == [0, 1, 2]
+            ordered_map(_die_at_three, list(range(8)), 2)
+        assert multiprocessing.active_children() == []
 
     def test_workers_ignore_ctrl_c(self):
         # the caller handles Ctrl-C, whatever the process running the tests inherited
         previous = signal.signal(signal.SIGINT, signal.default_int_handler)
         try:
-            got = list(ordered_map(lambda x: signal.getsignal(signal.SIGINT), [0, 1], 2))
+            got = ordered_map(lambda x: signal.getsignal(signal.SIGINT), [0, 1], 2)
             assert got == [signal.SIG_IGN] * 2
             assert signal.getsignal(signal.SIGINT) is signal.default_int_handler
         finally:
             signal.signal(signal.SIGINT, previous)
 
-    def test_nothing_forked_before_the_first_result(self):
-        stream = ordered_map(_square_and_pid, [1, 2], 2)
-        assert multiprocessing.active_children() == []
-        stream.close()
-
-    def test_closed_early_leaves_no_worker(self):
-        # results larger than a pipe holds, so that both workers are still running
-        with closing(ordered_map(lambda x: (x, bytes(1 << 17)), list(range(100)), 2)) as stream:
-            assert [x for x, _ in itertools.islice(stream, 3)] == [0, 1, 2]
-            assert len(multiprocessing.active_children()) == 2
+    @pytest.mark.parametrize("n", [0, 2, 3])
+    def test_returns_a_list_with_no_worker_left(self, n):
+        # results larger than a pipe holds, so that workers block on their pipes
+        got = ordered_map(lambda x: (x, bytes(1 << 17)), list(range(10)), n)
+        assert type(got) is list and [x for x, _ in got] == list(range(10))
         assert multiprocessing.active_children() == []
 
     def test_raised_leaves_no_worker(self):
         with pytest.raises(KeyError):
-            list(ordered_map(_fail_at_five, list(range(100)), 3))
+            ordered_map(_fail_at_five, list(range(100)), 3)
         assert multiprocessing.active_children() == []
 
 
