@@ -107,9 +107,9 @@ class Snapshot:
 
     @property
     def observations(self) -> tuple[tuple[str, float, float, bool, bool], ...]:
-        """Every row (see rows), built on each access. Only tests and the
-        benchmark harness's observation count read it; once the harness
-        counts len(snap.ids), it goes."""
+        """Every row (see rows), built on each access. Only the benchmark
+        harness's observation counts read it (perfbench's tracing and
+        worker); once they count len(snap.ids), it goes."""
         return tuple(self.rows())
 
 

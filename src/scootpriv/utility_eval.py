@@ -200,26 +200,17 @@ def _position(p) -> tuple[float, float]:
     return json_number(lat), json_number(lon)
 
 
-def _by_latitude(lats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(order, sorted latitudes): the sort _assign_regions slices."""
-    order = np.argsort(lats)
-    return order, lats[order]
-
-
-def _assign_regions(
-    lats: np.ndarray, lons: np.ndarray, regions: RegionSet, by_latitude=None
-) -> np.ndarray:
+def _assign_regions(lats: np.ndarray, lons: np.ndarray, regions: RegionSet) -> np.ndarray:
     """First-containing-region index per point, -1 for outside all.
 
-    The points are sorted by latitude once: by_latitude is
-    _by_latitude(lats), passed so that several region sets share one
-    sort, or None to sort here. Each region then runs points_in_region
-    only on the still unassigned points inside its bounding box: a
-    searchsorted slice of the sorted latitudes, narrowed by a longitude
-    test.
+    The points are sorted by latitude once. Each region then runs
+    points_in_region only on the still unassigned points inside its
+    bounding box: a searchsorted slice of the sorted latitudes, narrowed
+    by a longitude test.
     """
     assignment = np.full(len(lats), -1, dtype=int)
-    order, sorted_lats = _by_latitude(lats) if by_latitude is None else by_latitude
+    order = np.argsort(lats)
+    sorted_lats = lats[order]
     for idx, region in enumerate(regions.regions):
         lat_min, lon_min, lat_max, lon_max = region.bbox
         lo, hi = np.searchsorted(
@@ -322,15 +313,15 @@ def neighborhood_loss_experiment(
     two draw arrays, that call peaks at eight (trials, n) float arrays,
     its two results included (see displace): ten in all, 80 * trials * n
     bytes, about 1.9 MB at 25 trials of 940 scooters and 80 MB at 100
-    trials of 10,000. The draws are then dropped. The noisy points are
-    sorted by latitude once, an intp index and a float copy, and each
-    region set's assignment pass slices that sort: the neighborhoods,
-    then the boundary as its own one-region set, since a point is
-    assigned only its first containing region. A pass holds five
-    (trials, n) arrays beside copies of the candidates of the region it
-    tests; a boundary, which holds nearly every point, makes its pass
-    the peak: 11.4 such arrays at 25 trials of 942 scooters, against
-    displace's 10.4 (tracemalloc, over the memory held at the call).
+    trials of 10,000. The draws are then dropped. The boundary is one
+    polygon: its pass is one points_in_region call over every noisy point,
+    which holds the two noisy coordinates and under three more (trials, n)
+    arrays. The neighborhoods' pass sorts the noisy points by latitude, an
+    intp index and a float copy, and holds five (trials, n) arrays beside
+    copies of the candidates of the region it tests. So displace is the
+    peak: 10.3 such arrays at 25 trials of 942 scooters with perfbench's
+    city and 100 tiles, against 10.2 for the draw and displace alone
+    (tracemalloc, over the memory held at the call).
 
     Every grid point is one task of one blocking workers.ordered_map call,
     the R = 0 row included, which draws nothing. The tasks run in forked
@@ -350,10 +341,9 @@ def neighborhood_loss_experiment(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     epsilons = [0.0 if r_km == 0 else geo_privacy.epsilon_from(r_km, ratio) for r_km in r_grid]
-    region_sets = [s for s in (regions, boundary and RegionSet((boundary,))) if s is not None]
     lats, lons = snapshot.lats, snapshot.lons
-    true_sort = _by_latitude(lats)
-    truths = [_assign_regions(lats, lons, s, true_sort) for s in region_sets]
+    inside = None if boundary is None else points_in_region(lats, lons, boundary)
+    truth = None if regions is None else _assign_regions(lats, lons, regions)
 
     def grid_point(g: int) -> UtilityRow:
         r_km, eps = r_grid[g], epsilons[g]
@@ -362,20 +352,16 @@ def neighborhood_loss_experiment(
         rng = geo_privacy.substream(master_seed, g)
         theta, r = geo_privacy.sample_polar_laplace(eps, rng, (trials, len(lats)))
         nlat, nlon = geo_privacy.displace(lats, lons, theta, r)
-        del theta, r  # spent: the assignment passes do not hold them
-        # every trial's points in one assignment per region set, one row per trial
+        del theta, r  # spent: the containment passes do not hold them
+        # every trial's points in one pass per loss, one row per trial
         nlat, nlon = nlat.ravel(), nlon.ravel()
-        noisy_sort = _by_latitude(nlat)
-        losses = [
-            _distortion(
-                truth,
-                _assign_regions(nlat, nlon, s, noisy_sort).reshape(trials, -1),
-                len(s.regions),
-            )
-            for truth, s in zip(truths, region_sets)
-        ]
-        err_m, esc_m, esc_se = losses[0] if regions is not None else (0.0, 0.0, 0.0)
-        _, out_m, out_se = losses[-1] if boundary is not None else (0.0, 0.0, 0.0)
+        out_m = out_se = err_m = esc_m = esc_se = 0.0
+        if boundary is not None:
+            escaped = inside & ~points_in_region(nlat, nlon, boundary).reshape(trials, -1)
+            out_m, out_se = _mean_stderr(escaped.sum(axis=1))
+        if regions is not None:
+            assigned = _assign_regions(nlat, nlon, regions).reshape(trials, -1)
+            err_m, esc_m, esc_se = _distortion(truth, assigned, len(regions.regions))
         return UtilityRow(r_km, eps, out_m, out_se, err_m, esc_m, esc_se)
 
     noisy = sum(r_km != 0 for r_km in r_grid)

@@ -1,14 +1,17 @@
+import gc
 import json
 import math
 import time
+import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
-from scootpriv import geo_privacy, utility_eval
+from scootpriv import geo_privacy, synth_fleet, utility_eval
 from scootpriv.geo_privacy import epsilon_from
 from scootpriv.trip_recon import EARTH_RADIUS_KM
 from scootpriv.utility_eval import (
@@ -28,6 +31,19 @@ from scootpriv.utility_eval import (
 from conftest import force_parallel_grid, make_snapshot, square_region
 
 KM_PER_DEG = math.pi / 180 * EARTH_RADIUS_KM  # at the equator
+FIXTURES = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures"
+
+
+def traced_peak(fn) -> int:
+    """Bytes fn's call peaks at under tracemalloc, over those held before it."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 def winding_number_contains(p, region):
@@ -390,6 +406,8 @@ class TestAssignRegions:
             warnings.simplefilter("error", RuntimeWarning)
             assignment = _assign_regions(lats, lons, RegionSet((region,)))
             oracle = assign_oracle(lats, lons, RegionSet((region,)))
+            # every point, those outside the bbox included, as evaluate's boundary pass gives them
+            np.testing.assert_array_equal(points_in_region(lats, lons, region), assignment == 0)
         np.testing.assert_array_equal(assignment, oracle)
         # (0, 0.5) lies just south of the rising edge, (1e-310, 0.5) north of it
         assert assignment.tolist() == [-1, 0, -1, -1, -1, 0, 0]
@@ -634,6 +652,29 @@ class TestNeighborhoodExperiment:
             UtilityRow(0.25, 7.16703787691222, 0.0, 0.0, 0.65, 0.475, 0.0767343332201228),
             UtilityRow(0.5, 3.58351893845611, 0.0, 0.0, 0.6, 0.6, 0.11239029738980327),
         ]
+
+    def test_peak_no_higher_than_the_draw(self):
+        # the sweep workload's fleet and regions: the city holds nearly
+        # every scooter, so a boundary pass that copied its points would
+        # outgrow the draw and displace, the peak every R must reach
+        fleet = json.loads((FIXTURES / "sweep_fleet.json").read_text())
+        snap = synth_fleet.generate(synth_fleet.config_from_json({**fleet, "seed": 1}))[0][-1]
+        city = load_regions_geojson(FIXTURES / "city.geojson").regions[0]
+        tiles = load_regions_geojson(FIXTURES / "tiles.geojson")
+        trials, n = 25, len(snap.lats)
+
+        def experiment():
+            # one grid point of 25 trials: below the floor, so in-process
+            neighborhood_loss_experiment(snap, tiles, [0.25], trials, 6, 1, boundary=city)
+
+        def draw():
+            rng = geo_privacy.substream(1, 0)
+            theta, r = geo_privacy.sample_polar_laplace(epsilon_from(0.25, 6), rng, (trials, n))
+            geo_privacy.displace(snap.lats, snap.lons, theta, r)
+
+        experiment()  # warm-up
+        excess = traced_peak(experiment) - traced_peak(draw)
+        assert excess < 0.5 * trials * n * np.dtype(float).itemsize
 
 
 class TestReportEmission:
